@@ -16,7 +16,6 @@ use crate::protocol::WireReply;
 use crate::recorder::WireRecorder;
 use fedfl_obs::{Metric, Recorder as _, Registry, Stopwatch};
 use fedfl_service::{ClientId, Command, PriceQuote, PricingService, Response, ServiceSnapshot};
-use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -38,47 +37,30 @@ impl Default for ServerOptions {
     }
 }
 
-/// The last certified equilibrium, indexed for concurrent reads.
-struct Published {
-    snapshot: ServiceSnapshot,
-    /// Client id → position in the snapshot's insertion-ordered columns.
-    index: HashMap<u64, usize>,
-}
-
-impl Published {
-    fn new(snapshot: ServiceSnapshot) -> Self {
-        let index = snapshot
-            .ids
-            .iter()
-            .enumerate()
-            .map(|(pos, id)| (id.0, pos))
-            .collect();
-        Self { snapshot, index }
-    }
-
-    /// Batched quotes with the in-process atomicity contract: every id
-    /// resolves before any quote is built; the first unknown id (in
-    /// request order) rejects the whole batch.
-    fn quotes(&self, ids: &[ClientId]) -> Result<Vec<PriceQuote>, WireError> {
-        let positions: Vec<usize> = ids
-            .iter()
-            .map(|id| {
-                self.index
-                    .get(&id.0)
-                    .copied()
-                    .ok_or(WireError::UnknownClient(id.0))
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(ids
-            .iter()
-            .zip(positions)
-            .map(|(&id, pos)| PriceQuote {
-                id,
-                price: self.snapshot.prices[pos],
-                q_eff: self.snapshot.q_eff[pos],
-            })
-            .collect())
-    }
+/// Batched quotes from a certified snapshot, with the in-process atomicity
+/// contract: every id resolves before any quote is built; the first
+/// unknown id (in request order) rejects the whole batch. Ids resolve by
+/// binary search: a snapshot's ids are strictly ascending (see
+/// [`ServiceSnapshot::ids`]).
+fn quotes(snapshot: &ServiceSnapshot, ids: &[ClientId]) -> Result<Vec<PriceQuote>, WireError> {
+    let positions: Vec<usize> = ids
+        .iter()
+        .map(|id| {
+            snapshot
+                .ids
+                .binary_search(id)
+                .map_err(|_| WireError::UnknownClient(id.0))
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(ids
+        .iter()
+        .zip(positions)
+        .map(|(&id, pos)| PriceQuote {
+            id,
+            price: snapshot.prices[pos],
+            q_eff: snapshot.q_eff[pos],
+        })
+        .collect())
 }
 
 /// Shared state between the writer and every reader connection.
@@ -88,7 +70,7 @@ struct Shared {
     service: Mutex<PricingService>,
     /// The last certified equilibrium; readers clone the `Arc` and serve
     /// without touching the service.
-    published: RwLock<Option<Arc<Published>>>,
+    published: RwLock<Option<Arc<ServiceSnapshot>>>,
     /// Whether `published` reflects the service's current state. Cleared
     /// by successful mutations (under the service lock), raised only
     /// after a certified snapshot is published.
@@ -111,7 +93,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 impl Shared {
     /// A read view of the current equilibrium, re-solving (through the
     /// single writer) first if mutations have accumulated.
-    fn read_view(&self) -> Result<Arc<Published>, WireError> {
+    fn read_view(&self) -> Result<Arc<ServiceSnapshot>, WireError> {
         if self.fresh.load(Ordering::Acquire) {
             let published = self
                 .published
@@ -138,7 +120,7 @@ impl Shared {
         // that passed the Theorem 2 certification; on error nothing is
         // published and the previous certified view stays.
         let snapshot = service.snapshot().map_err(WireError::from)?;
-        let view = Arc::new(Published::new(snapshot));
+        let view = Arc::new(snapshot);
         *self
             .published
             .write()
@@ -151,14 +133,14 @@ impl Shared {
     fn handle(&self, command: Command) -> WireReply {
         match command {
             Command::GetPrices(ids) => match self.read_view() {
-                Ok(view) => match view.quotes(&ids) {
+                Ok(view) => match quotes(&view, &ids) {
                     Ok(quotes) => WireReply::Ok(Response::Prices(quotes)),
                     Err(e) => WireReply::Err(e),
                 },
                 Err(e) => WireReply::Err(e),
             },
             Command::Snapshot => match self.read_view() {
-                Ok(view) => WireReply::Ok(Response::Snapshot(view.snapshot.clone())),
+                Ok(view) => WireReply::Ok(Response::Snapshot((*view).clone())),
                 Err(e) => WireReply::Err(e),
             },
             // Lock-free: scrapes must not queue behind the writer.

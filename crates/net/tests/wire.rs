@@ -270,6 +270,47 @@ fn malformed_input_yields_typed_error_frames_and_the_connection_survives() {
 }
 
 #[test]
+fn unknown_ids_come_back_as_typed_error_frames_and_change_nothing() {
+    let (mut service, ids) = seeded_service(40);
+    let removed = ids[5];
+    service.remove_clients(&[removed]).unwrap();
+    let mut handle = start_server(service, ServerOptions::default(), None);
+    let mut conn = PricingClient::connect(handle.addr()).unwrap();
+    let Response::Snapshot(before) = conn.call(&Command::Snapshot).unwrap() else {
+        panic!("snapshot reply");
+    };
+
+    // Never issued (sharing a route block with live ids), already
+    // removed, and far beyond every issued block.
+    let never_issued = ClientId(ids.last().unwrap().0 + 1);
+    for bad in [never_issued, removed, ClientId(u64::MAX)] {
+        for batch in [vec![bad], vec![ids[0], bad]] {
+            for command in [
+                Command::GetPrices(batch.clone()),
+                Command::RemoveClients(batch.clone()),
+            ] {
+                let err = conn.call(&command).unwrap_err();
+                assert!(
+                    matches!(err, ClientError::Server(WireError::UnknownClient(id)) if id == bad.0),
+                    "{command:?}: {err:?}"
+                );
+            }
+        }
+    }
+    // The connection keeps serving, and the rejected removals changed
+    // nothing.
+    let Response::Snapshot(after) = conn.call(&Command::Snapshot).unwrap() else {
+        panic!("snapshot reply");
+    };
+    assert_eq!(after, before);
+    let Response::Prices(quotes) = conn.call(&Command::GetPrices(vec![ids[0]])).unwrap() else {
+        panic!("prices reply");
+    };
+    assert_eq!(quotes[0].price.to_bits(), before.prices[0].to_bits());
+    handle.shutdown();
+}
+
+#[test]
 fn oversized_frames_are_reported_then_the_connection_closes() {
     let (service, ids) = seeded_service(3);
     let mut handle = start_server(service, ServerOptions { max_frame: 256 }, None);

@@ -11,16 +11,20 @@
 //!   reads [`Command::GetPrices`] / [`Command::Snapshot`], all through
 //!   [`PricingService::execute`] (or the equivalent typed methods).
 //! * **Sharded store, dirty-shard rebuilds** — clients are routed to
-//!   [`ServiceConfig::shards`] store shards by id block; each shard caches
-//!   its clients' solver columns (availability rates, inclusion masks, the
-//!   effective `cost/rate²` and `q_max·rate` transforms) and a delta
-//!   dirties only the shards it touches. A re-solve rebuilds **only the
-//!   dirty shards' columns** — `O(N/S · dirty)` instead of the monolithic
-//!   `O(N)` — then gathers them in insertion order with the exact
-//!   `Population::from_raw` normalisation and solves over chunk-aligned
-//!   shard column-sets ([`fedfl_core::server::solve_kkt_sharded_hinted`]).
-//!   Prices are bit-identical for **any** shard count; [`RepriceReport`]
-//!   records the dirty-shard accounting.
+//!   [`ServiceConfig::shards`] store shards by 32-id block; each shard
+//!   caches its clients' solver columns (availability rates, inclusion
+//!   masks, the effective `cost/rate²` and `q_max·rate` transforms) and a
+//!   delta dirties only the shards it touches. Ids are issued in sequence
+//!   and never reused, so insertion order is id order, and a directory
+//!   with one live mask and start position per id block locates any
+//!   client with one array index and a popcount. A re-solve rebuilds
+//!   **only the dirty shards' columns** — `O(N/S · dirty)` instead of the
+//!   monolithic `O(N)` — then gathers them block by block, as slice
+//!   copies, in insertion order with the exact `Population::from_raw`
+//!   normalisation and solves over chunk-aligned shard column-sets
+//!   ([`fedfl_core::server::solve_kkt_sharded_hinted`]). Prices are
+//!   bit-identical for **any** shard count; [`RepriceReport`] records the
+//!   dirty-shard accounting.
 //! * **Incremental re-solve** — population deltas shift the spend curve of
 //!   the KKT path, but the λ\*-bisection can be *warm-started* from the
 //!   previous solve's path parameter: the service passes `t* = 1/λ*` as a
@@ -83,9 +87,9 @@ pub use service::{
     Command, PriceQuote, PricingService, RepriceReport, Response, ServiceConfig, ServiceSnapshot,
 };
 
-/// Opaque handle for one registered client. Ids are assigned by the
-/// service at [`Command::AddClients`] time and are never reused, even
-/// after the client is removed.
+/// Opaque handle for one registered client. Ids are assigned in sequence
+/// by the service at [`Command::AddClients`] time and are never reused,
+/// even after the client is removed, so insertion order is id order.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
 )]

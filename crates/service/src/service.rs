@@ -245,7 +245,9 @@ pub struct RepriceReport {
 /// Full view of the current equilibrium.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceSnapshot {
-    /// Client ids in insertion order.
+    /// Client ids in insertion order, which is strictly ascending:
+    /// insertion order is id order; ids are never reused. Readers may
+    /// binary-search it.
     pub ids: Vec<ClientId>,
     /// Per-client prices (aligned with `ids`; excluded clients are `0.0`).
     pub prices: Vec<f64>,
@@ -307,10 +309,13 @@ struct FastIndexState {
 /// A long-running pricing service owning a churning, sharded client
 /// population.
 ///
-/// See the crate docs for the full contract. All mutating commands are
-/// cheap (`O(batch)` or one `O(N)` compaction) and dirty only the store
-/// shards they touch; a re-solve rebuilds only the dirty shards' columns
-/// before the λ-bisection, warm-started from the previous solve.
+/// See the crate docs for the full contract. Mutating commands dirty only
+/// the store shards they touch: an add is `O(batch)`, a removal
+/// `O(batch + touched shards + N/32)` (a route-block directory update plus
+/// one memmove of the id list), and an availability update one `O(N)`
+/// pass. Reads resolve ids in `O(1)` through the same directory. A
+/// re-solve rebuilds only the dirty shards' columns before the
+/// λ-bisection, warm-started from the previous solve.
 #[derive(Debug, Clone)]
 pub struct PricingService {
     config: ServiceConfig,

@@ -1,18 +1,29 @@
 //! The service's sharded client store: raw-weighted profiles under churn,
-//! with per-shard dirty tracking.
+//! with per-shard dirty tracking and a route-block id directory.
 //!
-//! Clients are routed to a fixed set of shards by id block
-//! (`shard = (id / 32) % shards`, so one registration batch lands in few
-//! shards) while a separate insertion-order index preserves the **global
-//! client order** — the order every solve, snapshot, and from-scratch
-//! verifier uses. Each shard caches the per-client solver inputs that are
-//! expensive to recompute under churn (availability rates, inclusion
-//! masks, the effective-cost transform `c/rate²` and cap `q_max·rate`);
-//! a delta dirties only the shards it touches, and
-//! [`ShardedClientStore::ensure_caches`] rebuilds only those. The
-//! per-solve [`ShardedClientStore::assemble`] pass then gathers the cached
-//! columns in insertion order, normalises raw weights with the same
-//! left-fold `Population::from_raw` performs, and splits the result into
+//! Ids are issued in sequence and never reused, so insertion order is
+//! ascending id order. Clients are routed to a fixed set of shards by id
+//! block (`shard = (id / 32) % shards`, so one registration batch lands in
+//! few shards); each 32-id route block `b` therefore sits, in id order,
+//! inside shard `b % shards`. The store keeps one directory entry per
+//! route block: a 32-bit live mask plus the global position of the
+//! block's first live id. An id's position in the **global client order**
+//! — the order every solve, snapshot, and from-scratch verifier uses — is
+//! that start plus a popcount, and the global-order passes walk the blocks
+//! in order with one cursor per shard, copying each block's run as a
+//! slice.
+//!
+//! Each shard caches the per-client solver inputs that are expensive to
+//! recompute under churn (availability rates, inclusion masks, the
+//! effective-cost transform `c/rate²` and cap `q_max·rate`); a delta
+//! dirties only the shards it touches, and
+//! [`ShardedClientStore::ensure_caches`] rebuilds only those. A removal
+//! clears directory bits, compacts only the touched shards plus the global
+//! id list, and recomputes block starts from the first touched block:
+//! `O(batch + touched shards + N/32)`. The per-solve
+//! [`ShardedClientStore::assemble`] pass then gathers the cached columns in
+//! global order, normalises raw weights with the same left-fold
+//! `Population::from_raw` performs, and splits the result into
 //! chunk-aligned solver shards — so the sharded service's prices are
 //! bit-identical to a from-scratch solve over the same clients for any
 //! shard count.
@@ -29,11 +40,12 @@ use fedfl_core::shard::ShardedPopulation;
 use fedfl_core::GameError;
 use fedfl_num::parallel::ShardPlan;
 use fedfl_sim::availability::AvailabilityModel;
-use std::collections::HashMap;
+use std::ops::Range;
 
-/// Consecutive ids routed to the same shard. A churn batch of up to this
-/// many registrations dirties at most two shards; removals dirty the
-/// shards of the departing ids.
+/// Consecutive ids routed to the same shard, and the width of one
+/// directory entry's live mask. A churn batch of up to this many
+/// registrations dirties at most two shards; removals dirty the shards of
+/// the departing ids.
 const ROUTE_BLOCK: u64 = 32;
 
 /// Segment count of the service's keyed threshold index. Clients key on
@@ -73,7 +85,7 @@ struct ShardCache {
     q_max_eff: Vec<f64>,
 }
 
-/// One store shard: its records plus the lazily rebuilt cache
+/// One store shard: its records in id order plus the lazily rebuilt cache
 /// (`None` = dirty).
 #[derive(Debug, Clone, Default)]
 struct StoreShard {
@@ -81,13 +93,68 @@ struct StoreShard {
     cache: Option<ShardCache>,
 }
 
-/// Where a client lives: its shard, its position within the shard, and
-/// its position in the global insertion order.
+/// The directory entry of one route block `b` (ids `32b .. 32b + 32`).
 #[derive(Debug, Clone, Copy)]
-struct Slot {
+struct RouteBlock {
+    /// Bit `k` is set while id `32b + k` is registered.
+    live: u32,
+    /// Global position of the block's first live id: the number of live
+    /// ids in all earlier blocks.
+    start: usize,
+}
+
+impl RouteBlock {
+    /// Live ids in the block.
+    fn len(self) -> usize {
+        self.live.count_ones() as usize
+    }
+}
+
+/// One route block's live run: its clients are
+/// `shards[shard].records[local]`, at global positions from `global` on.
+struct BlockRun {
+    block: usize,
     shard: usize,
-    local: usize,
+    local: Range<usize>,
     global: usize,
+}
+
+/// The non-empty route blocks' runs in global order, found with one
+/// cursor per shard (a shard's records hold its blocks' runs back to back,
+/// in block order).
+fn block_runs(blocks: &[RouteBlock], shard_count: usize) -> impl Iterator<Item = BlockRun> + '_ {
+    let mut cursors = vec![0usize; shard_count];
+    blocks
+        .iter()
+        .enumerate()
+        .filter(|(_, block)| block.live != 0)
+        .map(move |(b, block)| {
+            let shard = b % shard_count;
+            let from = cursors[shard];
+            cursors[shard] += block.len();
+            BlockRun {
+                block: b,
+                shard,
+                local: from..cursors[shard],
+                global: block.start,
+            }
+        })
+}
+
+/// Append the included entries of `column` (all of it when
+/// `all_included`, as one slice copy).
+fn extend_included(out: &mut Vec<f64>, column: &[f64], included: &[bool], all_included: bool) {
+    if all_included {
+        out.extend_from_slice(column);
+    } else {
+        out.extend(
+            column
+                .iter()
+                .zip(included)
+                .filter(|(_, &inc)| inc)
+                .map(|(&v, _)| v),
+        );
+    }
 }
 
 /// Rebuild statistics of one [`ShardedClientStore::ensure_caches`] call —
@@ -158,14 +225,15 @@ pub(crate) struct AssembledView {
     pub index: IndexInputs,
 }
 
-/// Sharded client store with id lookup, per-shard dirty tracking, and
-/// batched delta apply.
+/// Sharded client store with a route-block id directory, per-shard dirty
+/// tracking, and batched delta apply.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardedClientStore {
     shards: Vec<StoreShard>,
-    /// Client ids in global insertion order.
+    /// Client ids in global order (strictly ascending; see [`Self::ids`]).
     order: Vec<ClientId>,
-    index: HashMap<u64, Slot>,
+    /// One entry per issued route block, indexed by `id / ROUTE_BLOCK`.
+    blocks: Vec<RouteBlock>,
     next_id: u64,
     /// Monotonically increasing mutation stamp: bumped by every delta that
     /// can change the assembled solver view (adds, removes, effective
@@ -186,7 +254,7 @@ impl ShardedClientStore {
         Self {
             shards: vec![StoreShard::default(); shard_count.max(1)],
             order: Vec::new(),
-            index: HashMap::new(),
+            blocks: Vec::new(),
             next_id: 0,
             version: 0,
             shard_versions: vec![0; shard_count.max(1)],
@@ -219,14 +287,27 @@ impl ShardedClientStore {
         self.shards.len()
     }
 
-    /// Client ids in global insertion order.
+    /// Client ids in global order, which is strictly ascending: insertion
+    /// order is id order; ids are never reused. The directory and the wire
+    /// server's binary-searched read view both rely on this.
     pub fn ids(&self) -> &[ClientId] {
         &self.order
     }
 
-    /// Position of `id` in the global insertion order, if registered.
+    /// The directory entry index and mask bit of `id`, if its route block
+    /// was ever issued. Never allocates, whatever the id.
+    fn locate(&self, id: ClientId) -> Option<(usize, u32)> {
+        let block = usize::try_from(id.0 / ROUTE_BLOCK).ok()?;
+        (block < self.blocks.len()).then(|| (block, 1u32 << (id.0 % ROUTE_BLOCK)))
+    }
+
+    /// Position of `id` in the global order, if registered: its block's
+    /// start plus the live ids below it in the block.
     pub fn position(&self, id: ClientId) -> Option<usize> {
-        self.index.get(&id.0).map(|slot| slot.global)
+        let (b, bit) = self.locate(id)?;
+        let block = self.blocks[b];
+        (block.live & bit != 0)
+            .then(|| block.start + (block.live & (bit - 1)).count_ones() as usize)
     }
 
     /// The shard an id is (or would be) routed to.
@@ -249,17 +330,20 @@ impl ShardedClientStore {
         for params in batch {
             let id = ClientId(self.next_id);
             self.next_id += 1;
+            // Ids are consecutive: an id opens a new block at a block
+            // boundary (after every live id so far) and otherwise joins
+            // the last one.
+            if id.0.is_multiple_of(ROUTE_BLOCK) {
+                self.blocks.push(RouteBlock {
+                    live: 0,
+                    start: self.order.len(),
+                });
+            }
+            let block = self.blocks.last_mut().expect("opened at its first id");
+            block.live |= 1 << (id.0 % ROUTE_BLOCK);
             let shard = self.route(id.0);
             self.shards[shard].cache = None;
             self.shard_versions[shard] = self.version;
-            self.index.insert(
-                id.0,
-                Slot {
-                    shard,
-                    local: self.shards[shard].records.len(),
-                    global: self.order.len(),
-                },
-            );
             self.shards[shard].records.push(ClientRecord { id, params });
             self.order.push(id);
             ids.push(id);
@@ -273,64 +357,69 @@ impl ShardedClientStore {
     /// Rejects the whole batch — mutating nothing — if any id is unknown
     /// or duplicated within the batch.
     pub fn remove(&mut self, ids: &[ClientId]) -> Result<usize, ServiceError> {
-        let mut doomed_global = vec![false; self.order.len()];
-        for &id in ids {
-            let slot = self
-                .index
-                .get(&id.0)
-                .copied()
-                .ok_or(ServiceError::UnknownClient(id))?;
-            if doomed_global[slot.global] {
-                return Err(ServiceError::DuplicateRemoval(id));
+        // Clear the ids' live bits in request order; the first unknown or
+        // repeated id restores the bits cleared so far.
+        for (i, &id) in ids.iter().enumerate() {
+            match self.locate(id) {
+                Some((b, bit)) if self.blocks[b].live & bit != 0 => self.blocks[b].live &= !bit,
+                _ => {
+                    for &done in &ids[..i] {
+                        let (b, bit) = self.locate(done).expect("cleared above");
+                        self.blocks[b].live |= bit;
+                    }
+                    return Err(if ids[..i].contains(&id) {
+                        ServiceError::DuplicateRemoval(id)
+                    } else {
+                        ServiceError::UnknownClient(id)
+                    });
+                }
             }
-            doomed_global[slot.global] = true;
         }
         if ids.is_empty() {
             return Ok(0);
         }
         self.version += 1;
-        // Compact each touched shard, preserving per-shard order.
-        let mut touched = vec![false; self.shards.len()];
-        for &id in ids {
-            touched[self.index[&id.0].shard] = true;
+        // Compact each touched shard, preserving its id order.
+        let mut touched: Vec<usize> = ids.iter().map(|id| self.route(id.0)).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let blocks = &self.blocks;
+        let is_live = |id: ClientId| {
+            blocks[(id.0 / ROUTE_BLOCK) as usize].live & (1 << (id.0 % ROUTE_BLOCK)) != 0
+        };
+        for s in touched {
+            let shard = &mut self.shards[s];
+            shard.cache = None;
+            shard.records.retain(|r| is_live(r.id));
+            self.shard_versions[s] = self.version;
         }
-        let index = &self.index;
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            if touched[s] {
-                shard.cache = None;
-                self.shard_versions[s] = self.version;
-                shard
-                    .records
-                    .retain(|r| !doomed_global[index[&r.id.0].global]);
-            }
+        // Compact the global order: the removed ids' positions, ascending,
+        // split it into surviving runs that each move once.
+        let mut doomed: Vec<usize> = ids
+            .iter()
+            .map(|id| self.order.binary_search(id).expect("removed id was live"))
+            .collect();
+        doomed.sort_unstable();
+        let first_block = (self.order[doomed[0]].0 / ROUTE_BLOCK) as usize;
+        let mut write = doomed[0];
+        for (k, &pos) in doomed.iter().enumerate() {
+            let end = doomed.get(k + 1).copied().unwrap_or(self.order.len());
+            self.order.copy_within(pos + 1..end, write);
+            write += end - pos - 1;
         }
-        // Compact the global order and drop removed ids from the index.
-        for &id in ids {
-            self.index.remove(&id.0);
-        }
-        let mut flags = doomed_global.iter();
-        self.order.retain(|_| !*flags.next().expect("mask aligned"));
-        // Reindex: shard/local for touched shards, global for everyone at
-        // or after the first removal.
-        for (s, shard) in self.shards.iter().enumerate() {
-            if touched[s] {
-                for (local, record) in shard.records.iter().enumerate() {
-                    let slot = self.index.get_mut(&record.id.0).expect("kept id indexed");
-                    slot.shard = s;
-                    slot.local = local;
-                }
-            }
-        }
-        for (global, id) in self.order.iter().enumerate() {
-            self.index.get_mut(&id.0).expect("kept id indexed").global = global;
+        self.order.truncate(write);
+        // Blocks after the first touched one shift down by the ids
+        // removed before them.
+        for b in first_block + 1..self.blocks.len() {
+            self.blocks[b].start = self.blocks[b - 1].start + self.blocks[b - 1].len();
         }
         Ok(ids.len())
     }
 
     /// Replace every client's availability pattern from a model aligned to
-    /// the global insertion order, dirtying only shards whose patterns
-    /// actually changed (and only when `track_dirty` is set — an
-    /// availability-blind service's caches never read the patterns).
+    /// the global order, dirtying only shards whose patterns actually
+    /// changed (and only when `track_dirty` is set — an availability-blind
+    /// service's caches never read the patterns).
     ///
     /// Returns whether any pattern changed.
     pub fn set_availability(
@@ -346,24 +435,25 @@ impl ShardedClientStore {
         }
         let mut changed = false;
         let mut touched = vec![false; self.shards.len()];
-        for (id, &pattern) in self.order.iter().zip(model.patterns()) {
-            let slot = self.index[&id.0];
-            let record = &mut self.shards[slot.shard].records[slot.local];
-            if record.params.availability != pattern {
-                record.params.availability = pattern;
-                changed = true;
-                if track_dirty {
-                    self.shards[slot.shard].cache = None;
-                    touched[slot.shard] = true;
+        for run in block_runs(&self.blocks, self.shards.len()) {
+            let records = &mut self.shards[run.shard].records[run.local.clone()];
+            let patterns = &model.patterns()[run.global..run.global + records.len()];
+            for (record, &pattern) in records.iter_mut().zip(patterns) {
+                if record.params.availability != pattern {
+                    record.params.availability = pattern;
+                    changed = true;
+                    touched[run.shard] = true;
                 }
             }
         }
         // An availability-blind service's assembled view never reads the
-        // patterns, so only tracked changes advance the stamps.
+        // patterns, so only tracked changes dirty caches and advance the
+        // stamps.
         if changed && track_dirty {
             self.version += 1;
             for (s, &hit) in touched.iter().enumerate() {
                 if hit {
+                    self.shards[s].cache = None;
                     self.shard_versions[s] = self.version;
                 }
             }
@@ -419,10 +509,14 @@ impl ShardedClientStore {
         stats
     }
 
-    /// Gather the cached columns in global insertion order, normalise the
-    /// raw weights (the exact left-fold `Population::from_raw` performs
-    /// over the included clients), and split the result into
-    /// `solve_shards` chunk-aligned solver shards.
+    /// Gather the cached columns in global order, normalise the raw
+    /// weights (the exact left-fold `Population::from_raw` performs over
+    /// the included clients), and split the result into `solve_shards`
+    /// chunk-aligned solver shards.
+    ///
+    /// The gather walks the route blocks in order and copies each block's
+    /// run out of its shard's cache as slices; a block's segment key is
+    /// its number modulo [`INDEX_SEGMENTS`].
     ///
     /// Must run after [`ShardedClientStore::ensure_caches`].
     ///
@@ -441,22 +535,20 @@ impl ShardedClientStore {
         let mut value = Vec::with_capacity(n);
         let mut q_max = Vec::with_capacity(n);
         let mut seg_keys = Vec::with_capacity(n);
-        for id in &self.order {
-            let slot = self.index[&id.0];
-            let cache = self.shards[slot.shard]
+        for run in block_runs(&self.blocks, self.shards.len()) {
+            let cache = self.shards[run.shard]
                 .cache
                 .as_ref()
                 .expect("ensure_caches runs before assemble");
-            let inc = cache.included[slot.local];
-            included.push(inc);
-            if inc {
-                w_raw.push(cache.w_raw[slot.local]);
-                g2.push(cache.g2[slot.local]);
-                cost.push(cache.cost_eff[slot.local]);
-                value.push(cache.value[slot.local]);
-                q_max.push(cache.q_max_eff[slot.local]);
-                seg_keys.push(((id.0 / ROUTE_BLOCK) % INDEX_SEGMENTS as u64) as u32);
-            }
+            let inc = &cache.included[run.local.clone()];
+            let all = inc.iter().all(|&i| i);
+            included.extend_from_slice(inc);
+            extend_included(&mut w_raw, &cache.w_raw[run.local.clone()], inc, all);
+            extend_included(&mut g2, &cache.g2[run.local.clone()], inc, all);
+            extend_included(&mut cost, &cache.cost_eff[run.local.clone()], inc, all);
+            extend_included(&mut value, &cache.value[run.local.clone()], inc, all);
+            extend_included(&mut q_max, &cache.q_max_eff[run.local], inc, all);
+            seg_keys.resize(w_raw.len(), (run.block % INDEX_SEGMENTS) as u32);
         }
         let included_count = w_raw.len();
         if included_count == 0 {
@@ -520,18 +612,31 @@ impl ShardedClientStore {
         })
     }
 
+    /// The record of `id`, if registered (its shard's records are in id
+    /// order).
     #[cfg(test)]
     fn record(&self, id: ClientId) -> Option<&ClientRecord> {
-        let slot = self.index.get(&id.0)?;
-        Some(&self.shards[slot.shard].records[slot.local])
+        self.position(id)?;
+        let records = &self.shards[self.route(id.0)].records;
+        let local = records.binary_search_by_key(&id, |r| r.id).ok()?;
+        Some(&records[local])
+    }
+
+    /// Shards whose caches the next [`Self::ensure_caches`] rebuilds.
+    #[cfg(test)]
+    fn dirty_shards(&self) -> Vec<usize> {
+        (0..self.shards.len())
+            .filter(|&s| self.shards[s].cache.is_none())
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedfl_core::population::Q_MIN;
+    use fedfl_core::population::{Population, Q_MIN};
     use fedfl_sim::availability::AvailabilityPattern;
+    use proptest::prelude::*;
 
     fn params(weight: f64) -> ClientParams {
         ClientParams {
@@ -723,7 +828,6 @@ mod tests {
 
     #[test]
     fn assemble_matches_from_raw_normalisation() {
-        use fedfl_core::population::Population;
         let mut store = ShardedClientStore::new(3);
         let clients: Vec<ClientParams> = (0..10).map(|k| params(1.0 + k as f64)).collect();
         store.add(clients.clone()).unwrap();
@@ -764,5 +868,401 @@ mod tests {
             empty.assemble(1),
             Err(ServiceError::NoPriceableClients { registered: 1 })
         ));
+    }
+
+    /// SplitMix64: a deterministic stream of test parameters.
+    fn mix(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A uniform draw in `[lo, hi)` keyed by `(seed, k)`.
+    fn unit(seed: u64, k: u64, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * ((mix(seed ^ mix(k)) >> 11) as f64 / (1u64 << 53) as f64)
+    }
+
+    /// An availability pattern keyed by `seed`; one in five is effectively
+    /// unreachable, so availability-aware stores exclude it.
+    fn pattern(seed: u64) -> AvailabilityPattern {
+        match mix(seed) % 5 {
+            0 => AvailabilityPattern::Random { probability: 1e-12 },
+            1 => AvailabilityPattern::Random {
+                probability: unit(seed, 9, 0.2, 1.0),
+            },
+            2 => AvailabilityPattern::DutyCycle {
+                period: 4,
+                on_rounds: 1,
+                offset: 0,
+            },
+            _ => AvailabilityPattern::AlwaysOn,
+        }
+    }
+
+    /// A valid client keyed by `seed`.
+    fn drawn(seed: u64) -> ClientParams {
+        ClientParams {
+            data_size: unit(seed, 1, 0.1, 10.0),
+            g_squared: unit(seed, 2, 1.0, 40.0),
+            cost: unit(seed, 3, 5.0, 100.0),
+            value: unit(seed, 4, 0.0, 20.0),
+            q_max: unit(seed, 5, 0.3, 1.0),
+            availability: pattern(seed),
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A store driven in lockstep with a naive reference — the live
+    /// clients as a `Vec` in id order, plus the stamps and dirty shards
+    /// the store must report — checked after every command.
+    struct Checked {
+        store: ShardedClientStore,
+        aware: bool,
+        clients: Vec<(ClientId, ClientParams)>,
+        removed: Vec<ClientId>,
+        next_id: u64,
+        version: u64,
+        shard_versions: Vec<u64>,
+        dirty: Vec<bool>,
+    }
+
+    impl Checked {
+        fn new(shards: usize, aware: bool) -> Self {
+            Self {
+                store: ShardedClientStore::new(shards),
+                aware,
+                clients: Vec::new(),
+                removed: Vec::new(),
+                next_id: 0,
+                version: 0,
+                shard_versions: vec![0; shards],
+                dirty: vec![true; shards],
+            }
+        }
+
+        fn route(&self, id: ClientId) -> usize {
+            ((id.0 / ROUTE_BLOCK) % self.dirty.len() as u64) as usize
+        }
+
+        fn touch(&mut self, shard: usize) {
+            self.shard_versions[shard] = self.version;
+            self.dirty[shard] = true;
+        }
+
+        fn add(&mut self, batch: Vec<ClientParams>) {
+            let ids = self.store.add(batch.clone()).unwrap();
+            let expected: Vec<ClientId> = (self.next_id..self.next_id + batch.len() as u64)
+                .map(ClientId)
+                .collect();
+            assert_eq!(ids, expected);
+            self.next_id += batch.len() as u64;
+            if !batch.is_empty() {
+                self.version += 1;
+            }
+            for (id, params) in ids.into_iter().zip(batch) {
+                self.touch(self.route(id));
+                self.clients.push((id, params));
+            }
+            self.check();
+        }
+
+        fn remove(&mut self, ids: &[ClientId]) {
+            let result = self.store.remove(ids);
+            // The first unknown or repeated id, in request order, rejects
+            // the batch.
+            let mut seen = Vec::new();
+            let verdict = ids.iter().try_for_each(|&id| {
+                if seen.contains(&id) {
+                    return Err(ServiceError::DuplicateRemoval(id));
+                }
+                if !self.clients.iter().any(|(live, _)| *live == id) {
+                    return Err(ServiceError::UnknownClient(id));
+                }
+                seen.push(id);
+                Ok(())
+            });
+            match verdict {
+                Err(err) => assert_eq!(result, Err(err)),
+                Ok(()) => {
+                    assert_eq!(result, Ok(ids.len()));
+                    if !ids.is_empty() {
+                        self.version += 1;
+                    }
+                    for &id in ids {
+                        self.touch(self.route(id));
+                    }
+                    self.clients.retain(|(live, _)| !ids.contains(live));
+                    self.removed.extend_from_slice(ids);
+                }
+            }
+            self.check();
+        }
+
+        fn set_availability(&mut self, patterns: Vec<AvailabilityPattern>) {
+            let model = AvailabilityModel::new(patterns.clone()).unwrap();
+            let changed = self.store.set_availability(&model, self.aware).unwrap();
+            let hits: Vec<usize> = self
+                .clients
+                .iter()
+                .zip(&patterns)
+                .filter(|((_, params), &p)| params.availability != p)
+                .map(|((id, _), _)| self.route(*id))
+                .collect();
+            assert_eq!(changed, !hits.is_empty());
+            if self.aware && changed {
+                self.version += 1;
+                for s in hits {
+                    self.touch(s);
+                }
+            }
+            for ((_, params), p) in self.clients.iter_mut().zip(patterns) {
+                params.availability = p;
+            }
+            self.check();
+        }
+
+        /// Ids, positions, stamps and the dirty set against the reference.
+        fn check(&self) {
+            let ids: Vec<ClientId> = self.clients.iter().map(|(id, _)| *id).collect();
+            assert_eq!(self.store.ids(), ids.as_slice());
+            assert_eq!(self.store.len(), ids.len());
+            for (pos, (id, params)) in self.clients.iter().enumerate() {
+                assert_eq!(self.store.position(*id), Some(pos), "position of {id}");
+                assert_eq!(self.store.record(*id).map(|r| &r.params), Some(params));
+            }
+            let unissued = [
+                ClientId(self.next_id),
+                ClientId(self.next_id + 1000 * ROUTE_BLOCK),
+                ClientId(u64::MAX),
+            ];
+            for &id in self.removed.iter().chain(&unissued) {
+                assert_eq!(self.store.position(id), None, "position of dead {id}");
+            }
+            assert_eq!(self.store.version(), self.version);
+            assert_eq!(self.store.shard_versions(), self.shard_versions.as_slice());
+            let dirty: Vec<usize> = (0..self.dirty.len()).filter(|&s| self.dirty[s]).collect();
+            assert_eq!(self.store.dirty_shards(), dirty);
+        }
+
+        /// Rebuild the dirty caches and compare the assembled view, bit for
+        /// bit, with `Population::from_raw` over the included survivors.
+        fn assemble(&mut self) {
+            let stats = self.store.ensure_caches(self.aware, Q_MIN);
+            let rebuilt = self
+                .clients
+                .iter()
+                .filter(|(id, _)| self.dirty[self.route(*id)])
+                .count();
+            assert_eq!(
+                stats,
+                ShardStats {
+                    dirty_shards: self.dirty.iter().filter(|&&d| d).count(),
+                    rebuilt_columns: rebuilt,
+                }
+            );
+            self.dirty.fill(false);
+            self.check();
+
+            let rates: Vec<f64> = self
+                .clients
+                .iter()
+                .map(|(_, p)| {
+                    if self.aware {
+                        p.availability.availability_rate()
+                    } else {
+                        1.0
+                    }
+                })
+                .collect();
+            let included: Vec<bool> = self
+                .clients
+                .iter()
+                .zip(&rates)
+                .map(|((_, p), &r)| r > 0.0 && p.q_max * r > Q_MIN)
+                .collect();
+            let survivors: Vec<usize> = (0..included.len()).filter(|&i| included[i]).collect();
+            let result = self.store.assemble(3);
+            if survivors.is_empty() {
+                let registered = self.clients.len();
+                assert!(matches!(
+                    result,
+                    Err(ServiceError::NoPriceableClients { registered: r }) if r == registered
+                ));
+                return;
+            }
+            let view = result.unwrap();
+            assert_eq!(view.included, included);
+            assert_eq!(view.included_count, survivors.len());
+            let survivor_rates: Vec<f64> = survivors.iter().map(|&i| rates[i]).collect();
+            let expected = Population::from_raw(
+                survivors
+                    .iter()
+                    .map(|&i| self.clients[i].1.raw_profile())
+                    .collect(),
+            )
+            .unwrap()
+            .columns()
+            .effective(&survivor_rates)
+            .unwrap();
+            let got = view.population.concat();
+            assert_eq!(bits(&got.a2g2), bits(&expected.a2g2));
+            assert_eq!(bits(&got.cost), bits(&expected.cost));
+            assert_eq!(bits(&got.value), bits(&expected.value));
+            assert_eq!(bits(&got.q_max), bits(&expected.q_max));
+            let weights: Vec<f64> = survivors
+                .iter()
+                .map(|&i| self.clients[i].1.data_size)
+                .collect();
+            let total: f64 = weights.iter().sum();
+            assert_eq!(view.total_raw_weight.to_bits(), total.to_bits());
+            let index = &view.index;
+            let w2g2: Vec<f64> = survivors
+                .iter()
+                .map(|&i| {
+                    let p = &self.clients[i].1;
+                    p.data_size * p.data_size * p.g_squared
+                })
+                .collect();
+            assert_eq!(bits(&index.w2g2), bits(&w2g2));
+            assert_eq!(bits(&index.cost), bits(&expected.cost));
+            assert_eq!(bits(&index.value), bits(&expected.value));
+            assert_eq!(bits(&index.q_max), bits(&expected.q_max));
+            let keys: Vec<u32> = survivors
+                .iter()
+                .map(|&i| ((self.clients[i].0 .0 / ROUTE_BLOCK) % INDEX_SEGMENTS as u64) as u32)
+                .collect();
+            assert_eq!(index.seg_keys, keys);
+            assert_eq!(index.scale.to_bits(), (total * total).to_bits());
+        }
+
+        /// One random command keyed by `(kind, arg)`.
+        fn apply(&mut self, kind: u8, arg: u64) {
+            let live: Vec<ClientId> = self.store.ids().to_vec();
+            let pick = |k: u64| live[(mix(arg ^ k) % live.len() as u64) as usize];
+            match kind {
+                0 | 1 => {
+                    let n = arg % 70;
+                    self.add((0..n).map(|k| drawn(arg ^ mix(k))).collect());
+                }
+                2 if live.is_empty() => self.remove(&[ClientId(self.next_id)]),
+                2 => match arg % 5 {
+                    // A few distinct clients anywhere.
+                    0 => {
+                        let mut doomed: Vec<ClientId> = (0..1 + arg % 4).map(pick).collect();
+                        doomed.sort_unstable();
+                        doomed.dedup();
+                        self.remove(&doomed);
+                    }
+                    // Every live client of one route block, in reverse.
+                    1 => {
+                        let block = pick(0).0 / ROUTE_BLOCK;
+                        let doomed: Vec<ClientId> = live
+                            .iter()
+                            .rev()
+                            .filter(|id| id.0 / ROUTE_BLOCK == block)
+                            .copied()
+                            .collect();
+                        self.remove(&doomed);
+                    }
+                    // Everyone.
+                    2 => self.remove(&live),
+                    // The newest clients, partly emptying the last block.
+                    3 => self.remove(&live[live.len().saturating_sub(1 + arg as usize % 5)..]),
+                    // A rejected batch: a repeat, a removed or an unissued id.
+                    _ => {
+                        let bad = match arg % 3 {
+                            0 => pick(1),
+                            1 => self.removed.last().copied().unwrap_or(ClientId(u64::MAX)),
+                            _ => ClientId(u64::MAX),
+                        };
+                        self.remove(&[pick(1), bad]);
+                    }
+                },
+                3 if live.is_empty() => {}
+                3 => {
+                    let patterns = self
+                        .clients
+                        .iter()
+                        .enumerate()
+                        .map(|(i, (_, p))| {
+                            if mix(arg ^ i as u64).is_multiple_of(4) {
+                                pattern(arg ^ mix(i as u64))
+                            } else {
+                                p.availability
+                            }
+                        })
+                        .collect();
+                    self.set_availability(patterns);
+                }
+                _ => self.assemble(),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn directory_store_matches_a_naive_model(
+            shard_pick in 0usize..4,
+            aware in any::<bool>(),
+            ops in prop::collection::vec((0u8..6, any::<u64>()), 1..40),
+        ) {
+            let mut checked = Checked::new([1, 3, 8, 256][shard_pick], aware);
+            for (kind, arg) in ops {
+                checked.apply(kind, arg);
+            }
+            checked.assemble();
+        }
+    }
+
+    #[test]
+    fn directory_edge_cases_match_a_naive_model() {
+        for shards in [1, 3, 8, 256] {
+            for aware in [false, true] {
+                let mut checked = Checked::new(shards, aware);
+                // Blocks 0 and 1 full, block 2 holding ids 64..80.
+                checked.add((0..80).map(drawn).collect());
+                checked.assemble();
+                // Empty a whole route block, in reverse id order.
+                checked.remove(&(32..64).rev().map(ClientId).collect::<Vec<_>>());
+                checked.assemble();
+                // Partly empty the last block, then re-add into it.
+                checked.remove(&[ClientId(79), ClientId(70), ClientId(64)]);
+                checked.add((80..90).map(drawn).collect());
+                checked.assemble();
+                // Availability updates after removals.
+                let patterns = checked
+                    .clients
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (_, p))| {
+                        if i % 3 == 0 {
+                            pattern(1000 + i as u64)
+                        } else {
+                            p.availability
+                        }
+                    })
+                    .collect();
+                checked.set_availability(patterns);
+                checked.assemble();
+                // Rejected batches change nothing.
+                checked.remove(&[ClientId(0), ClientId(40)]);
+                checked.remove(&[ClientId(1), ClientId(2), ClientId(1)]);
+                checked.remove(&[ClientId(3), ClientId(u64::MAX)]);
+                checked.remove(&[ClientId(10_000)]);
+                // Remove everything, then add.
+                let everyone = checked.store.ids().to_vec();
+                checked.remove(&everyone);
+                assert!(checked.store.is_empty());
+                checked.assemble();
+                checked.add((90..100).map(drawn).collect());
+                checked.assemble();
+            }
+        }
     }
 }
