@@ -64,6 +64,23 @@
 //!   O(N/S) each, producing an index **bit-identical** to a cold
 //!   [`ActiveSetIndex::build_keyed`] over the same rows.
 //!
+//! # Memory layout
+//!
+//! A probe reads little per segment, so each sorted view stores exactly
+//! that, contiguously, in sorted-slot order:
+//!
+//! * the key inputs `(v, e, f)` of each slot — the binary search reads
+//!   nothing else, so its last steps share cache lines;
+//! * one exclusive prefix record per slot boundary,
+//!   `[c0, c1, A, Av, Av², Av³, D, Dv, Dv², Dv³]` — the closed form reads
+//!   two records per segment;
+//! * the slot → row permutation, which only the order-validation scan
+//!   reads (it breaks key ties).
+//!
+//! Segments keep no per-row unit columns: rows are derived from the
+//! caller's columns during a (re)build and dropped once both views are
+//! sorted.
+//!
 //! # Scale factorisation (why patching survives weight renormalisation)
 //!
 //! The normalised `a²G² = (w/W)²·G²` column depends on the global raw
@@ -88,20 +105,23 @@
 //! validates each clean segment's stored permutation is still *the*
 //! stable argsort at the new σ (an O(len) adjacent scan — sorted keys
 //! with ties in ascending insertion order characterise the stable
-//! argsort uniquely) and re-sorts the rare violators ("repaired"), so
-//! reuse never costs bit-identity.
+//! argsort uniquely) and rebuilds the rare violators ("repaired"), so
+//! reuse never costs bit-identity. A repair re-derives the segment's
+//! rows from the columns the patch receives; the patch contract
+//! guarantees a clean segment's rows are the ones it was built from.
 //!
 //! The evaluation is a **model**, not the exact chunked reduction: its
 //! summation order differs from the flat solver's fixed chunk tree and
 //! its interior term truncates the value series, so it can never be
 //! bit-pinned to the goldens. [`crate::server::solve_kkt_columns_fast`]
 //! therefore treats the index as a probe accelerator only: the root it
-//! finds is certified against *exact* spend probes and the Theorem-2
-//! residual, and violations fall back to the exact solver.
+//! finds is certified against *exact* spends (the materialised profile's
+//! and one exact probe per band) and the Theorem-2 residual, and
+//! violations fall back to the exact solver.
 
 use crate::population::PopulationColumns;
 use fedfl_num::parallel::{resolve_threads, DEFAULT_CHUNK};
-use fedfl_num::prefix::{exclusive_prefix_sums, gather, sort_permutation};
+use fedfl_num::prefix::sort_permutation;
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
@@ -159,50 +179,147 @@ impl<'a> IndexColumns<'a> {
 pub struct PatchStats {
     /// Segments re-sorted because their rows were dirty.
     pub rebuilt: usize,
-    /// Clean segments re-sorted because the scale drift reordered their
-    /// thresholds (the order-validation scan failed).
+    /// Clean segments rebuilt from the caller's columns because the
+    /// scale drift reordered their thresholds (the order-validation scan
+    /// failed).
     pub repaired: usize,
     /// Clean segments reused verbatim (validation passed — zero sort
     /// work).
     pub reused: usize,
 }
 
-/// One sorted view of a segment: the stable argsort permutation of an
-/// on-the-fly-evaluated threshold key, with exclusive prefix sums of the
-/// spend constants and interior moments gathered in that order.
-#[derive(Debug, Clone, PartialEq)]
-struct SortedView {
-    /// Sorted slot → row index within the segment (insertion order).
-    perm: Vec<u32>,
-    /// Prefix sums of the σ-free spend constant (`F0` / `S0`).
-    c0_prefix: Vec<f64>,
-    /// Prefix sums of the `/σ` spend constant (`F1` / `S1`).
-    c1_prefix: Vec<f64>,
-    /// Prefix sums of the unit interior moments.
-    moment_prefix: [Vec<f64>; MOMENTS],
+/// One row's threshold key inputs `(v, e, f)`: the entry key is
+/// `v + σ·e`, the saturation key `max(v + σ·f, v + σ·e)`.
+type KeyInputs = [f64; 3];
+
+/// One exclusive prefix record: the σ-free spend constant (`F0` / `S0`),
+/// the `/σ` spend constant (`F1` / `S1`), then the eight unit interior
+/// moments.
+type PrefixRecord = [f64; PREFIX];
+
+/// Fields of a [`PrefixRecord`].
+const PREFIX: usize = 2 + MOMENTS;
+
+/// One row's scale-free unit values, derived from the caller's columns.
+/// Rows live only while a segment is (re)built; the segment keeps just
+/// its two sorted views.
+struct UnitRow {
+    key: KeyInputs,
+    /// Floor spend constants `[F0, F1]`.
+    floor: [f64; 2],
+    /// Saturation spend constants `[S0, S1]`.
+    sat: [f64; 2],
+    moments: [f64; MOMENTS],
 }
 
-impl SortedView {
-    fn build(keys: &[f64], c0: &[f64], c1: &[f64], moments: &[Vec<f64>; MOMENTS]) -> Self {
-        let perm = sort_permutation(keys);
-        SortedView {
-            c0_prefix: exclusive_prefix_sums(&gather(c0, &perm)),
-            c1_prefix: exclusive_prefix_sums(&gather(c1, &perm)),
-            moment_prefix: std::array::from_fn(|k| {
-                exclusive_prefix_sums(&gather(&moments[k], &perm))
-            }),
-            perm,
+impl UnitRow {
+    /// Derive row `i`'s unit values. Columns are assumed already
+    /// validated by the solver entry points (positive `w²G²`/`cost`,
+    /// `q_max > q_min`); degenerate floating values don't panic — they
+    /// fail [`Self::is_finite`], which marks the segment non-finite and
+    /// makes the fast solver fall back to the exact path.
+    fn derive(cols: &IndexColumns<'_>, i: usize, aor: f64, q_min: f64) -> Self {
+        let w2g2 = cols.w2g2[i];
+        let cost = cols.cost[i];
+        let value = cols.value[i];
+        let q_max = cols.q_max[i];
+        let ka = (aor / 4.0) * w2g2;
+        let a0 = 2.0 * cost.cbrt() * (ka * ka).cbrt();
+        let d0 = value * aor * w2g2 * (cost / ka).cbrt();
+        UnitRow {
+            key: [value, cost * q_min.powi(3) / ka, cost * q_max.powi(3) / ka],
+            floor: [2.0 * cost * q_min * q_min, value * aor * w2g2 / q_min],
+            sat: [2.0 * cost * q_max * q_max, value * aor * w2g2 / q_max],
+            moments: [
+                a0,
+                a0 * value,
+                a0 * value * value,
+                a0 * value * value * value,
+                d0,
+                d0 * value,
+                d0 * value * value,
+                d0 * value * value * value,
+            ],
         }
     }
 
-    /// Whether `perm` is still *the* stable argsort of the evaluated key
+    /// Whether every derived unit value (the value itself excepted —
+    /// the solver validates it) is finite.
+    fn is_finite(&self) -> bool {
+        self.key[1..]
+            .iter()
+            .chain(&self.floor)
+            .chain(&self.sat)
+            .chain(&self.moments)
+            .all(|x| x.is_finite())
+    }
+}
+
+/// The entry threshold `v + σ·e`, evaluated on the fly so stored segment
+/// data stays σ-free. `σ = 1` makes the multiply bit-neutral.
+#[inline]
+fn entry_key(k: &KeyInputs, scale: f64) -> f64 {
+    k[0] + scale * k[1]
+}
+
+/// The saturation threshold `max(v + σ·f, t_entry)`. `q_max > q_min`
+/// makes it exceed the entry threshold analytically, but a
+/// value-dominated sum can round them equal; the max keeps the invariant
+/// `t_entry <= t_sat` the lookup relies on.
+#[inline]
+fn sat_key(k: &KeyInputs, scale: f64) -> f64 {
+    (k[0] + scale * k[2]).max(entry_key(k, scale))
+}
+
+/// One sorted view of a segment, laid out for the probe: per sorted slot
+/// the key inputs sit contiguously (the binary search reads nothing
+/// else), and one exclusive prefix record per slot boundary holds every
+/// running sum the closed form needs.
+#[derive(Debug, Clone, PartialEq)]
+struct SortedView {
+    /// Sorted slot → row index within the segment (insertion order);
+    /// breaks key ties in the order-validation scan.
+    perm: Vec<u32>,
+    /// Key inputs in sorted order.
+    keys: Vec<KeyInputs>,
+    /// `prefix[j]` sums the records of sorted slots `0..j` (length
+    /// `len + 1`).
+    prefix: Vec<PrefixRecord>,
+}
+
+impl SortedView {
+    /// Stable-argsort `rows` by their evaluated `sort_keys` and
+    /// accumulate the prefix records in that order, taking the spend
+    /// constants from `consts`. The left fold per field is the one
+    /// [`fedfl_num::prefix::exclusive_prefix_sums`] computes.
+    fn build(rows: &[UnitRow], sort_keys: &[f64], consts: impl Fn(&UnitRow) -> [f64; 2]) -> Self {
+        let perm = sort_permutation(sort_keys);
+        let mut keys = Vec::with_capacity(perm.len());
+        let mut prefix = Vec::with_capacity(perm.len() + 1);
+        let mut acc: PrefixRecord = [0.0; PREFIX];
+        prefix.push(acc);
+        for &row in &perm {
+            let row = &rows[row as usize];
+            keys.push(row.key);
+            let [c0, c1] = consts(row);
+            acc[0] += c0;
+            acc[1] += c1;
+            for (slot, m) in acc[2..].iter_mut().zip(&row.moments) {
+                *slot += m;
+            }
+            prefix.push(acc);
+        }
+        SortedView { perm, keys, prefix }
+    }
+
+    /// Whether `perm` is still *the* stable argsort of `key` at `scale`
     /// (non-decreasing under `total_cmp`, ties in ascending row order,
     /// every key finite). Passing proves a cold rebuild at the current
     /// scale would reproduce this view bit for bit.
-    fn is_stable_sorted(&self, eval: impl Fn(usize) -> f64) -> bool {
+    fn is_stable_sorted(&self, scale: f64, key: fn(&KeyInputs, f64) -> f64) -> bool {
         let mut prev: Option<(f64, u32)> = None;
-        for &row in &self.perm {
-            let key = eval(row as usize);
+        for (inputs, &row) in self.keys.iter().zip(&self.perm) {
+            let key = key(inputs, scale);
             if !key.is_finite() {
                 return false;
             }
@@ -217,111 +334,31 @@ impl SortedView {
         }
         true
     }
-}
 
-/// Scale-free per-row unit values of one segment, in segment insertion
-/// order (a stable subsequence of the global client order).
-#[derive(Debug, Clone, PartialEq, Default)]
-struct UnitColumns {
-    v: Vec<f64>,
-    e: Vec<f64>,
-    f: Vec<f64>,
-    f0: Vec<f64>,
-    f1: Vec<f64>,
-    s0: Vec<f64>,
-    s1: Vec<f64>,
-    moments: [Vec<f64>; MOMENTS],
-    finite: bool,
-}
-
-impl UnitColumns {
-    fn with_capacity(n: usize) -> Self {
-        UnitColumns {
-            v: Vec::with_capacity(n),
-            e: Vec::with_capacity(n),
-            f: Vec::with_capacity(n),
-            f0: Vec::with_capacity(n),
-            f1: Vec::with_capacity(n),
-            s0: Vec::with_capacity(n),
-            s1: Vec::with_capacity(n),
-            moments: std::array::from_fn(|_| Vec::with_capacity(n)),
-            finite: true,
-        }
-    }
-
-    /// Derive one row's unit values. Columns are assumed already
-    /// validated by the solver entry points (positive `w²G²`/`cost`,
-    /// `q_max > q_min`); degenerate floating values don't panic — they
-    /// mark the segment non-finite, which makes the fast solver fall
-    /// back to the exact path.
-    fn push_row(&mut self, cols: &IndexColumns<'_>, i: usize, aor: f64, q_min: f64) {
-        let w2g2 = cols.w2g2[i];
-        let cost = cols.cost[i];
-        let value = cols.value[i];
-        let q_max = cols.q_max[i];
-        let ka = (aor / 4.0) * w2g2;
-        let e = cost * q_min.powi(3) / ka;
-        let f = cost * q_max.powi(3) / ka;
-        let f0 = 2.0 * cost * q_min * q_min;
-        let f1 = value * aor * w2g2 / q_min;
-        let s0 = 2.0 * cost * q_max * q_max;
-        let s1 = value * aor * w2g2 / q_max;
-        let a0 = 2.0 * cost.cbrt() * (ka * ka).cbrt();
-        let d0 = value * aor * w2g2 * (cost / ka).cbrt();
-        let moments = [
-            a0,
-            a0 * value,
-            a0 * value * value,
-            a0 * value * value * value,
-            d0,
-            d0 * value,
-            d0 * value * value,
-            d0 * value * value * value,
-        ];
-        self.finite = self.finite
-            && e.is_finite()
-            && f.is_finite()
-            && f0.is_finite()
-            && f1.is_finite()
-            && s0.is_finite()
-            && s1.is_finite()
-            && moments.iter().all(|m| m.is_finite());
-        self.v.push(value);
-        self.e.push(e);
-        self.f.push(f);
-        self.f0.push(f0);
-        self.f1.push(f1);
-        self.s0.push(s0);
-        self.s1.push(s1);
-        for (k, m) in moments.into_iter().enumerate() {
-            self.moments[k].push(m);
+    /// Count of slots whose `key` at `scale` is strictly below `t`
+    /// (`total_cmp` semantics, matching `fedfl_num::prefix::count_below`).
+    /// First/last boundary checks short-circuit all-below and none-below
+    /// segments — the directory half of a probe.
+    fn count_below(&self, t: f64, scale: f64, key: fn(&KeyInputs, f64) -> f64) -> usize {
+        let below = |inputs: &KeyInputs| key(inputs, scale).total_cmp(&t) == Ordering::Less;
+        match (self.keys.first(), self.keys.last()) {
+            (Some(first), Some(last)) if below(first) => {
+                if below(last) {
+                    self.keys.len()
+                } else {
+                    self.keys.partition_point(below)
+                }
+            }
+            _ => 0,
         }
     }
 }
 
-/// The entry threshold `v + σ·e`, evaluated on the fly so stored segment
-/// data stays σ-free. `σ = 1` makes the multiply bit-neutral.
-#[inline]
-fn entry_key(v: f64, e: f64, scale: f64) -> f64 {
-    v + scale * e
-}
-
-/// The saturation threshold `max(v + σ·f, t_entry)`. `q_max > q_min`
-/// makes it exceed the entry threshold analytically, but a
-/// value-dominated sum can round them equal; the max keeps the invariant
-/// `t_entry <= t_sat` the lookup relies on.
-#[inline]
-fn sat_key(v: f64, e: f64, f: f64, scale: f64) -> f64 {
-    (v + scale * f).max(entry_key(v, e, scale))
-}
-
-/// One segment of the two-level index: scale-free unit rows plus both
-/// threshold-sorted prefix views. Shared by `Arc` so a patch reuses
-/// clean segments without copying.
+/// One segment of the two-level index: both threshold-sorted views of
+/// its rows. Shared by `Arc` so a patch reuses clean segments without
+/// copying.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexSegment {
-    len: usize,
-    unit: UnitColumns,
     entry: SortedView,
     sat: SortedView,
     /// Unit values *and* the evaluated keys at the build scale are
@@ -331,120 +368,55 @@ pub struct IndexSegment {
 }
 
 impl IndexSegment {
-    fn from_unit(unit: UnitColumns, scale: f64) -> Self {
-        let n = unit.v.len();
-        let mut entry_keys = Vec::with_capacity(n);
-        let mut sat_keys = Vec::with_capacity(n);
-        let mut finite = unit.finite;
-        for i in 0..n {
-            let ek = entry_key(unit.v[i], unit.e[i], scale);
-            let sk = sat_key(unit.v[i], unit.e[i], unit.f[i], scale);
-            finite = finite && ek.is_finite() && sk.is_finite();
-            entry_keys.push(ek);
-            sat_keys.push(sk);
-        }
-        let entry = SortedView::build(&entry_keys, &unit.f0, &unit.f1, &unit.moments);
-        let sat = SortedView::build(&sat_keys, &unit.s0, &unit.s1, &unit.moments);
-        IndexSegment {
-            len: n,
-            unit,
-            entry,
-            sat,
-            finite,
-        }
-    }
-
-    /// Build from a contiguous row range (grid mode).
-    fn build_range(cols: &IndexColumns<'_>, range: Range<usize>, aor: f64, q_min: f64) -> Self {
-        let mut unit = UnitColumns::with_capacity(range.len());
-        for i in range {
-            unit.push_row(cols, i, aor, q_min);
-        }
-        Self::from_unit(unit, 1.0)
-    }
-
-    /// Build from an explicit member list in ascending row order (keyed
-    /// mode).
-    fn build_members(
+    /// Derive `rows` (ascending positions in `cols` — a stable
+    /// subsequence of the global client order) and sort both views at
+    /// `scale`.
+    fn build(
         cols: &IndexColumns<'_>,
-        members: &[u32],
+        rows: impl ExactSizeIterator<Item = usize>,
         aor: f64,
         q_min: f64,
         scale: f64,
     ) -> Self {
-        let mut unit = UnitColumns::with_capacity(members.len());
-        for &i in members {
-            unit.push_row(cols, i as usize, aor, q_min);
+        let mut units = Vec::with_capacity(rows.len());
+        let mut entry_keys = Vec::with_capacity(rows.len());
+        let mut sat_keys = Vec::with_capacity(rows.len());
+        let mut finite = true;
+        for i in rows {
+            let unit = UnitRow::derive(cols, i, aor, q_min);
+            let ek = entry_key(&unit.key, scale);
+            let sk = sat_key(&unit.key, scale);
+            finite = finite && unit.is_finite() && ek.is_finite() && sk.is_finite();
+            entry_keys.push(ek);
+            sat_keys.push(sk);
+            units.push(unit);
         }
-        Self::from_unit(unit, scale)
-    }
-
-    /// Re-sort the stored unit rows at a new scale (the "repair" path —
-    /// same rows, drifted threshold order).
-    fn resorted(&self, scale: f64) -> Self {
-        Self::from_unit(self.unit.clone(), scale)
+        IndexSegment {
+            entry: SortedView::build(&units, &entry_keys, |u| u.floor),
+            sat: SortedView::build(&units, &sat_keys, |u| u.sat),
+            finite,
+        }
     }
 
     /// Whether both stored sort orders are still the stable argsorts of
     /// the on-the-fly keys at `scale` — the clean-segment reuse proof.
     fn is_sorted_at(&self, scale: f64) -> bool {
-        let unit = &self.unit;
-        self.entry
-            .is_stable_sorted(|i| entry_key(unit.v[i], unit.e[i], scale))
-            && self
-                .sat
-                .is_stable_sorted(|i| sat_key(unit.v[i], unit.e[i], unit.f[i], scale))
+        self.entry.is_stable_sorted(scale, entry_key) && self.sat.is_stable_sorted(scale, sat_key)
     }
 
     /// Number of clients in the segment.
     pub fn len(&self) -> usize {
-        self.len
+        self.entry.keys.len()
     }
 
     /// Whether the segment holds no clients.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Count of rows with entry threshold strictly below `t` at `scale`
-    /// (`total_cmp` semantics, matching `fedfl_num::prefix::count_below`).
-    /// First/last boundary checks short-circuit all-floored and
-    /// all-past-entry segments — the directory half of a probe.
-    fn count_entry_below(&self, t: f64, scale: f64) -> usize {
-        let unit = &self.unit;
-        self.count_below(&self.entry, t, |i| entry_key(unit.v[i], unit.e[i], scale))
-    }
-
-    /// Count of rows with saturation threshold strictly below `t`.
-    fn count_sat_below(&self, t: f64, scale: f64) -> usize {
-        let unit = &self.unit;
-        self.count_below(&self.sat, t, |i| {
-            sat_key(unit.v[i], unit.e[i], unit.f[i], scale)
-        })
-    }
-
-    fn count_below(&self, view: &SortedView, t: f64, eval: impl Fn(usize) -> f64) -> usize {
-        let below = |slot: usize| eval(view.perm[slot] as usize).total_cmp(&t) == Ordering::Less;
-        if self.len == 0 || !below(0) {
-            return 0;
-        }
-        if below(self.len - 1) {
-            return self.len;
-        }
-        view.perm
-            .partition_point(|&row| eval(row as usize).total_cmp(&t) == Ordering::Less)
+        self.entry.keys.is_empty()
     }
 
     /// Largest evaluated saturation threshold (`None` when empty).
     fn top_sat_key(&self, scale: f64) -> Option<f64> {
-        let slot = self.len.checked_sub(1)?;
-        let i = self.sat.perm[slot] as usize;
-        Some(sat_key(
-            self.unit.v[i],
-            self.unit.e[i],
-            self.unit.f[i],
-            scale,
-        ))
+        self.sat.keys.last().map(|k| sat_key(k, scale))
     }
 }
 
@@ -475,7 +447,7 @@ impl ActiveSetIndex {
         scale: f64,
         keyed: Option<usize>,
     ) -> Self {
-        let len = segments.iter().map(|s| s.len).sum();
+        let len = segments.iter().map(|s| s.len()).sum();
         let scale_ok = scale.is_finite() && scale > 0.0;
         let finite = scale_ok && segments.iter().all(|s| s.finite);
         let cbrt = scale.cbrt();
@@ -528,11 +500,12 @@ impl ActiveSetIndex {
         }
         let segments = run_tasks(tasks.len(), n_threads, |i| {
             let (s, range) = &tasks[i];
-            Arc::new(IndexSegment::build_range(
+            Arc::new(IndexSegment::build(
                 &IndexColumns::from_population(&shards[*s]),
                 range.clone(),
                 aor,
                 q_min,
+                1.0,
             ))
         });
         Self::assemble(segments, aor, q_min, 1.0, None)
@@ -565,9 +538,9 @@ impl ActiveSetIndex {
         assert!(segment_count > 0, "segment_count must be positive");
         let members = bucket_members(seg_keys, segment_count);
         let segments = run_tasks(segment_count, n_threads, |k| {
-            Arc::new(IndexSegment::build_members(
+            Arc::new(IndexSegment::build(
                 cols,
-                &members[k],
+                members[k].iter().map(|&i| i as usize),
                 aor,
                 q_min,
                 scale,
@@ -578,9 +551,10 @@ impl ActiveSetIndex {
 
     /// Incrementally rebuild a keyed index after churn: segments flagged
     /// in `dirty` are re-sorted from the current rows; clean segments
-    /// are revalidated at the new `scale` and reused (or re-sorted when
-    /// scale drift reordered their thresholds). The result is
-    /// **bit-identical** to [`Self::build_keyed`] over the same inputs.
+    /// are revalidated at the new `scale` and reused (or rebuilt from
+    /// `cols` when scale drift reordered their thresholds). The result
+    /// is **bit-identical** to [`Self::build_keyed`] over the same
+    /// inputs.
     ///
     /// Contract (the caller's dirty tracking must guarantee it): a clean
     /// segment's member rows — values, order, and membership — are
@@ -589,7 +563,8 @@ impl ActiveSetIndex {
     /// dirty is always safe, missing one is not.
     ///
     /// Sort work is O(Σ_dirty len·log len) instead of the cold build's
-    /// O(N log N); clean segments cost one O(len) validation scan. Falls
+    /// O(N log N); clean segments cost one O(len) validation scan over
+    /// their stored key inputs. Falls
     /// back to a cold keyed build (all segments "rebuilt") if this index
     /// is not keyed or `dirty.len()` disagrees with its segment count.
     ///
@@ -626,16 +601,16 @@ impl ActiveSetIndex {
         let segment_count = dirty.len();
         let members = bucket_members(seg_keys, segment_count);
         // 0 = reused, 1 = repaired, 2 = rebuilt — per-segment outcome.
+        // A repair re-derives the clean segment's rows from `cols`: the
+        // contract guarantees they are the rows it was built from, so
+        // the result is the cold build at the new scale.
         let outcomes: Vec<(Arc<IndexSegment>, u8)> = run_tasks(segment_count, n_threads, |k| {
-            if dirty[k] {
-                let segment =
-                    IndexSegment::build_members(cols, &members[k], self.aor, self.q_min, scale);
-                (Arc::new(segment), 2)
-            } else if self.segments[k].is_sorted_at(scale) {
-                (Arc::clone(&self.segments[k]), 0)
-            } else {
-                (Arc::new(self.segments[k].resorted(scale)), 1)
+            if !dirty[k] && self.segments[k].is_sorted_at(scale) {
+                return (Arc::clone(&self.segments[k]), 0);
             }
+            let rows = members[k].iter().map(|&i| i as usize);
+            let segment = IndexSegment::build(cols, rows, self.aor, self.q_min, scale);
+            (Arc::new(segment), if dirty[k] { 2 } else { 1 })
         });
         let mut stats = PatchStats::default();
         let mut segments = Vec::with_capacity(segment_count);
@@ -710,8 +685,9 @@ impl ActiveSetIndex {
         let mut s0 = 0.0f64;
         let mut s1 = 0.0f64;
         for seg in &self.segments {
-            s0 += seg.sat.c0_prefix[seg.len];
-            s1 += seg.sat.c1_prefix[seg.len];
+            let total = &seg.sat.prefix[seg.len()];
+            s0 += total[0];
+            s1 += total[1];
         }
         s0 - s1 * self.inv_scale
     }
@@ -721,8 +697,9 @@ impl ActiveSetIndex {
         let mut f0 = 0.0f64;
         let mut f1 = 0.0f64;
         for seg in &self.segments {
-            f0 += seg.entry.c0_prefix[seg.len];
-            f1 += seg.entry.c1_prefix[seg.len];
+            let total = &seg.entry.prefix[seg.len()];
+            f0 += total[0];
+            f1 += total[1];
         }
         f0 - f1 * self.inv_scale
     }
@@ -746,20 +723,22 @@ impl ActiveSetIndex {
         let mut m = [0.0f64; MOMENTS];
         let mut any_interior = false;
         for seg in &self.segments {
-            if seg.len == 0 {
+            if seg.is_empty() {
                 continue;
             }
-            let past_entry = seg.count_entry_below(t, scale);
-            let saturated = seg.count_sat_below(t, scale);
-            floored0 += seg.entry.c0_prefix[seg.len] - seg.entry.c0_prefix[past_entry];
-            floored1 += seg.entry.c1_prefix[seg.len] - seg.entry.c1_prefix[past_entry];
-            sat0 += seg.sat.c0_prefix[saturated];
-            sat1 += seg.sat.c1_prefix[saturated];
+            let past_entry = seg.entry.count_below(t, scale, entry_key);
+            let saturated = seg.sat.count_below(t, scale, sat_key);
+            let entry_total = &seg.entry.prefix[seg.len()];
+            let entry_at = &seg.entry.prefix[past_entry];
+            let sat_at = &seg.sat.prefix[saturated];
+            floored0 += entry_total[0] - entry_at[0];
+            floored1 += entry_total[1] - entry_at[1];
+            sat0 += sat_at[0];
+            sat1 += sat_at[1];
             if past_entry > saturated {
                 any_interior = true;
-                for (k, slot) in m.iter_mut().enumerate() {
-                    *slot += seg.entry.moment_prefix[k][past_entry]
-                        - seg.sat.moment_prefix[k][saturated];
+                for (slot, (e, s)) in m.iter_mut().zip(entry_at[2..].iter().zip(&sat_at[2..])) {
+                    *slot += e - s;
                 }
             }
         }
@@ -802,8 +781,8 @@ impl ActiveSetIndex {
     pub fn probe_cost(&self) -> u64 {
         self.segments
             .iter()
-            .filter(|s| s.len > 0)
-            .map(|s| 2 * u64::from(u64::BITS - (s.len as u64).leading_zeros()))
+            .filter(|s| !s.is_empty())
+            .map(|s| 2 * u64::from(u64::BITS - (s.len() as u64).leading_zeros()))
             .sum::<u64>()
             + 1
     }
@@ -1104,9 +1083,11 @@ mod tests {
 
         // A scale change alone (no dirty rows) revalidates every
         // segment; the patched index must equal a cold build at the new
-        // scale whether segments were reused or repaired.
+        // scale whether segments were reused or repaired — and σ×4
+        // reorders some, so the re-derive-from-columns repair runs.
         let (rescaled, restats) = index.patch(&unit, &keys, &[false; 8], 4.0, 1);
         assert_eq!(restats.rebuilt, 0);
+        assert!(restats.repaired > 0, "σ×4 repaired nothing: {restats:?}");
         assert_eq!(restats.reused + restats.repaired, 8);
         let cold_rescaled = ActiveSetIndex::build_keyed(&unit, &keys, 8, aor(), Q_MIN, 4.0, 1);
         assert_eq!(rescaled, cold_rescaled);

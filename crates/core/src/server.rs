@@ -51,6 +51,7 @@ use fedfl_num::solve::{
 use fedfl_obs::{Metric, NoopRecorder, Recorder, Stopwatch};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
+use std::cmp::Ordering;
 
 /// Execution configuration shared by the Stage-I solvers: how hard to
 /// iterate and how many workers run the per-client passes.
@@ -551,7 +552,7 @@ pub enum SolverMode {
     /// The exact chunked λ-bisection (O(N) per probe, bit-pinned).
     Exact,
     /// The threshold-indexed active-set fast path (O(log N) per probe),
-    /// certified against exact probes and the Theorem-2 residual.
+    /// certified against exact spends and the Theorem-2 residual.
     ThresholdIndex,
     /// The fast path was requested but certification failed (or the
     /// index was unusable); the exact solver produced the result.
@@ -591,7 +592,9 @@ pub struct KktDiagnostics {
     /// Spend-curve probes, counted at the evaluation site: the saturation
     /// screen, the bisection endpoints and midpoints, any warm-start
     /// verification probes, and — on the fast path — the exact
-    /// certification probes.
+    /// certification probes. The fast path's materialised spend is one
+    /// side of its certificate (and its saturation screen) but not a
+    /// probe: it is not counted.
     pub bisect_evaluations: usize,
     /// Dyadic depth of the bracket the bisection started from (0 = cold).
     pub warm_start_depth: usize,
@@ -600,8 +603,9 @@ pub struct KktDiagnostics {
     /// Probe-phase work in per-client spend-evaluation units: the exact
     /// solver pays `N` per probe; the fast path pays
     /// [`ActiveSetIndex::probe_cost`] (≈ `2·log₂ N`) per modelled probe
-    /// plus `N` for each exact certification probe. Fallback solves
-    /// include the wasted fast-phase work.
+    /// plus `N` for each exact certification probe — one per band tried,
+    /// since the materialised spend (not counted) closes the other side.
+    /// Fallback solves include the wasted fast-phase work.
     pub probe_evaluations: u64,
     /// Nanoseconds spent (re)building or patching the threshold index
     /// for this solve (0 for the exact path and for solves reusing a
@@ -855,14 +859,22 @@ const CERT_BANDS: [f64; 3] = [1e-9, 1e-7, 1e-5];
 ///
 /// The budget bisection probes the O(log N) spend *model* of an
 /// [`ActiveSetIndex`] built for this call instead of the O(N) exact
-/// sweep. The root it finds is then **certified** against the exact
+/// sweep. The root t̂ it finds is then **certified** against the exact
 /// solver's ground truth:
 ///
-/// 1. an exact monotone bracket certificate — two exact probes per band
-///    of [`CERT_BANDS`] must pin the budget between
-///    `spend(t̂ − ε)` and `spend(t̂ + ε)`;
+/// 1. an exact monotone bracket certificate. The profile is materialised
+///    at t̂ first, and its realised spend is bit for bit the exact spend
+///    at t̂ (same per-client term, same chunk tree). One exact probe per
+///    band of [`CERT_BANDS`] tried, on the far side of the budget,
+///    closes the bracket: `spend(t̂) ≤ B ≤ spend(t̂ + ε)`, or
+///    `spend(t̂ − ε) ≤ B < spend(t̂)`. The saturation screen and a
+///    floored root read the same materialised spend instead of probing;
 /// 2. the exact sampled Theorem-2 residual of the materialised profile
 ///    must stay within the solver tolerance.
+///
+/// A solve certified in the first band therefore pays one O(N) exact
+/// probe plus the materialisation it needs anyway; a saturated one pays
+/// only the materialisation.
 ///
 /// Any violation (or an unusable/degenerate index) demotes the solve to
 /// the exact path — the returned solution is then bit-identical to
@@ -991,10 +1003,14 @@ pub fn solve_kkt_sharded_fast_with_index_observed<R: Recorder + ?Sized>(
     Ok((solution, diagnostics))
 }
 
-/// The certify-or-fallback core of the fast path. `index_rebuild_ns`
-/// is reported through the diagnostics untouched (0 = reused index).
-/// `recorder` only receives certification outcomes (band hits, failures,
-/// residual rejects) — it never influences the solve.
+/// The certify-or-fallback core of the fast path: model bisection,
+/// materialisation at the candidate root, then the one-sided exact
+/// certificate of [`solve_kkt_columns_fast`] — the materialised spend is
+/// the near end of the bracket, one exact probe per band the far end.
+/// `index_rebuild_ns` is reported through the diagnostics untouched
+/// (0 = reused index). `recorder` only receives certification outcomes
+/// (band hits, failures, residual rejects) — it never influences the
+/// solve.
 #[allow(clippy::too_many_arguments)]
 fn solve_kkt_view_fast<R: Recorder + ?Sized>(
     view: &ShardView<'_>,
@@ -1027,68 +1043,79 @@ fn solve_kkt_view_fast<R: Recorder + ?Sized>(
             exact_probes.set(exact_probes.get() + 1);
             path_spend(view, aor, options.q_min, t, threads)
         };
+        // Materialise exactly, as the exact solver does. The realised
+        // spend is bit-identical to an exact probe at `t` (same
+        // per-client term, same chunk tree), so it is one side of every
+        // certificate below.
+        let mut q = vec![0.0f64; n];
+        let mut materialise = |t: f64| {
+            fill_path_profile(view, aor, options.q_min, t, &mut q, threads);
+            profile_spend(view, aor, &q, threads)
+        };
         let t_hi = index.bracket_hi();
 
-        // O(1) saturation screen, certified by a single exact probe.
-        let (t_used, lambda, saturated, stats) = if index.saturated_spend() <= budget
-            && exact_spend(t_hi) <= budget
-        {
-            (t_hi, None, true, BisectStats::default())
-        } else {
-            let model_spend = |t: f64| {
-                model_probes.set(model_probes.get() + 1);
-                index.spend(t)
-            };
-            let Ok((t_hat, stats)) = bisect_monotone_instrumented(
-                model_spend,
-                budget,
-                0.0,
-                t_hi,
-                options.config.tolerance,
-                options.config.max_iters,
-                hint,
-            ) else {
-                break 'fast None;
-            };
-            if t_hat <= 0.0 {
-                // Floored root: legitimate only if the exact floor
-                // spend already exhausts the budget.
-                if exact_spend(0.0) >= budget {
-                    (t_hat, None, false, stats)
-                } else {
+        // O(1) saturation screen, certified by the materialised spend.
+        let saturated_spent = (index.saturated_spend() <= budget).then(|| materialise(t_hi));
+        let (t_used, lambda, saturated, stats, spent) = match saturated_spent {
+            Some(spent) if spent <= budget => (t_hi, None, true, BisectStats::default(), spent),
+            _ => {
+                let model_spend = |t: f64| {
+                    model_probes.set(model_probes.get() + 1);
+                    index.spend(t)
+                };
+                let Ok((t_hat, stats)) = bisect_monotone_instrumented(
+                    model_spend,
+                    budget,
+                    0.0,
+                    t_hi,
+                    options.config.tolerance,
+                    options.config.max_iters,
+                    hint,
+                ) else {
                     break 'fast None;
-                }
-            } else {
-                // Exact bracket certificate: monotonicity of the exact
-                // spend pins the exact root inside [t̂ − ε, t̂ + ε]
-                // whenever the budget sits between the band's probes.
-                let mut certified = false;
-                for (band_no, &band) in CERT_BANDS.iter().enumerate() {
-                    let eps = (band * t_hat).max(options.config.tolerance);
-                    if exact_spend(t_hat - eps) <= budget && exact_spend(t_hat + eps) >= budget {
-                        recorder.add(Metric::cert_band_hit(band_no), 1);
-                        certified = true;
-                        break;
+                };
+                let spent = materialise(t_hat);
+                if t_hat <= 0.0 {
+                    // Floored root: legitimate only if the exact floor
+                    // spend already exhausts the budget.
+                    if spent >= budget {
+                        (t_hat, None, false, stats, spent)
+                    } else {
+                        break 'fast None;
                     }
+                } else {
+                    // Exact bracket certificate: monotonicity of the
+                    // exact spend pins the exact root between t̂ and one
+                    // exact probe ε away on the far side of the budget.
+                    let mut certified = false;
+                    for (band_no, &band) in CERT_BANDS.iter().enumerate() {
+                        let eps = (band * t_hat).max(options.config.tolerance);
+                        let closes = match spent.partial_cmp(&budget) {
+                            Some(Ordering::Greater) => exact_spend(t_hat - eps) <= budget,
+                            Some(_) => exact_spend(t_hat + eps) >= budget,
+                            None => false,
+                        };
+                        if closes {
+                            recorder.add(Metric::cert_band_hit(band_no), 1);
+                            certified = true;
+                            break;
+                        }
+                    }
+                    if !certified {
+                        recorder.add(Metric::SolverCertFailures, 1);
+                        break 'fast None;
+                    }
+                    (t_hat, Some(1.0 / t_hat), false, stats, spent)
                 }
-                if !certified {
-                    recorder.add(Metric::SolverCertFailures, 1);
-                    break 'fast None;
-                }
-                (t_hat, Some(1.0 / t_hat), false, stats)
             }
         };
 
-        // Materialise exactly, as the exact solver does.
-        let mut q = vec![0.0f64; n];
-        fill_path_profile(view, aor, options.q_min, t_used, &mut q, threads);
         let mut prices = vec![0.0f64; n];
         fill_prices(view, aor, &q, &mut prices, threads);
         if prices.iter().any(|p| !p.is_finite()) {
             // Let the exact path produce its own (identical) diagnosis.
             break 'fast None;
         }
-        let spent = profile_spend(view, aor, &q, threads);
         let solution = StageOneSolution {
             q,
             prices,
@@ -1101,6 +1128,7 @@ fn solve_kkt_view_fast<R: Recorder + ?Sized>(
             view,
             bound,
             &solution,
+            options.q_min,
             FAST_RESIDUAL_SAMPLE,
             FAST_RESIDUAL_SEED,
         ) {
@@ -1154,8 +1182,11 @@ fn solve_kkt_view_fast<R: Recorder + ?Sized>(
 /// path, whose spend is `K · t^(2/3)` (exact for `v = 0`, relatively off by
 /// `O(v/t)` otherwise). Solving `C + K·t^(2/3) = budget` in closed form and
 /// refining the split once at the estimate costs a few `O(N)` passes —
-/// cheap next to a bisection — and lands within a handful of dyadic levels
-/// of the true root under realistic churn.
+/// cheap next to an exact bisection, whose every probe is `O(N)` too —
+/// and lands within a handful of dyadic levels of the true root under
+/// realistic churn. It does not pay off against the threshold-indexed
+/// fast path, whose sub-linear model probes cost far less than these
+/// passes; the pricing service refines its hint on the exact path only.
 ///
 /// The result is *only a hint*: [`solve_kkt_columns_hinted`] verifies the
 /// bracket it implies before trusting it, so a misprediction costs a few
@@ -1252,7 +1283,9 @@ fn estimate_path_parameter_view(
 /// Theorem 2 spot check directly on solver columns: the maximum relative
 /// deviation of the invariant `(4R/α)·c_n q_n³/a_n²G_n² + v_n` from `1/λ*`
 /// over up to `sample` clients drawn deterministically from `seed` (with
-/// replacement), skipping floored/capped clients.
+/// replacement), skipping floored/capped clients. `q_min` is the floor
+/// the solution was solved at ([`SolverOptions::q_min`]): clients within
+/// 1% of it count as floored.
 ///
 /// This is the columns-level counterpart of
 /// [`crate::equilibrium::StackelbergEquilibrium::theorem2_max_residual`];
@@ -1263,10 +1296,18 @@ pub fn theorem2_max_residual_columns(
     cols: &PopulationColumns,
     bound: &BoundParams,
     solution: &StageOneSolution,
+    q_min: f64,
     sample: usize,
     seed: u64,
 ) -> Option<f64> {
-    theorem2_max_residual_view(&ShardView::single(cols), bound, solution, sample, seed)
+    theorem2_max_residual_view(
+        &ShardView::single(cols),
+        bound,
+        solution,
+        q_min,
+        sample,
+        seed,
+    )
 }
 
 /// [`theorem2_max_residual_columns`] over shard column-sets — the sampled
@@ -1276,16 +1317,25 @@ pub fn theorem2_max_residual_sharded(
     population: &ShardedPopulation,
     bound: &BoundParams,
     solution: &StageOneSolution,
+    q_min: f64,
     sample: usize,
     seed: u64,
 ) -> Option<f64> {
-    theorem2_max_residual_view(&ShardView::of(population), bound, solution, sample, seed)
+    theorem2_max_residual_view(
+        &ShardView::of(population),
+        bound,
+        solution,
+        q_min,
+        sample,
+        seed,
+    )
 }
 
 fn theorem2_max_residual_view(
     view: &ShardView<'_>,
     bound: &BoundParams,
     solution: &StageOneSolution,
+    q_min: f64,
     sample: usize,
     seed: u64,
 ) -> Option<f64> {
@@ -1301,7 +1351,7 @@ fn theorem2_max_residual_view(
         let i = (rand::Rng::random::<u64>(&mut rng) % n as u64) as usize;
         let (cols, local) = view.locate(i);
         let q = solution.q[i];
-        if q > Q_MIN * 1.01 && q < cols.q_max[local] * 0.999 {
+        if q > q_min * 1.01 && q < cols.q_max[local] * 0.999 {
             let invariant =
                 coef * cols.cost[local] * q.powi(3) / cols.a2g2[local] + cols.value[local];
             let residual = (invariant - target).abs() / target.abs().max(1.0);
@@ -1818,7 +1868,8 @@ mod tests {
         let p = population();
         let b = bound();
         let sol = solve_kkt(&p, &b, 10.0, &SolverOptions::default()).unwrap();
-        let via_columns = theorem2_max_residual_columns(&p.columns(), &b, &sol, 100, 0).unwrap();
+        let via_columns =
+            theorem2_max_residual_columns(&p.columns(), &b, &sol, Q_MIN, 100, 0).unwrap();
         let se = StackelbergEquilibrium::from_stage_one(sol, &p, &b, 10.0);
         let via_equilibrium = se.theorem2_max_residual(&p, &b, 100, 0).unwrap();
         assert_eq!(via_columns.to_bits(), via_equilibrium.to_bits());
@@ -1861,8 +1912,9 @@ mod tests {
             }
             // The sampled Theorem 2 check and the hint estimator agree
             // with their flat counterparts bit for bit.
-            let flat_res = theorem2_max_residual_columns(&cols, &b, &flat, 256, 3).unwrap();
-            let shard_res = theorem2_max_residual_sharded(&sharded, &b, &flat, 256, 3).unwrap();
+            let flat_res = theorem2_max_residual_columns(&cols, &b, &flat, Q_MIN, 256, 3).unwrap();
+            let shard_res =
+                theorem2_max_residual_sharded(&sharded, &b, &flat, Q_MIN, 256, 3).unwrap();
             assert_eq!(flat_res.to_bits(), shard_res.to_bits());
             let t_star = 1.0 / flat.lambda.unwrap();
             let flat_est = estimate_path_parameter(&cols, &b, budget, t_star * 2.0, 1);
@@ -1873,6 +1925,49 @@ mod tests {
                 "estimate drifted at shard_count {shard_count}"
             );
         }
+    }
+
+    #[test]
+    fn materialised_spend_is_an_exact_probe_bit_for_bit() {
+        // The fast path's certificate reads the realised spend of the
+        // profile materialised at t̂ as the exact spend at t̂: the same
+        // per-client term summed over the same chunk tree.
+        use crate::population::PopulationSpec;
+        let n = 3 * fedfl_num::parallel::DEFAULT_CHUNK + 517;
+        let p = Population::synthesize(n, &PopulationSpec::table1_like(), 31).unwrap();
+        let cols = p.columns();
+        let aor = bound().alpha_over_r();
+        let t_hi = saturation_t(&ShardView::single(&cols), aor);
+        let mut parts = [false; 3];
+        for shard_count in [1usize, 3, 8] {
+            let sharded = ShardedPopulation::from_columns(&cols, shard_count).unwrap();
+            let view = ShardView::of(&sharded);
+            for threads in [1usize, 2] {
+                for frac in [0.0, 1e-3, 0.05, 0.5, 1.0] {
+                    let t = frac * t_hi;
+                    let mut q = vec![0.0f64; n];
+                    fill_path_profile(&view, aor, Q_MIN, t, &mut q, threads);
+                    let realised = profile_spend(&view, aor, &q, threads);
+                    let probed = path_spend(&view, aor, Q_MIN, t, threads);
+                    assert_eq!(
+                        realised.to_bits(),
+                        probed.to_bits(),
+                        "shards {shard_count} threads {threads} t {t}"
+                    );
+                    for (i, &qn) in q.iter().enumerate() {
+                        let part = if qn == Q_MIN {
+                            0
+                        } else if qn == cols.q_max[i] {
+                            2
+                        } else {
+                            1
+                        };
+                        parts[part] = true;
+                    }
+                }
+            }
+        }
+        assert_eq!(parts, [true; 3], "floored, interior and saturated covered");
     }
 
     #[test]

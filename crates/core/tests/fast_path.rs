@@ -21,10 +21,13 @@ use fedfl_core::bound::BoundParams;
 use fedfl_core::population::{ParamDist, Population, PopulationSpec};
 use fedfl_core::server::{
     path_budget, solve_kkt_columns_fast, solve_kkt_columns_hinted, solve_kkt_sharded_fast,
-    solve_kkt_sharded_fast_with_index, theorem2_max_residual_columns, SolverMode, SolverOptions,
+    solve_kkt_sharded_fast_with_index, solve_kkt_sharded_fast_with_index_observed,
+    theorem2_max_residual_columns, SolverMode, SolverOptions,
 };
 use fedfl_core::shard::ShardedPopulation;
+use fedfl_obs::Registry;
 use proptest::prelude::*;
+use std::cmp::Ordering;
 
 fn bound() -> BoundParams {
     BoundParams::new(4_000.0, 100.0, 1_000).unwrap()
@@ -89,7 +92,9 @@ fn assert_fast_agrees(p: &Population, budget: f64, options: &SolverOptions) -> S
                 fast.spent,
                 exact.spent
             );
-            if let Some(residual) = theorem2_max_residual_columns(&cols, &b, &fast, 2_048, 7) {
+            if let Some(residual) =
+                theorem2_max_residual_columns(&cols, &b, &fast, options.q_min, 2_048, 7)
+            {
                 assert!(residual <= 1e-6, "fast Theorem-2 residual {residual:e}");
             }
         }
@@ -188,6 +193,70 @@ fn reused_index_solves_match_and_hint_cuts_iterations() {
     let (exact_other, _) =
         solve_kkt_columns_hinted(&other.columns(), &b, budget, &options, None).unwrap();
     assert_eq!(fb, exact_other);
+}
+
+#[test]
+fn same_length_stale_index_fails_the_certificate_and_falls_back_exactly() {
+    // An index over another population of the *same* length passes the
+    // usability screen (length, knobs, degeneracy), so the certificate
+    // itself must reject its root — whether the model root lands above
+    // the exact root (cheaper stale costs model a lower spend) or below
+    // it (dearer ones model a higher spend).
+    let b = bound();
+    let options = SolverOptions::default();
+    let n = 3_000;
+    let p = Population::synthesize(n, &PopulationSpec::table1_like(), 21).unwrap();
+    let cols = p.columns();
+    let budget = path_budget(&p, &b, &options, 0.01);
+    let sharded = ShardedPopulation::from_columns(&cols, 3).unwrap();
+    let (exact, exact_diag) = solve_kkt_columns_hinted(&cols, &b, budget, &options, None).unwrap();
+    let keys: Vec<u32> = (0..n as u32).map(|i| (i / 32) % 16).collect();
+    // Model spend at the exact root below the budget puts the model
+    // root above the exact root, and vice versa.
+    for (cost_factor, model_at_exact_root) in [(0.9, Ordering::Less), (1.1, Ordering::Greater)] {
+        let mut stale = cols.clone();
+        stale.cost.iter_mut().for_each(|c| *c *= cost_factor);
+        let index = ActiveSetIndex::build_keyed(
+            &IndexColumns::from_population(&stale),
+            &keys,
+            16,
+            b.alpha_over_r(),
+            options.q_min,
+            1.0,
+            1,
+        );
+        assert_eq!(index.len(), n);
+        assert!(
+            index.saturated_spend() > budget,
+            "the stale model must bisect, not take the saturation screen"
+        );
+        assert_eq!(
+            index.spend(exact_diag.t_star).partial_cmp(&budget),
+            Some(model_at_exact_root),
+            "cost factor {cost_factor}"
+        );
+        let registry = Registry::new();
+        let (fallback, diag) = solve_kkt_sharded_fast_with_index_observed(
+            &sharded, &b, budget, &options, &index, None, &registry,
+        )
+        .unwrap();
+        assert_eq!(diag.solver_mode, SolverMode::ThresholdIndexFallback);
+        assert_eq!(
+            fallback, exact,
+            "fallback must be the exact solver, bit for bit"
+        );
+        assert_eq!(diag.t_star.to_bits(), exact_diag.t_star.to_bits());
+        let snapshot = registry.snapshot();
+        assert_eq!(
+            snapshot.counter("fedfl_solver_cert_failures_total"),
+            Some(1),
+            "cost factor {cost_factor}"
+        );
+        assert_eq!(
+            snapshot.counter("fedfl_solver_residual_rejects_total"),
+            Some(0)
+        );
+    }
 }
 
 #[test]

@@ -16,6 +16,7 @@
 //! `cargo test --release -- --ignored` job; each asserts a wall-clock
 //! budget so a performance regression fails the build.
 
+use fedfl_core::active_set::ActiveSetIndex;
 use fedfl_core::bound::BoundParams;
 use fedfl_core::game::CplGame;
 use fedfl_core::population::{ParamDist, Population, PopulationSpec, Q_MIN};
@@ -288,7 +289,9 @@ fn million_client_equilibrium_smoke() {
 /// the sub-linear λ-probe acceptance criteria. The certified fast solve
 /// must spend ≥10× fewer per-client spend evaluations than the exact
 /// probe phase, land within the certification bands, and keep the exact
-/// Theorem-2 residual within the solver tolerance.
+/// Theorem-2 residual within the solver tolerance. One model probe must
+/// also cost at most 1/100 of one exact pass, both timed in this process
+/// (a ratio, so it holds on slow and fast hosts alike).
 #[test]
 #[ignore = "release-mode scale gate; run with --ignored"]
 fn million_client_fast_path_cross_check() {
@@ -330,8 +333,15 @@ fn million_client_fast_path_cross_check() {
         fast.spent,
         exact.spent
     );
-    let residual = fedfl_core::server::theorem2_max_residual_columns(&cols, &b, &fast, 10_000, 99)
-        .expect("interior clients in a 1M draw");
+    let residual = fedfl_core::server::theorem2_max_residual_columns(
+        &cols,
+        &b,
+        &fast,
+        options.q_min,
+        10_000,
+        99,
+    )
+    .expect("interior clients in a 1M draw");
     assert!(residual < 1e-6, "fast Theorem-2 residual {residual}");
     // Index build + certified solve together must beat the 1.3s exact
     // probe phase by a wide margin; 20s leaves room for a slow CI core
@@ -339,5 +349,27 @@ fn million_client_fast_path_cross_check() {
     assert!(
         fast_time.as_secs_f64() < 20.0,
         "1M fast solve took {fast_time:?} (budget 20s)"
+    );
+
+    let index = ActiveSetIndex::from_columns(&cols, b.alpha_over_r(), options.q_min);
+    let t_hi = index.bracket_hi();
+    let probes = 200;
+    let started = Instant::now();
+    let mut sink = 0.0;
+    for k in 0..probes {
+        sink += std::hint::black_box(index.spend(t_hi * (k as f64 + 0.5) / probes as f64));
+    }
+    let probe_time = started.elapsed() / probes;
+    let started = Instant::now();
+    sink += std::hint::black_box(path_budget(&p, &b, &options, 0.5));
+    let exact_pass = started.elapsed();
+    assert!(sink.is_finite());
+    assert!(
+        probe_time * 100 <= exact_pass,
+        "model probe {probe_time:?} vs exact pass {exact_pass:?} — expected ≤1/100"
+    );
+    eprintln!(
+        "1M probe-cost ratio: model probe {probe_time:?}, exact pass {exact_pass:?} (1/{:.0})",
+        exact_pass.as_secs_f64() / probe_time.as_secs_f64()
     );
 }

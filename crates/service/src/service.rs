@@ -45,9 +45,13 @@ pub struct ServiceConfig {
     /// reused verbatim for budget/bound-only updates, rebuilt on churn.
     /// Opt-in because certified fast prices are *near* the exact solver's
     /// (within the certification bands), not bit-identical to them; every
-    /// fast solve is certified by exact probes and the Theorem-2 residual
-    /// and falls back to the exact solver on violation. `false` (the
-    /// default) preserves the exact solver's bit-for-bit contract.
+    /// fast solve is certified — its materialised spend and one exact
+    /// probe per band bracket the budget — plus the Theorem-2 residual,
+    /// and falls back to the exact solver on violation. The warm-start
+    /// hint follows the mode: the fast path hands the rescaled previous
+    /// `t*` straight to the model bisection, skipping the O(N)
+    /// `estimate_path_parameter` refinement the exact path runs. `false`
+    /// (the default) preserves the exact solver's bit-for-bit contract.
     pub fast_path: bool,
 }
 
@@ -125,8 +129,9 @@ pub enum Command {
     UpdateAvailability(AvailabilityModel),
     /// Replace the deployment budget `B`. No store shard is dirtied — the
     /// columns are budget-independent — but the equilibrium re-solves
-    /// (warm-started through `estimate_path_parameter` at the new budget)
-    /// at the next read or `Reprice`.
+    /// (warm-started from the previous `t*`, refined through
+    /// `estimate_path_parameter` at the new budget on the exact path) at
+    /// the next read or `Reprice`.
     UpdateBudget(f64),
     /// Replace the Theorem 1 bound constants `(α, β, R)`. Like
     /// `UpdateBudget`, this dirties no shard; the warm-start hint is
@@ -590,12 +595,18 @@ impl PricingService {
 
         // Warm-start hint: rescale the previous path parameter for the
         // weight renormalisation (and any bound update) since the last
-        // solve, then refine it with the closed-form spend model on the
-        // new columns. Both are heuristics; the bisection verifies the
-        // implied bracket before trusting it.
+        // solve. The exact path then refines it with the closed-form
+        // spend model on the new columns: a few O(N) passes that save
+        // O(N) bisection probes. The fast path skips the refinement —
+        // its model probes are sub-linear, so the passes would cost more
+        // than the steps they save. Both hints are heuristics; the
+        // bisection verifies the implied bracket before trusting it.
         let hint = self.warm_hint.map(|warm| {
             let ratio = assembled.total_raw_weight / warm.total_weight;
             let t_scaled = warm.t_star * ratio * ratio * (warm.aor / aor);
+            if self.config.fast_path {
+                return t_scaled;
+            }
             estimate_path_parameter_sharded(
                 &assembled.population,
                 &self.config.bound,
@@ -725,6 +736,7 @@ impl PricingService {
             &assembled.population,
             &self.config.bound,
             &solution,
+            self.config.solver.q_min,
             self.config.residual_sample,
             self.config.residual_seed,
         );
@@ -1113,6 +1125,41 @@ mod tests {
         let bits = |prices: &[f64]| prices.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&bare_snap.prices), bits(&observed_snap.prices));
         assert_eq!(bare_snap.q_eff, observed_snap.q_eff);
+    }
+
+    #[test]
+    fn raised_solver_floor_prices_on_both_paths() {
+        // With `q_min` raised to 0.02, clients held at that floor are not
+        // interior: the Theorem-2 check must skip them as the solver
+        // does, or every reprice fails with `InvariantViolated`.
+        let clients: Vec<ClientParams> = (0..400)
+            .map(|k| {
+                let c = 1.0 + (k % 50) as f64;
+                ClientParams::always_on(1.0 + (k % 7) as f64, 4.0, 10.0 * c * c, 0.0, 1.0)
+            })
+            .collect();
+        for fast_path in [false, true] {
+            for budget in [3e3, 1e4, 3e4] {
+                let mut config = ServiceConfig::new(bound(), budget);
+                config.solver.q_min = 0.02;
+                config.fast_path = fast_path;
+                let (mut service, _) =
+                    PricingService::with_clients(config, clients.clone()).unwrap();
+                let report = service.reprice().unwrap_or_else(|e| {
+                    panic!("fast_path {fast_path} budget {budget}: {e}");
+                });
+                let floored = service
+                    .snapshot()
+                    .unwrap()
+                    .q_eff
+                    .iter()
+                    .filter(|&&q| q == 0.02)
+                    .count();
+                assert!(floored > 0, "budget {budget} holds no client at the floor");
+                let residual = report.theorem2_residual.expect("interior clients");
+                assert!(residual <= config.residual_tolerance, "residual {residual}");
+            }
+        }
     }
 
     #[test]
