@@ -13,14 +13,13 @@
 //!
 //! `--metrics-out` appends a `"bench":"metrics"` JSONL export of the
 //! run's solver counters and spans (probe evaluations, bisection
-//! iterations, solve/index-build histograms). Collection forces the
-//! diagnostics-returning solver entry points — bit-identical to the
-//! plain ones.
+//! iterations, solve/index-build histograms). The solves record into the
+//! registry as they run; recording never changes a price bit.
 //!
 //! With `--fast-path`, the run additionally builds the threshold index
-//! (timed), runs the certified fast solve cold and warm (index + hint
-//! reuse), and records the probe-work comparison against the exact
-//! solve — the sub-linear λ-probe demonstration. The exact solve remains
+//! (timed, positional segments), runs the certified fast solve cold and
+//! warm (index + hint reuse), and records the probe-work comparison
+//! against the exact solve — the sub-linear λ-probe demonstration. The exact solve remains
 //! the one whose equilibrium is verified and reported.
 //!
 //! Defaults: 1,000,000 clients, auto threads, 1 shard, seed 2023, budget
@@ -28,7 +27,7 @@
 //! `results/scale_equilibrium.txt`. With `--shards S > 1`, each shard's
 //! clients are materialised independently (`ShardedPopulation::synthesize`,
 //! always asserted to concatenate to the flat population) and the solve
-//! runs over the shard column-sets (`solve_kkt_sharded`); the sequential
+//! runs over the shard column-sets (`solve_kkt_shards`); the sequential
 //! flat re-solve then asserts the sharded solution bit-identical to the
 //! unsharded path — unless `--skip-sequential` suppresses that (solve-
 //! level) check. With `--json`, a machine-readable record of the same run
@@ -37,17 +36,15 @@
 
 use fedfl_bench::metrics_record::MetricsRecord;
 use fedfl_bench::schema::check_line;
-use fedfl_core::active_set::{ActiveSetIndex, IndexColumns};
+use fedfl_core::active_set::{ActiveSetIndex, IndexColumns, GRID_SEGMENT};
 use fedfl_core::bound::BoundParams;
 use fedfl_core::equilibrium::StackelbergEquilibrium;
 use fedfl_core::population::{Population, PopulationSpec};
 use fedfl_core::server::{
-    path_budget, path_budget_sharded, solve_kkt, solve_kkt_columns_hinted, solve_kkt_sharded,
-    solve_kkt_sharded_fast_with_index, solve_kkt_sharded_fast_with_index_observed,
-    solve_kkt_sharded_hinted, SolverOptions,
+    path_budget, path_budget_sharded, solve_kkt, solve_kkt_shards, SolverOptions,
 };
 use fedfl_core::shard::ShardedPopulation;
-use fedfl_obs::{Metric, Recorder as _, Registry};
+use fedfl_obs::{Metric, NoopRecorder, Recorder, Registry};
 use serde::{Serialize, Value};
 use std::io::Write as _;
 use std::time::Instant;
@@ -96,7 +93,7 @@ struct FastStats {
     probe_evaluations: u64,
     probe_evaluations_exact: u64,
     fast_rel_spend_error: f64,
-    /// Segments of the grid index the fast solve probed.
+    /// Segments of the positional index the fast solve probed.
     index_segments: usize,
     /// Cold keyed (service-layout) index build time — the incremental
     /// patch's baseline.
@@ -254,38 +251,32 @@ fn main() {
         args.threads, args.shards
     );
     let registry = args.metrics_out.as_ref().map(|_| Registry::new());
-    let t0 = Instant::now();
-    // With --fast-path (or a --metrics-out registry to feed) the exact
-    // solve goes through the diagnostics-returning entry points
-    // (bit-identical to the plain ones) so probe work is measurable.
-    let want_diag = args.fast_path || registry.is_some();
-    let (solution, exact_diag) = match &sharded {
-        Some(sharded) if want_diag => {
-            let (solution, diag) =
-                solve_kkt_sharded_hinted(sharded, &bound, budget, &options, None).expect("solve");
-            (solution, Some(diag))
-        }
-        Some(sharded) => (
-            solve_kkt_sharded(sharded, &bound, budget, &options).expect("solve"),
-            None,
-        ),
-        None if want_diag => {
-            let (solution, diag) =
-                solve_kkt_columns_hinted(&population.columns(), &bound, budget, &options, None)
-                    .expect("solve");
-            (solution, Some(diag))
-        }
-        None => (
-            solve_kkt(&population, &bound, budget, &options).expect("solve"),
-            None,
-        ),
+    let recorder: &dyn Recorder = match &registry {
+        Some(registry) => registry,
+        None => &NoopRecorder,
     };
+    // The flat columns solve as one shard.
+    let flat_shard;
+    let solve_population = match &sharded {
+        Some(sharded) => sharded,
+        None => {
+            flat_shard = ShardedPopulation::from(&population);
+            &flat_shard
+        }
+    };
+    let t0 = Instant::now();
+    let (solution, exact_diag) = solve_kkt_shards(
+        solve_population,
+        &bound,
+        budget,
+        &options,
+        None,
+        None,
+        recorder,
+    )
+    .expect("solve");
     let solve_time = t0.elapsed();
     println!("  {:.3}s", solve_time.as_secs_f64());
-    if let (Some(registry), Some(diag)) = (&registry, &exact_diag) {
-        let nanos = u64::try_from(solve_time.as_nanos()).unwrap_or(u64::MAX);
-        diag.record_solve(registry, nanos);
-    }
 
     // Determinism contracts: n_threads = 1 (and, with --shards, the flat
     // unsharded solve) must reproduce the same bits.
@@ -311,52 +302,36 @@ fn main() {
     // --fast-path: build the threshold index (timed) and run the
     // certified fast solve cold and warm against the exact baseline.
     let fast = if args.fast_path {
-        let flat_sharded;
-        let fast_population = match &sharded {
-            Some(sharded) => sharded,
-            None => {
-                flat_sharded = ShardedPopulation::from_columns(&population.columns(), 1)
-                    .expect("single-shard wrap");
-                &flat_sharded
-            }
-        };
+        let cols = population.columns();
+        let index_cols = IndexColumns::from_population(&cols);
         println!("building the threshold index ...");
         let t0 = Instant::now();
-        let index = ActiveSetIndex::build_sharded_threaded(
-            fast_population.shards(),
+        let grid_keys: Vec<u32> = (0..cols.len()).map(|i| (i / GRID_SEGMENT) as u32).collect();
+        let index = ActiveSetIndex::build_keyed(
+            &index_cols,
+            &grid_keys,
+            cols.len().div_ceil(GRID_SEGMENT),
             bound.alpha_over_r(),
             options.q_min,
+            1.0,
             options.config.n_threads,
         );
         let index_build_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let index_build_seconds = index_build_ns as f64 / 1e9;
         println!("  {index_build_seconds:.3}s");
-        if let Some(registry) = &registry {
-            registry.add(Metric::SolverIndexBuilds, 1);
-            registry.observe(Metric::SolverIndexBuildNs, index_build_ns);
-        }
+        recorder.add(Metric::SolverIndexBuilds, 1);
+        recorder.observe(Metric::SolverIndexBuildNs, index_build_ns);
         println!("fast solve (cold, then warm with index + hint reuse) ...");
-        // With a registry, the observed entry point records the solve
-        // span, mode counters, and certification-band outcomes itself;
-        // both variants produce bit-identical solutions.
-        let fast_solve = |hint: Option<f64>| match &registry {
-            Some(registry) => solve_kkt_sharded_fast_with_index_observed(
-                fast_population,
+        let fast_solve = |hint: Option<f64>| {
+            solve_kkt_shards(
+                solve_population,
                 &bound,
                 budget,
                 &options,
-                &index,
                 hint,
-                registry,
-            ),
-            None => solve_kkt_sharded_fast_with_index(
-                fast_population,
-                &bound,
-                budget,
-                &options,
-                &index,
-                hint,
-            ),
+                Some(&index),
+                recorder,
+            )
         };
         let t0 = Instant::now();
         let (fast_cold, cold_diag) = fast_solve(None).expect("fast solve");
@@ -369,7 +344,6 @@ fn main() {
             cold_diag.solver_mode
         );
         debug_assert_eq!(warm_diag.solver_mode, cold_diag.solver_mode);
-        let exact_diag = exact_diag.expect("exact diagnostics captured under --fast-path");
         let fast_rel_spend_error =
             (fast_cold.spent - solution.spent).abs() / solution.spent.abs().max(1.0);
 
@@ -382,8 +356,6 @@ fn main() {
             "keyed-index patch micro-bench ({PATCH_SEGMENTS} segments, \
              {PATCH_DIRTY_SEGMENTS} dirty) ..."
         );
-        let cols = population.columns();
-        let index_cols = IndexColumns::from_population(&cols);
         let seg_keys: Vec<u32> = (0..cols.len())
             .map(|i| ((i / PATCH_ROUTE_BLOCK) % PATCH_SEGMENTS) as u32)
             .collect();
@@ -418,18 +390,16 @@ fn main() {
              (rebuilt {}, repaired {}, reused {})",
             patch_stats.rebuilt, patch_stats.repaired, patch_stats.reused
         );
-        if let Some(registry) = &registry {
-            registry.observe(Metric::SolverIndexPatchNs, patch_ns);
-            registry.add(
-                Metric::SolverIndexSegmentsRebuilt,
-                patch_stats.rebuilt as u64,
-            );
-            registry.add(
-                Metric::SolverIndexSegmentsRepaired,
-                patch_stats.repaired as u64,
-            );
-            registry.add(Metric::SolverIndexSegmentsReused, patch_stats.reused as u64);
-        }
+        recorder.observe(Metric::SolverIndexPatchNs, patch_ns);
+        recorder.add(
+            Metric::SolverIndexSegmentsRebuilt,
+            patch_stats.rebuilt as u64,
+        );
+        recorder.add(
+            Metric::SolverIndexSegmentsRepaired,
+            patch_stats.repaired as u64,
+        );
+        recorder.add(Metric::SolverIndexSegmentsReused, patch_stats.reused as u64);
 
         Some(FastStats {
             solver_mode: cold_diag.solver_mode.as_str().to_string(),

@@ -43,26 +43,19 @@
 //! every probe: per segment a boundary check (the "directory scan":
 //! first/last threshold short-circuit all-floored / all-saturated
 //! segments), an in-segment binary search otherwise, and one closed-form
-//! interior evaluation over the accumulated moments at the end. Two
-//! segmentation disciplines share the structure:
+//! interior evaluation over the accumulated moments at the end.
 //!
-//! * **Grid** ([`ActiveSetIndex::from_columns`] /
-//!   [`ActiveSetIndex::build_sharded`]): fixed [`GRID_SEGMENT`]-length
-//!   positional segments over the concatenated columns. Because solver
-//!   shards are chunk-aligned contiguous partitions (chunk =
-//!   `GRID_SEGMENT`), the segment list is a pure function of the
-//!   concatenated columns — the sharded build is **bit-identical** to
-//!   the flat build for any shard × thread count, the contract
-//!   `fedfl_num::parallel` gives the chunked reductions.
-//! * **Keyed** ([`ActiveSetIndex::build_keyed`] /
-//!   [`ActiveSetIndex::patch`]): clients are bucketed by a caller-chosen
-//!   stable key (the service keys on id blocks, aligned with its store
-//!   shards), preserving global insertion order within each bucket. A
-//!   churn batch that only touches some buckets re-sorts **only those
-//!   segments**: [`ActiveSetIndex::patch`] rebuilds dirty segments in
-//!   O(dirty·(N/S)·log(N/S)) sort work and revalidates clean ones in
-//!   O(N/S) each, producing an index **bit-identical** to a cold
-//!   [`ActiveSetIndex::build_keyed`] over the same rows.
+//! [`ActiveSetIndex::build_keyed`] buckets clients by a caller-chosen
+//! stable key, preserving global insertion order within each bucket, so
+//! the segment list depends only on the keys — never on how the caller
+//! shards or threads. The pricing service keys on id blocks, aligned with
+//! its store shards; a standalone solve keys row `i` on
+//! `i / GRID_SEGMENT`, fixed positional segments. A churn batch that only
+//! touches some buckets re-sorts **only those segments**:
+//! [`ActiveSetIndex::patch`] rebuilds dirty segments in
+//! O(dirty·(N/S)·log(N/S)) sort work and revalidates clean ones in O(N/S)
+//! each, producing an index **bit-identical** to a cold
+//! [`ActiveSetIndex::build_keyed`] over the same rows.
 //!
 //! # Memory layout
 //!
@@ -113,7 +106,7 @@
 //! The evaluation is a **model**, not the exact chunked reduction: its
 //! summation order differs from the flat solver's fixed chunk tree and
 //! its interior term truncates the value series, so it can never be
-//! bit-pinned to the goldens. [`crate::server::solve_kkt_columns_fast`]
+//! bit-pinned to the goldens. [`crate::server::solve_kkt_shards`]
 //! therefore treats the index as a probe accelerator only: the root it
 //! finds is certified against *exact* spends (the materialised profile's
 //! and one exact probe per band) and the Theorem-2 residual, and
@@ -123,7 +116,6 @@ use crate::population::PopulationColumns;
 use fedfl_num::parallel::{resolve_threads, DEFAULT_CHUNK};
 use fedfl_num::prefix::sort_permutation;
 use std::cmp::Ordering;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
@@ -131,9 +123,10 @@ use std::sync::Arc;
 /// `Dv³`.
 const MOMENTS: usize = 8;
 
-/// Positional segment length of grid-mode indexes. Equal to the chunked
-/// reductions' [`DEFAULT_CHUNK`], so chunk-aligned solver shards split
-/// into the same global segment grid for any shard count.
+/// Segment length of the positional layout (row `i` keyed
+/// `i / GRID_SEGMENT`) standalone solves build. Equal to the chunked
+/// reductions' [`DEFAULT_CHUNK`], so each segment covers one chunk of the
+/// solver's summation grid.
 pub const GRID_SEGMENT: usize = DEFAULT_CHUNK;
 
 /// Borrowed scale-free index inputs: the `w²G²` column (raw
@@ -289,9 +282,8 @@ struct SortedView {
 
 impl SortedView {
     /// Stable-argsort `rows` by their evaluated `sort_keys` and
-    /// accumulate the prefix records in that order, taking the spend
-    /// constants from `consts`. The left fold per field is the one
-    /// [`fedfl_num::prefix::exclusive_prefix_sums`] computes.
+    /// accumulate the prefix records in that order (an exclusive left
+    /// fold per field), taking the spend constants from `consts`.
     fn build(rows: &[UnitRow], sort_keys: &[f64], consts: impl Fn(&UnitRow) -> [f64; 2]) -> Self {
         let perm = sort_permutation(sort_keys);
         let mut keys = Vec::with_capacity(perm.len());
@@ -336,7 +328,7 @@ impl SortedView {
     }
 
     /// Count of slots whose `key` at `scale` is strictly below `t`
-    /// (`total_cmp` semantics, matching `fedfl_num::prefix::count_below`).
+    /// (`total_cmp` semantics, the order [`sort_permutation`] sorts in).
     /// First/last boundary checks short-circuit all-below and none-below
     /// segments — the directory half of a probe.
     fn count_below(&self, t: f64, scale: f64, key: fn(&KeyInputs, f64) -> f64) -> usize {
@@ -432,21 +424,12 @@ pub struct ActiveSetIndex {
     scale: f64,
     inv_scale: f64,
     inv_scale23: f64,
-    /// `Some(segment_count)` for keyed indexes (the patchable kind),
-    /// `None` for positional-grid indexes.
-    keyed: Option<usize>,
     segments: Vec<Arc<IndexSegment>>,
     finite: bool,
 }
 
 impl ActiveSetIndex {
-    fn assemble(
-        segments: Vec<Arc<IndexSegment>>,
-        aor: f64,
-        q_min: f64,
-        scale: f64,
-        keyed: Option<usize>,
-    ) -> Self {
+    fn assemble(segments: Vec<Arc<IndexSegment>>, aor: f64, q_min: f64, scale: f64) -> Self {
         let len = segments.iter().map(|s| s.len()).sum();
         let scale_ok = scale.is_finite() && scale > 0.0;
         let finite = scale_ok && segments.iter().all(|s| s.finite);
@@ -458,68 +441,24 @@ impl ActiveSetIndex {
             scale,
             inv_scale: 1.0 / scale,
             inv_scale23: 1.0 / (cbrt * cbrt),
-            keyed,
             segments,
             finite,
         }
     }
 
-    /// Build a flat grid index over one column set (`scale = 1`).
-    pub fn from_columns(cols: &PopulationColumns, aor: f64, q_min: f64) -> Self {
-        Self::build_sharded_threaded(std::slice::from_ref(cols), aor, q_min, 1)
-    }
-
-    /// Build a grid index from shard column-sets.
-    ///
-    /// Shards must be chunk-aligned contiguous partitions of the global
-    /// column order (as `ShardedPopulation` produces); every shard then
-    /// splits on the same global [`GRID_SEGMENT`] grid, so the result is
-    /// **bit-identical** to [`Self::from_columns`] over the concatenated
-    /// columns for any shard count.
-    pub fn build_sharded(shards: &[PopulationColumns], aor: f64, q_min: f64) -> Self {
-        Self::build_sharded_threaded(shards, aor, q_min, 0)
-    }
-
-    /// [`Self::build_sharded`] with an explicit thread knob (`0` = one
-    /// worker per core). Segment builds parallelise; the segment order
-    /// is fixed, so the result is thread-count independent.
-    pub fn build_sharded_threaded(
-        shards: &[PopulationColumns],
-        aor: f64,
-        q_min: f64,
-        n_threads: usize,
-    ) -> Self {
-        let mut tasks: Vec<(usize, Range<usize>)> = Vec::new();
-        for (s, cols) in shards.iter().enumerate() {
-            let mut start = 0;
-            while start < cols.len() {
-                let end = (start + GRID_SEGMENT).min(cols.len());
-                tasks.push((s, start..end));
-                start = end;
-            }
-        }
-        let segments = run_tasks(tasks.len(), n_threads, |i| {
-            let (s, range) = &tasks[i];
-            Arc::new(IndexSegment::build(
-                &IndexColumns::from_population(&shards[*s]),
-                range.clone(),
-                aor,
-                q_min,
-                1.0,
-            ))
-        });
-        Self::assemble(segments, aor, q_min, 1.0, None)
-    }
-
-    /// Build a keyed index: row `i` lands in segment
+    /// Build an index: row `i` lands in segment
     /// `seg_keys[i] % segment_count`, keeping ascending row order within
     /// each segment. The partition depends only on the keys — never on
     /// how the caller shards or threads — and [`Self::patch`] can later
-    /// rebuild any key subset incrementally.
+    /// rebuild any key subset incrementally. Segment builds run on
+    /// `n_threads` workers (`0` = one per core) in a fixed segment order,
+    /// so the result is thread-count independent.
     ///
     /// `scale` is the σ thresholds are evaluated at (pass the squared
     /// raw-weight total with a raw `w²G²` column, or `1.0` with
-    /// normalised columns).
+    /// normalised columns). A standalone solve over normalised columns
+    /// keys row `i` on `i / GRID_SEGMENT` with
+    /// `segment_count = len.div_ceil(GRID_SEGMENT).max(1)`.
     ///
     /// # Panics
     ///
@@ -546,10 +485,10 @@ impl ActiveSetIndex {
                 scale,
             ))
         });
-        Self::assemble(segments, aor, q_min, scale, Some(segment_count))
+        Self::assemble(segments, aor, q_min, scale)
     }
 
-    /// Incrementally rebuild a keyed index after churn: segments flagged
+    /// Incrementally rebuild the index after churn: segments flagged
     /// in `dirty` are re-sorted from the current rows; clean segments
     /// are revalidated at the new `scale` and reused (or rebuilt from
     /// `cols` when scale drift reordered their thresholds). The result
@@ -564,13 +503,12 @@ impl ActiveSetIndex {
     ///
     /// Sort work is O(Σ_dirty len·log len) instead of the cold build's
     /// O(N log N); clean segments cost one O(len) validation scan over
-    /// their stored key inputs. Falls
-    /// back to a cold keyed build (all segments "rebuilt") if this index
-    /// is not keyed or `dirty.len()` disagrees with its segment count.
+    /// their stored key inputs.
     ///
     /// # Panics
     ///
-    /// Panics if `seg_keys.len()` differs from the column length.
+    /// Panics if `seg_keys.len()` differs from the column length or
+    /// `dirty.len()` from the segment count.
     pub fn patch(
         &self,
         cols: &IndexColumns<'_>,
@@ -580,24 +518,11 @@ impl ActiveSetIndex {
         n_threads: usize,
     ) -> (Self, PatchStats) {
         assert_eq!(seg_keys.len(), cols.len(), "one segment key per row");
-        let compatible = self.keyed == Some(dirty.len()) && !dirty.is_empty();
-        if !compatible {
-            let segment_count = dirty.len().max(1);
-            let rebuilt = Self::build_keyed(
-                cols,
-                seg_keys,
-                segment_count,
-                self.aor,
-                self.q_min,
-                scale,
-                n_threads,
-            );
-            let stats = PatchStats {
-                rebuilt: segment_count,
-                ..PatchStats::default()
-            };
-            return (rebuilt, stats);
-        }
+        assert_eq!(
+            dirty.len(),
+            self.segments.len(),
+            "one dirty flag per segment"
+        );
         let segment_count = dirty.len();
         let members = bucket_members(seg_keys, segment_count);
         // 0 = reused, 1 = repaired, 2 = rebuilt — per-segment outcome.
@@ -622,10 +547,7 @@ impl ActiveSetIndex {
             }
             segments.push(segment);
         }
-        (
-            Self::assemble(segments, self.aor, self.q_min, scale, Some(segment_count)),
-            stats,
-        )
+        (Self::assemble(segments, self.aor, self.q_min, scale), stats)
     }
 
     /// Number of indexed clients.
@@ -765,13 +687,6 @@ impl ActiveSetIndex {
         floored + saturated_spend + interior
     }
 
-    /// Modelled [`crate::server::path_budget`]: the spend at
-    /// `frac · bracket_hi()`. Same certification caveat as
-    /// [`Self::spend`].
-    pub fn path_budget(&self, frac: f64) -> f64 {
-        self.spend(frac.clamp(0.0, 1.0) * self.bracket_hi())
-    }
-
     /// Cost of one modelled probe in per-client spend-evaluation units:
     /// two binary searches per non-empty segment
     /// (`2·⌈log₂(len+1)⌉` each) plus the O(1) closed form. The
@@ -847,12 +762,20 @@ mod tests {
     use super::*;
     use crate::bound::BoundParams;
     use crate::population::{ParamDist, Population, PopulationSpec, Q_MIN};
-    use crate::shard::ShardedPopulation;
 
     fn aor() -> f64 {
         BoundParams::new(4_000.0, 100.0, 1_000)
             .unwrap()
             .alpha_over_r()
+    }
+
+    /// The positional layout over normalised columns: row `i` keyed
+    /// `i / GRID_SEGMENT`.
+    fn positional(cols: &PopulationColumns) -> ActiveSetIndex {
+        let keys: Vec<u32> = (0..cols.len()).map(|i| (i / GRID_SEGMENT) as u32).collect();
+        let segments = cols.len().div_ceil(GRID_SEGMENT).max(1);
+        let unit = IndexColumns::from_population(cols);
+        ActiveSetIndex::build_keyed(&unit, &keys, segments, aor(), Q_MIN, 1.0, 1)
     }
 
     /// The exact per-client path spend the index models.
@@ -879,7 +802,7 @@ mod tests {
         };
         let p = Population::synthesize(700, &spec, 3).unwrap();
         let cols = p.columns();
-        let index = ActiveSetIndex::from_columns(&cols, aor(), Q_MIN);
+        let index = positional(&cols);
         assert!(!index.is_degenerate());
         let hi = index.bracket_hi();
         for frac in [0.0, 1e-6, 0.01, 0.3, 0.7, 0.999, 1.0, 1.5] {
@@ -909,7 +832,7 @@ mod tests {
         // the relative error is far below the certification band.
         let p = Population::synthesize(500, &PopulationSpec::table1_like(), 11).unwrap();
         let cols = p.columns();
-        let index = ActiveSetIndex::from_columns(&cols, aor(), Q_MIN);
+        let index = positional(&cols);
         let hi = index.bracket_hi();
         for frac in [0.05, 0.2, 0.5, 0.9] {
             let t = frac * hi;
@@ -923,29 +846,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_build_is_bit_identical_to_flat() {
-        let n = fedfl_num::parallel::DEFAULT_CHUNK + 997;
-        let p = Population::synthesize(n, &PopulationSpec::table1_like(), 7).unwrap();
-        let cols = p.columns();
-        let flat = ActiveSetIndex::from_columns(&cols, aor(), Q_MIN);
-        assert_eq!(flat.segment_count(), 2, "grid splits at GRID_SEGMENT");
-        for shard_count in [1usize, 2, 7, 32] {
-            let sharded = ShardedPopulation::from_columns(&cols, shard_count).unwrap();
-            for threads in [1usize, 3] {
-                let index =
-                    ActiveSetIndex::build_sharded_threaded(sharded.shards(), aor(), Q_MIN, threads);
-                assert_eq!(
-                    index, flat,
-                    "index diverged at shard_count {shard_count} threads {threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn spend_is_monotone_on_a_probe_grid() {
         let p = Population::synthesize(300, &PopulationSpec::table1_like(), 5).unwrap();
-        let index = ActiveSetIndex::from_columns(&p.columns(), aor(), Q_MIN);
+        let index = positional(&p.columns());
         let hi = index.bracket_hi();
         let mut last = f64::NEG_INFINITY;
         for k in 0..=200 {
@@ -967,7 +870,7 @@ mod tests {
             value: vec![0.0, 2.0],
             q_max: vec![1.0, 1.0],
         };
-        let index = ActiveSetIndex::from_columns(&cols, aor(), Q_MIN);
+        let index = positional(&cols);
         assert!(index.is_degenerate());
     }
 
@@ -979,42 +882,10 @@ mod tests {
             value: vec![0.0; 1024],
             q_max: vec![1.0; 1024],
         };
-        let index = ActiveSetIndex::from_columns(&cols, aor(), Q_MIN);
+        let index = positional(&cols);
         assert_eq!(index.len(), 1024);
         assert!(index.probe_cost() <= 2 * 11 + 1);
         assert!(index.probe_cost() >= 2 * 10);
-    }
-
-    #[test]
-    fn single_bucket_keyed_index_probes_like_the_flat_grid() {
-        // One keyed bucket at scale 1 holds the same rows in the same
-        // order as a one-segment grid build, so every probe agrees
-        // bit for bit.
-        let p = Population::synthesize(900, &PopulationSpec::table1_like(), 13).unwrap();
-        let cols = p.columns();
-        let grid = ActiveSetIndex::from_columns(&cols, aor(), Q_MIN);
-        let keys = vec![0u32; cols.len()];
-        let keyed = ActiveSetIndex::build_keyed(
-            &IndexColumns::from_population(&cols),
-            &keys,
-            1,
-            aor(),
-            Q_MIN,
-            1.0,
-            1,
-        );
-        assert_eq!(keyed.segment_count(), 1);
-        assert_eq!(keyed.len(), grid.len());
-        assert_eq!(
-            keyed.bracket_hi().to_bits(),
-            grid.bracket_hi().to_bits(),
-            "bracket"
-        );
-        let hi = grid.bracket_hi();
-        for k in 0..=50 {
-            let t = hi * k as f64 / 50.0;
-            assert_eq!(keyed.spend(t).to_bits(), grid.spend(t).to_bits(), "t {t}");
-        }
     }
 
     #[test]
@@ -1091,23 +962,5 @@ mod tests {
         assert_eq!(restats.reused + restats.repaired, 8);
         let cold_rescaled = ActiveSetIndex::build_keyed(&unit, &keys, 8, aor(), Q_MIN, 4.0, 1);
         assert_eq!(rescaled, cold_rescaled);
-    }
-
-    #[test]
-    fn patch_on_a_grid_index_falls_back_to_a_cold_keyed_build() {
-        let p = Population::synthesize(100, &PopulationSpec::table1_like(), 29).unwrap();
-        let cols = p.columns();
-        let grid = ActiveSetIndex::from_columns(&cols, aor(), Q_MIN);
-        let keys = vec![0u32; cols.len()];
-        let (patched, stats) = grid.patch(
-            &IndexColumns::from_population(&cols),
-            &keys,
-            &[false, false],
-            1.0,
-            1,
-        );
-        assert_eq!(stats.rebuilt, 2, "incompatible patch rebuilds everything");
-        assert_eq!(patched.segment_count(), 2);
-        assert_eq!(patched.len(), cols.len());
     }
 }

@@ -25,6 +25,21 @@
 //! Both return the same profile up to solver tolerance (tested), with the
 //! KKT path being orders of magnitude faster.
 //!
+//! # Entry points
+//!
+//! * [`solve_kkt`] and [`solve_m_search`] take a [`Population`] — the
+//!   paper binaries' entry points.
+//! * [`solve_kkt_shards`] is the one solver-column entry point (the
+//!   pricing service, the workload replay, the scale harness). It takes a
+//!   [`ShardedPopulation`], an optional warm-start hint, an optional
+//!   caller-built [`ActiveSetIndex`] (`None` = the exact bisection,
+//!   `Some` = the certified fast path) and a metric recorder, and returns
+//!   the solution with its [`KktDiagnostics`]. Flat columns are a
+//!   one-shard population: `ShardedPopulation::from_shards(vec![cols])`.
+//! * [`path_budget`] / [`path_budget_sharded`], [`estimate_path_parameter`]
+//!   and [`theorem2_max_residual`] are the budget, warm-hint and
+//!   certification helpers around them.
+//!
 //! # Scale
 //!
 //! [`solve_kkt`] runs its per-client passes — the λ-evaluation inside the
@@ -48,7 +63,7 @@ use fedfl_num::solve::{
     bisect_monotone_instrumented, penalty_minimize, BisectStats, BoxConstraints, ConstraintFn,
     ConstraintKind, PgdConfig,
 };
-use fedfl_obs::{Metric, NoopRecorder, Recorder, Stopwatch};
+use fedfl_obs::{Metric, Recorder, Stopwatch};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -395,37 +410,11 @@ fn validate_inputs(
     budget: f64,
     options: &SolverOptions,
 ) -> Result<(), GameError> {
-    if !budget.is_finite() {
-        return Err(GameError::InvalidParameter {
-            name: "budget",
-            reason: format!("must be finite, got {budget}"),
-        });
-    }
-    if !(options.q_min > 0.0 && options.q_min < 1.0) {
-        return Err(GameError::InvalidParameter {
-            name: "q_min",
-            reason: format!("must lie in (0, 1), got {}", options.q_min),
-        });
-    }
+    validate_solver_knobs(budget, options)?;
     if options.m_grid_steps < 2 {
         return Err(GameError::InvalidParameter {
             name: "m_grid_steps",
             reason: "need at least 2 grid steps".into(),
-        });
-    }
-    if !(options.config.tolerance.is_finite() && options.config.tolerance > 0.0) {
-        return Err(GameError::InvalidParameter {
-            name: "tolerance",
-            reason: format!(
-                "must be finite and positive, got {}",
-                options.config.tolerance
-            ),
-        });
-    }
-    if options.config.max_iters == 0 {
-        return Err(GameError::InvalidParameter {
-            name: "max_iters",
-            reason: "need at least one bisection iteration".into(),
         });
     }
     if population.iter().any(|c| c.q_max <= options.q_min) {
@@ -437,7 +426,7 @@ fn validate_inputs(
     Ok(())
 }
 
-/// Budget/option checks shared by every columns-level entry point.
+/// Budget/option checks shared by every entry point.
 fn validate_solver_knobs(budget: f64, options: &SolverOptions) -> Result<(), GameError> {
     if !budget.is_finite() {
         return Err(GameError::InvalidParameter {
@@ -469,7 +458,7 @@ fn validate_solver_knobs(budget: f64, options: &SolverOptions) -> Result<(), Gam
     Ok(())
 }
 
-/// Input validation for the columns-level solver entry points, mirroring
+/// Input validation for [`solve_kkt_shards`], mirroring
 /// [`validate_inputs`] for callers that never materialise a [`Population`]
 /// — applied shard by shard, reporting global client indices.
 fn validate_view(
@@ -607,33 +596,12 @@ pub struct KktDiagnostics {
     /// since the materialised spend (not counted) closes the other side.
     /// Fallback solves include the wasted fast-phase work.
     pub probe_evaluations: u64,
-    /// Nanoseconds spent (re)building or patching the threshold index
-    /// for this solve (0 for the exact path and for solves reusing a
-    /// caller-held index untouched).
-    pub index_rebuild_ns: u64,
-    /// Index segments re-sorted for this solve: the whole segment list
-    /// on a cold build, only the dirty segments on an incremental patch,
-    /// 0 when the index was reused or the exact path ran. Callers
-    /// holding their own index (the pricing service) fill this from
-    /// [`crate::active_set::PatchStats`].
-    pub index_segments_rebuilt: u64,
-    /// Clean segments re-sorted only because scale drift reordered
-    /// their thresholds (patch "repairs" — no membership change).
-    pub index_segments_repaired: u64,
-    /// Segments reused verbatim by an incremental patch (zero sort
-    /// work).
-    pub index_segments_reused: u64,
 }
 
 impl KktDiagnostics {
     /// Record this solve into `recorder`: the per-mode solve counters,
-    /// the probe/iteration totals, the solve wall time, and — when this
-    /// solve built its own index — the index-build span.
-    ///
-    /// The `_observed` solver entry points call this once per solve;
-    /// callers holding their own diagnostics (e.g. bench bins) can call
-    /// it directly so every surface feeds the same counters.
-    pub fn record_solve<R: Recorder + ?Sized>(&self, recorder: &R, solve_ns: u64) {
+    /// the probe/iteration totals and the solve wall time.
+    fn record_solve<R: Recorder + ?Sized>(&self, recorder: &R, solve_ns: u64) {
         recorder.add(Metric::SolverSolves, 1);
         let mode_metric = match self.solver_mode {
             SolverMode::Exact => Metric::SolverExactSolves,
@@ -647,122 +615,104 @@ impl KktDiagnostics {
             self.bisect_iterations as u64,
         );
         recorder.observe(Metric::SolverSolveNs, solve_ns);
-        if self.index_rebuild_ns > 0 {
-            recorder.add(Metric::SolverIndexBuilds, 1);
-            recorder.observe(Metric::SolverIndexBuildNs, self.index_rebuild_ns);
-        }
     }
 }
 
-/// [`solve_kkt`] on pre-extracted [`PopulationColumns`] — the sweep/service
-/// entry point that keeps the columns alive across many solves.
+/// Clients sampled by the fast path's exact Theorem-2 residual gate.
+const FAST_RESIDUAL_SAMPLE: usize = 1_024;
+/// Seed of the residual gate's deterministic sample stream.
+const FAST_RESIDUAL_SEED: u64 = 0xFA57;
+/// Relative half-widths of the exact bracket-certificate bands, widened
+/// ×100 per retry before the fast path gives up and falls back.
+const CERT_BANDS: [f64; 3] = [1e-9, 1e-7, 1e-5];
+
+/// Solve Stage I along the KKT path over solver columns — the one
+/// column-level entry point.
+///
+/// Each λ-probe evaluates the shards' partial spends and merges them in
+/// shard order, so the result is **bit-identical** to the flat solve
+/// over [`ShardedPopulation::concat`] for any shard count and thread
+/// count — the contract that lets shards live on independent workers.
+/// Flat columns are a one-shard population:
+/// `ShardedPopulation::from_shards(vec![cols])` moves them in.
+///
+/// `hint` is a guess at the path parameter `t = 1/λ` — typically
+/// [`KktDiagnostics::t_star`] of the previous solve of a slightly
+/// different population. The budget bisection descends its dyadic
+/// bracket tree toward the hint and verifies containment before trusting
+/// it ([`fedfl_num::solve::bisect_monotone_instrumented`]), so the exact
+/// solution is **bit-identical** for any hint; a good hint only removes
+/// bisection iterations, a useless one falls back to the full bracket.
+///
+/// `index` selects the solver path:
+///
+/// * `None` runs the exact chunked bisection ([`SolverMode::Exact`]):
+///   O(N) per probe, bit-identical to [`solve_kkt`] over the same
+///   clients.
+/// * `Some(index)` runs the threshold-indexed fast path
+///   ([`SolverMode::ThresholdIndex`]). The caller builds the index over
+///   exactly this population at this `α/R` and `q_min`
+///   ([`ActiveSetIndex::build_keyed`]); a stale or mismatched index is
+///   detected (length, parameter bits, degeneracy) and demoted to the
+///   exact fallback rather than trusted. The budget bisection probes the
+///   index's O(log N) spend *model* instead of the O(N) exact sweep, and
+///   the root t̂ it finds is **certified** against the exact solver's
+///   ground truth:
+///
+///   1. an exact monotone bracket certificate. The profile is
+///      materialised at t̂ first, and its realised spend is bit for bit
+///      the exact spend at t̂ (same per-client term, same chunk tree).
+///      One exact probe per certificate band tried (relative half-widths
+///      1e-9, 1e-7, 1e-5), on the far side of the budget, closes the
+///      bracket: `spend(t̂) ≤ B ≤ spend(t̂ + ε)`,
+///      or `spend(t̂ − ε) ≤ B < spend(t̂)`. The saturation screen and a
+///      floored root read the same materialised spend instead of probing;
+///   2. the exact sampled Theorem-2 residual of the materialised profile
+///      must stay within the solver tolerance.
+///
+///   A solve certified in the first band therefore pays one O(N) exact
+///   probe plus the materialisation it needs anyway; a saturated one
+///   pays only the materialisation. Any violation demotes the solve to
+///   the exact path — the returned solution is then bit-identical to the
+///   `None` solve's, flagged [`SolverMode::ThresholdIndexFallback`].
+///   Certified fast solutions are *not* bit-pinned to the exact solver:
+///   the index's reordered summation and truncated value series land the
+///   bisection on a root within the certificate band of the exact root,
+///   not on the same bits. The exact solver remains the default and the
+///   goldens' reference.
+///
+/// `recorder` receives the solve's counters and wall-time span once the
+/// solve is done, plus the fast path's certification outcomes (band hits,
+/// failures, residual rejects). It never influences the solve: the
+/// prices are byte-for-byte the same for any recorder.
 ///
 /// # Errors
 ///
 /// Returns [`GameError`] for invalid inputs (mismatched column lengths,
-/// non-finite budget, a client with `q_max <= q_min`, or non-positive
-/// `a2g2`/`cost` entries).
-pub fn solve_kkt_columns(
-    cols: &PopulationColumns,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-) -> Result<StageOneSolution, GameError> {
-    let view = ShardView::single(cols);
-    validate_view(&view, budget, options)?;
-    Ok(solve_kkt_view_unchecked(&view, bound, budget, options, None)?.0)
-}
-
-/// [`solve_kkt_columns`] over a slice of shard column-sets: each λ-probe
-/// evaluates the shards' partial spends and merges them in shard order, so
-/// the result is **bit-identical** to the flat solve over
-/// [`ShardedPopulation::concat`] for any shard count and thread count —
-/// the contract that lets shards live on independent workers.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_kkt_columns`], reported with global client
-/// indices.
-pub fn solve_kkt_sharded(
-    population: &ShardedPopulation,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-) -> Result<StageOneSolution, GameError> {
-    let view = ShardView::of(population);
-    validate_view(&view, budget, options)?;
-    Ok(solve_kkt_view_unchecked(&view, bound, budget, options, None)?.0)
-}
-
-/// [`solve_kkt_sharded`] with an optional warm-start hint and solve
-/// diagnostics — the sharded counterpart of [`solve_kkt_columns_hinted`],
-/// with the same bit-identity guarantee for any hint.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_kkt_columns`].
-pub fn solve_kkt_sharded_hinted(
+/// an empty population, a non-finite budget, a client with
+/// `q_max <= q_min`, or non-positive `a2g2`/`cost` entries), reported
+/// with global client indices. The solver itself is total — budgets
+/// below the floor spend saturate at `q_min` and budgets above the
+/// saturation spend return the all-`q_max` profile with
+/// `saturated = true`.
+pub fn solve_kkt_shards<R: Recorder + ?Sized>(
     population: &ShardedPopulation,
     bound: &BoundParams,
     budget: f64,
     options: &SolverOptions,
     hint: Option<f64>,
-) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
-    let view = ShardView::of(population);
-    validate_view(&view, budget, options)?;
-    solve_kkt_view_unchecked(&view, bound, budget, options, hint)
-}
-
-/// [`solve_kkt_sharded_hinted`] recording solve metrics into `recorder`.
-///
-/// The solve itself is byte-for-byte the unobserved one — the recorder is
-/// only fed afterwards from the diagnostics plus a [`Stopwatch`] span, so
-/// the bit-identity contract holds for any recorder.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_kkt_columns`].
-pub fn solve_kkt_sharded_hinted_observed<R: Recorder + ?Sized>(
-    population: &ShardedPopulation,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-    hint: Option<f64>,
+    index: Option<&ActiveSetIndex>,
     recorder: &R,
 ) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
     let view = ShardView::of(population);
     validate_view(&view, budget, options)?;
     let watch = Stopwatch::start();
-    let (solution, diagnostics) = solve_kkt_view_unchecked(&view, bound, budget, options, hint)?;
+    let (solution, diagnostics) = match index {
+        None => solve_kkt_view_unchecked(&view, bound, budget, options, hint)?,
+        Some(index) => solve_kkt_view_fast(&view, bound, budget, options, index, hint, recorder)?,
+    };
     diagnostics.record_solve(recorder, watch.elapsed_ns());
     Ok((solution, diagnostics))
-}
-
-/// [`solve_kkt_columns`] with an optional warm-start hint, returning solve
-/// diagnostics alongside the solution.
-///
-/// `hint` is a guess at the path parameter `t = 1/λ` — typically
-/// [`KktDiagnostics::t_star`] of the previous solve of a slightly different
-/// population. The budget bisection descends its dyadic bracket tree toward
-/// the hint and verifies containment before trusting it
-/// ([`fedfl_num::solve::bisect_monotone_instrumented`]), so the returned
-/// solution is **bit-identical** to the cold [`solve_kkt_columns`] result
-/// for any hint; a good hint only removes bisection iterations, a useless
-/// one falls back to the full bracket.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_kkt_columns`].
-pub fn solve_kkt_columns_hinted(
-    cols: &PopulationColumns,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-    hint: Option<f64>,
-) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
-    let view = ShardView::single(cols);
-    validate_view(&view, budget, options)?;
-    solve_kkt_view_unchecked(&view, bound, budget, options, hint)
 }
 
 fn solve_kkt_view_unchecked(
@@ -838,187 +788,22 @@ fn solve_kkt_view_unchecked(
             warm_start_depth: stats.start_depth,
             solver_mode: SolverMode::Exact,
             probe_evaluations: probes.get() * n as u64,
-            index_rebuild_ns: 0,
-            index_segments_rebuilt: 0,
-            index_segments_repaired: 0,
-            index_segments_reused: 0,
         },
     ))
 }
 
-/// Clients sampled by the fast path's exact Theorem-2 residual gate.
-const FAST_RESIDUAL_SAMPLE: usize = 1_024;
-/// Seed of the residual gate's deterministic sample stream.
-const FAST_RESIDUAL_SEED: u64 = 0xFA57;
-/// Relative half-widths of the exact bracket-certificate bands, widened
-/// ×100 per retry before the fast path gives up and falls back.
-const CERT_BANDS: [f64; 3] = [1e-9, 1e-7, 1e-5];
-
-/// [`solve_kkt_columns`] through the threshold-indexed active-set fast
-/// path (`SolverMode::ThresholdIndex`).
-///
-/// The budget bisection probes the O(log N) spend *model* of an
-/// [`ActiveSetIndex`] built for this call instead of the O(N) exact
-/// sweep. The root t̂ it finds is then **certified** against the exact
-/// solver's ground truth:
-///
-/// 1. an exact monotone bracket certificate. The profile is materialised
-///    at t̂ first, and its realised spend is bit for bit the exact spend
-///    at t̂ (same per-client term, same chunk tree). One exact probe per
-///    band of [`CERT_BANDS`] tried, on the far side of the budget,
-///    closes the bracket: `spend(t̂) ≤ B ≤ spend(t̂ + ε)`, or
-///    `spend(t̂ − ε) ≤ B < spend(t̂)`. The saturation screen and a
-///    floored root read the same materialised spend instead of probing;
-/// 2. the exact sampled Theorem-2 residual of the materialised profile
-///    must stay within the solver tolerance.
-///
-/// A solve certified in the first band therefore pays one O(N) exact
-/// probe plus the materialisation it needs anyway; a saturated one pays
-/// only the materialisation.
-///
-/// Any violation (or an unusable/degenerate index) demotes the solve to
-/// the exact path — the returned solution is then bit-identical to
-/// [`solve_kkt_columns_hinted`]'s, flagged `ThresholdIndexFallback`.
-/// Certified fast solutions are *not* bit-pinned to the exact solver:
-/// the index's reordered summation and truncated value series land the
-/// bisection on a root within the certificate band of the exact root,
-/// not on the same bits. The exact solver remains the default and the
-/// goldens' reference.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_kkt_columns`].
-pub fn solve_kkt_columns_fast(
-    cols: &PopulationColumns,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
-    let view = ShardView::single(cols);
-    validate_view(&view, budget, options)?;
-    let build_watch = Stopwatch::start();
-    let index = ActiveSetIndex::from_columns(cols, bound.alpha_over_r(), options.q_min);
-    let index_rebuild_ns = build_watch.elapsed_ns();
-    let (solution, mut diagnostics) = solve_kkt_view_fast(
-        &view,
-        bound,
-        budget,
-        options,
-        &index,
-        index_rebuild_ns,
-        None,
-        &NoopRecorder,
-    )?;
-    diagnostics.index_segments_rebuilt = index.segment_count() as u64;
-    Ok((solution, diagnostics))
-}
-
-/// [`solve_kkt_columns_fast`] over shard column-sets: per-shard threshold
-/// segments are built in parallel and merged (a build bit-identical to
-/// the flat index for any shard or thread count), then the solve runs the
-/// same certify-or-fallback contract.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_kkt_columns`].
-pub fn solve_kkt_sharded_fast(
-    population: &ShardedPopulation,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
-    let view = ShardView::of(population);
-    validate_view(&view, budget, options)?;
-    let build_watch = Stopwatch::start();
-    let index = ActiveSetIndex::build_sharded_threaded(
-        population.shards(),
-        bound.alpha_over_r(),
-        options.q_min,
-        options.config.n_threads,
-    );
-    let index_rebuild_ns = build_watch.elapsed_ns();
-    let (solution, mut diagnostics) = solve_kkt_view_fast(
-        &view,
-        bound,
-        budget,
-        options,
-        &index,
-        index_rebuild_ns,
-        None,
-        &NoopRecorder,
-    )?;
-    diagnostics.index_segments_rebuilt = index.segment_count() as u64;
-    Ok((solution, diagnostics))
-}
-
-/// [`solve_kkt_sharded_fast`] against a caller-maintained index — the
-/// pricing service's warm re-solve entry point, where the index is reused
-/// across budget-only updates and only rebuilt on churn.
-///
-/// The index must have been built over exactly this population at this
-/// `α/R` and `q_min`; a stale or mismatched index is detected (length,
-/// parameter bits, degeneracy) and demoted to the exact fallback rather
-/// than trusted. `hint` warm-starts the model bisection just like the
-/// exact solver's hinted entry points.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_kkt_columns`].
-pub fn solve_kkt_sharded_fast_with_index(
-    population: &ShardedPopulation,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-    index: &ActiveSetIndex,
-    hint: Option<f64>,
-) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
-    let view = ShardView::of(population);
-    validate_view(&view, budget, options)?;
-    solve_kkt_view_fast(&view, bound, budget, options, index, 0, hint, &NoopRecorder)
-}
-
-/// [`solve_kkt_sharded_fast_with_index`] recording solve metrics — the
-/// per-mode counters, probe totals, certification-band outcomes and the
-/// solve span — into `recorder`. The solve is byte-for-byte the
-/// unobserved one for any recorder.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_kkt_columns`].
-pub fn solve_kkt_sharded_fast_with_index_observed<R: Recorder + ?Sized>(
-    population: &ShardedPopulation,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-    index: &ActiveSetIndex,
-    hint: Option<f64>,
-    recorder: &R,
-) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
-    let view = ShardView::of(population);
-    validate_view(&view, budget, options)?;
-    let watch = Stopwatch::start();
-    let (solution, diagnostics) =
-        solve_kkt_view_fast(&view, bound, budget, options, index, 0, hint, recorder)?;
-    diagnostics.record_solve(recorder, watch.elapsed_ns());
-    Ok((solution, diagnostics))
-}
-
 /// The certify-or-fallback core of the fast path: model bisection,
 /// materialisation at the candidate root, then the one-sided exact
-/// certificate of [`solve_kkt_columns_fast`] — the materialised spend is
-/// the near end of the bracket, one exact probe per band the far end.
-/// `index_rebuild_ns` is reported through the diagnostics untouched
-/// (0 = reused index). `recorder` only receives certification outcomes
-/// (band hits, failures, residual rejects) — it never influences the
-/// solve.
-#[allow(clippy::too_many_arguments)]
+/// certificate of [`solve_kkt_shards`] — the materialised spend is the
+/// near end of the bracket, one exact probe per band the far end.
+/// `recorder` only receives certification outcomes (band hits, failures,
+/// residual rejects) — it never influences the solve.
 fn solve_kkt_view_fast<R: Recorder + ?Sized>(
     view: &ShardView<'_>,
     bound: &BoundParams,
     budget: f64,
     options: &SolverOptions,
     index: &ActiveSetIndex,
-    index_rebuild_ns: u64,
     hint: Option<f64>,
     recorder: &R,
 ) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
@@ -1154,17 +939,12 @@ fn solve_kkt_view_fast<R: Recorder + ?Sized>(
                 warm_start_depth: stats.start_depth,
                 solver_mode: SolverMode::ThresholdIndex,
                 probe_evaluations: fast_phase_evaluations,
-                index_rebuild_ns,
-                index_segments_rebuilt: 0,
-                index_segments_repaired: 0,
-                index_segments_reused: 0,
             },
         )),
         None => {
             let (solution, mut diagnostics) =
                 solve_kkt_view_unchecked(view, bound, budget, options, hint)?;
             diagnostics.solver_mode = SolverMode::ThresholdIndexFallback;
-            diagnostics.index_rebuild_ns = index_rebuild_ns;
             diagnostics.probe_evaluations += fast_phase_evaluations;
             Ok((solution, diagnostics))
         }
@@ -1188,39 +968,19 @@ fn solve_kkt_view_fast<R: Recorder + ?Sized>(
 /// fast path, whose sub-linear model probes cost far less than these
 /// passes; the pricing service refines its hint on the exact path only.
 ///
-/// The result is *only a hint*: [`solve_kkt_columns_hinted`] verifies the
+/// The result is *only a hint*: [`solve_kkt_shards`] verifies the
 /// bracket it implies before trusting it, so a misprediction costs a few
-/// probes, never correctness. Returns `None` when the model degenerates
-/// (no interior clients at the split, or no budget left after `C`).
+/// probes, never correctness. The estimate is bit-identical for any shard
+/// count. Returns `None` when the model degenerates (no interior clients
+/// at the split, or no budget left after `C`).
 pub fn estimate_path_parameter(
-    cols: &PopulationColumns,
-    bound: &BoundParams,
-    budget: f64,
-    t_ref: f64,
-    n_threads: usize,
-) -> Option<f64> {
-    estimate_path_parameter_view(&ShardView::single(cols), bound, budget, t_ref, n_threads)
-}
-
-/// [`estimate_path_parameter`] over shard column-sets (bit-identical to
-/// the flat estimate over the concatenation, for any shard count).
-pub fn estimate_path_parameter_sharded(
     population: &ShardedPopulation,
     bound: &BoundParams,
     budget: f64,
     t_ref: f64,
     n_threads: usize,
 ) -> Option<f64> {
-    estimate_path_parameter_view(&ShardView::of(population), bound, budget, t_ref, n_threads)
-}
-
-fn estimate_path_parameter_view(
-    view: &ShardView<'_>,
-    bound: &BoundParams,
-    budget: f64,
-    t_ref: f64,
-    n_threads: usize,
-) -> Option<f64> {
+    let view = ShardView::of(population);
     if view.is_empty() || !(t_ref.is_finite() && t_ref > 0.0) {
         return None;
     }
@@ -1287,33 +1047,13 @@ fn estimate_path_parameter_view(
 /// the solution was solved at ([`SolverOptions::q_min`]): clients within
 /// 1% of it count as floored.
 ///
-/// This is the columns-level counterpart of
+/// This is the solver-column counterpart of
 /// [`crate::equilibrium::StackelbergEquilibrium::theorem2_max_residual`];
-/// the pricing service asserts it after every incremental re-solve. Returns
-/// `None` when the solution has no interior KKT multiplier or no sampled
-/// client is interior.
-pub fn theorem2_max_residual_columns(
-    cols: &PopulationColumns,
-    bound: &BoundParams,
-    solution: &StageOneSolution,
-    q_min: f64,
-    sample: usize,
-    seed: u64,
-) -> Option<f64> {
-    theorem2_max_residual_view(
-        &ShardView::single(cols),
-        bound,
-        solution,
-        q_min,
-        sample,
-        seed,
-    )
-}
-
-/// [`theorem2_max_residual_columns`] over shard column-sets — the sampled
-/// indices and residuals are identical to the flat check over the
-/// concatenation, for any shard count.
-pub fn theorem2_max_residual_sharded(
+/// the pricing service asserts it after every incremental re-solve. The
+/// sampled indices and residuals are the same for any shard count.
+/// Returns `None` when the solution has no interior KKT multiplier or no
+/// sampled client is interior.
+pub fn theorem2_max_residual(
     population: &ShardedPopulation,
     bound: &BoundParams,
     solution: &StageOneSolution,
@@ -1382,32 +1122,6 @@ pub fn solve_m_search(
     validate_inputs(population, budget, options)?;
     let cols = population.columns();
     solve_m_search_view(&ShardView::single(&cols), bound, budget, options)
-}
-
-/// [`solve_m_search`] over shard column-sets: the P1″ inner loop's
-/// reductions and gradient fills run as the same two-level shard merge as
-/// the KKT solver, so the search is bit-identical to the flat
-/// [`solve_m_search`] over the concatenated population for any shard
-/// count.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_m_search`].
-pub fn solve_m_search_sharded(
-    population: &ShardedPopulation,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-) -> Result<StageOneSolution, GameError> {
-    let view = ShardView::of(population);
-    validate_view(&view, budget, options)?;
-    if options.m_grid_steps < 2 {
-        return Err(GameError::InvalidParameter {
-            name: "m_grid_steps",
-            reason: "need at least 2 grid steps".into(),
-        });
-    }
-    solve_m_search_view(&view, bound, budget, options)
 }
 
 fn solve_m_search_view(
@@ -1588,6 +1302,7 @@ fn solve_m_search_view(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedfl_obs::NoopRecorder;
 
     fn population() -> Population {
         Population::builder()
@@ -1601,6 +1316,25 @@ mod tests {
 
     fn bound() -> BoundParams {
         BoundParams::new(4000.0, 100.0, 1000).unwrap()
+    }
+
+    /// The exact column-level solve over one flat column set.
+    fn solve_flat(
+        cols: PopulationColumns,
+        budget: f64,
+        hint: Option<f64>,
+    ) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
+        let population = ShardedPopulation::from_shards(vec![cols])?;
+        let options = SolverOptions::default();
+        solve_kkt_shards(
+            &population,
+            &bound(),
+            budget,
+            &options,
+            hint,
+            None,
+            &NoopRecorder,
+        )
     }
 
     #[test]
@@ -1753,18 +1487,14 @@ mod tests {
         let p = population();
         let b = bound();
         let from_population = solve_kkt(&p, &b, 10.0, &SolverOptions::default()).unwrap();
-        let from_columns =
-            solve_kkt_columns(&p.columns(), &b, 10.0, &SolverOptions::default()).unwrap();
+        let (from_columns, _) = solve_flat(p.columns(), 10.0, None).unwrap();
         assert_eq!(from_population, from_columns);
     }
 
     #[test]
     fn hinted_solver_is_bit_identical_and_skips_iterations() {
         let p = population();
-        let b = bound();
-        let cols = p.columns();
-        let opts = SolverOptions::default();
-        let (cold, cold_diag) = solve_kkt_columns_hinted(&cols, &b, 10.0, &opts, None).unwrap();
+        let (cold, cold_diag) = solve_flat(p.columns(), 10.0, None).unwrap();
         for hint in [
             None,
             Some(cold_diag.t_star),
@@ -1774,7 +1504,7 @@ mod tests {
             Some(-1.0),
             Some(1e300),
         ] {
-            let (warm, diag) = solve_kkt_columns_hinted(&cols, &b, 10.0, &opts, hint).unwrap();
+            let (warm, diag) = solve_flat(p.columns(), 10.0, hint).unwrap();
             assert_eq!(warm, cold, "hint {hint:?}");
             assert!(
                 diag.bisect_iterations <= cold_diag.bisect_iterations,
@@ -1783,8 +1513,7 @@ mod tests {
                 cold_diag.bisect_iterations
             );
         }
-        let (_, exact) =
-            solve_kkt_columns_hinted(&cols, &b, 10.0, &opts, Some(cold_diag.t_star)).unwrap();
+        let (_, exact) = solve_flat(p.columns(), 10.0, Some(cold_diag.t_star)).unwrap();
         assert!(
             exact.warm_start_depth > 10,
             "depth {}",
@@ -1796,24 +1525,23 @@ mod tests {
     #[test]
     fn columns_solver_validates_inputs() {
         let p = population();
-        let b = bound();
         let mut cols = p.columns();
         cols.cost.pop();
-        assert!(solve_kkt_columns(&cols, &b, 10.0, &SolverOptions::default()).is_err());
+        assert!(solve_flat(cols, 10.0, None).is_err());
         let mut cols = p.columns();
         cols.cost[1] = 0.0;
-        assert!(solve_kkt_columns(&cols, &b, 10.0, &SolverOptions::default()).is_err());
+        assert!(solve_flat(cols, 10.0, None).is_err());
         let mut cols = p.columns();
         cols.q_max[0] = Q_MIN / 2.0;
-        assert!(solve_kkt_columns(&cols, &b, 10.0, &SolverOptions::default()).is_err());
+        assert!(solve_flat(cols, 10.0, None).is_err());
         let empty = PopulationColumns {
             a2g2: vec![],
             cost: vec![],
             value: vec![],
             q_max: vec![],
         };
-        assert!(solve_kkt_columns(&empty, &b, 10.0, &SolverOptions::default()).is_err());
-        assert!(solve_kkt_columns(&p.columns(), &b, f64::NAN, &SolverOptions::default()).is_err());
+        assert!(solve_flat(empty, 10.0, None).is_err());
+        assert!(solve_flat(p.columns(), f64::NAN, None).is_err());
     }
 
     #[test]
@@ -1830,8 +1558,8 @@ mod tests {
         let b = bound();
         let opts = SolverOptions::default();
         let budget = path_budget(&p, &b, &opts, 0.4);
-        let cols = p.columns();
-        let (_, diag) = solve_kkt_columns_hinted(&cols, &b, budget, &opts, None).unwrap();
+        let (_, diag) = solve_flat(p.columns(), budget, None).unwrap();
+        let cols = ShardedPopulation::from(&p);
         // Start the split from a deliberately wrong reference.
         let estimate = estimate_path_parameter(&cols, &b, budget, diag.t_star * 3.0, 1).unwrap();
         let rel = (estimate - diag.t_star).abs() / diag.t_star;
@@ -1846,12 +1574,13 @@ mod tests {
             None
         );
         assert_eq!(estimate_path_parameter(&cols, &b, budget, -1.0, 1), None);
-        let empty = PopulationColumns {
+        let empty = ShardedPopulation::from_shards(vec![PopulationColumns {
             a2g2: vec![],
             cost: vec![],
             value: vec![],
             q_max: vec![],
-        };
+        }])
+        .unwrap();
         assert_eq!(estimate_path_parameter(&empty, &b, budget, 1.0, 1), None);
         // A budget below any interior spend (here: deeply negative, while
         // every client's saturated/zero-value spend is non-negative)
@@ -1869,7 +1598,7 @@ mod tests {
         let b = bound();
         let sol = solve_kkt(&p, &b, 10.0, &SolverOptions::default()).unwrap();
         let via_columns =
-            theorem2_max_residual_columns(&p.columns(), &b, &sol, Q_MIN, 100, 0).unwrap();
+            theorem2_max_residual(&ShardedPopulation::from(&p), &b, &sol, Q_MIN, 100, 0).unwrap();
         let se = StackelbergEquilibrium::from_stage_one(sol, &p, &b, 10.0);
         let via_equilibrium = se.theorem2_max_residual(&p, &b, 100, 0).unwrap();
         assert_eq!(via_columns.to_bits(), via_equilibrium.to_bits());
@@ -1887,7 +1616,11 @@ mod tests {
         let b = bound();
         let budget = path_budget(&p, &b, &SolverOptions::default(), 0.4);
         let cols = p.columns();
-        let flat = solve_kkt_columns(&cols, &b, budget, &SolverOptions::default()).unwrap();
+        let flat = solve_kkt(&p, &b, budget, &SolverOptions::default()).unwrap();
+        let t_star = 1.0 / flat.lambda.unwrap();
+        let one_shard = ShardedPopulation::from(&p);
+        let flat_res = theorem2_max_residual(&one_shard, &b, &flat, Q_MIN, 256, 3).unwrap();
+        let flat_est = estimate_path_parameter(&one_shard, &b, budget, t_star * 2.0, 1);
         for shard_count in [1, 2, 7, 32] {
             let sharded = ShardedPopulation::from_columns(&cols, shard_count).unwrap();
             assert_eq!(
@@ -1897,28 +1630,23 @@ mod tests {
             );
             for threads in [1, 3] {
                 let opts = SolverOptions::with_threads(threads);
-                let sol = solve_kkt_sharded(&sharded, &b, budget, &opts).unwrap();
-                assert_eq!(sol, flat, "shard_count {shard_count} threads {threads}");
-                let (hinted, diag) = solve_kkt_sharded_hinted(
-                    &sharded,
-                    &b,
-                    budget,
-                    &opts,
-                    Some(flat.lambda.map(|l| 1.0 / l).unwrap()),
-                )
-                .unwrap();
-                assert_eq!(hinted, flat, "hinted shard_count {shard_count}");
-                assert!(diag.warm_start_depth > 0, "exact hint should verify deep");
+                for hint in [None, Some(t_star)] {
+                    let (sol, diag) =
+                        solve_kkt_shards(&sharded, &b, budget, &opts, hint, None, &NoopRecorder)
+                            .unwrap();
+                    assert_eq!(sol, flat, "shard_count {shard_count} threads {threads}");
+                    assert_eq!(
+                        diag.warm_start_depth > 0,
+                        hint.is_some(),
+                        "exact hint should verify deep"
+                    );
+                }
             }
             // The sampled Theorem 2 check and the hint estimator agree
-            // with their flat counterparts bit for bit.
-            let flat_res = theorem2_max_residual_columns(&cols, &b, &flat, Q_MIN, 256, 3).unwrap();
-            let shard_res =
-                theorem2_max_residual_sharded(&sharded, &b, &flat, Q_MIN, 256, 3).unwrap();
+            // with their one-shard values bit for bit.
+            let shard_res = theorem2_max_residual(&sharded, &b, &flat, Q_MIN, 256, 3).unwrap();
             assert_eq!(flat_res.to_bits(), shard_res.to_bits());
-            let t_star = 1.0 / flat.lambda.unwrap();
-            let flat_est = estimate_path_parameter(&cols, &b, budget, t_star * 2.0, 1);
-            let shard_est = estimate_path_parameter_sharded(&sharded, &b, budget, t_star * 2.0, 1);
+            let shard_est = estimate_path_parameter(&sharded, &b, budget, t_star * 2.0, 1);
             assert_eq!(
                 flat_est.map(f64::to_bits),
                 shard_est.map(f64::to_bits),
@@ -1968,23 +1696,6 @@ mod tests {
             }
         }
         assert_eq!(parts, [true; 3], "floored, interior and saturated covered");
-    }
-
-    #[test]
-    fn sharded_m_search_matches_flat() {
-        let p = population();
-        let b = bound();
-        let flat = solve_m_search(&p, &b, 10.0, &SolverOptions::default()).unwrap();
-        let sharded = ShardedPopulation::from(&p);
-        let via_shards =
-            solve_m_search_sharded(&sharded, &b, 10.0, &SolverOptions::default()).unwrap();
-        assert_eq!(via_shards, flat);
-        let bad = SolverOptions {
-            m_grid_steps: 1,
-            ..Default::default()
-        };
-        assert!(solve_m_search_sharded(&sharded, &b, 10.0, &bad).is_err());
-        assert!(solve_m_search_sharded(&sharded, &b, f64::NAN, &SolverOptions::default()).is_err());
     }
 
     #[test]

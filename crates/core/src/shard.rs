@@ -7,10 +7,10 @@
 //! the sharded solve *exact*: each shard's partial spend is a vector of
 //! per-chunk partial sums, and merging all shards' partials **in shard
 //! order** reproduces the flat reduction's summation tree bit for bit
-//! ([`fedfl_num::parallel::merge_shard_partials`]). The sharded
-//! [`crate::server::solve_kkt_sharded`] is therefore bit-identical to the
-//! flat [`crate::server::solve_kkt_columns`] over the concatenated
-//! columns, for any shard count and any thread count.
+//! ([`fedfl_num::parallel::merge_shard_partials`]). A
+//! [`crate::server::solve_kkt_shards`] solve is therefore bit-identical to
+//! the solve of the concatenated columns as one shard, for any shard
+//! count and any thread count.
 //!
 //! Shards are also the unit of independent *materialisation*:
 //! [`ShardedPopulation::synthesize`] draws each shard from

@@ -16,21 +16,55 @@
 //! proptest population variants of `scale_properties`, and the
 //! heavy-tail Pareto spreads of `heavy_tail`.
 
-use fedfl_core::active_set::{ActiveSetIndex, IndexColumns};
+use fedfl_core::active_set::{ActiveSetIndex, IndexColumns, GRID_SEGMENT};
 use fedfl_core::bound::BoundParams;
-use fedfl_core::population::{ParamDist, Population, PopulationSpec};
+use fedfl_core::population::{ParamDist, Population, PopulationColumns, PopulationSpec};
 use fedfl_core::server::{
-    path_budget, solve_kkt_columns_fast, solve_kkt_columns_hinted, solve_kkt_sharded_fast,
-    solve_kkt_sharded_fast_with_index, solve_kkt_sharded_fast_with_index_observed,
-    theorem2_max_residual_columns, SolverMode, SolverOptions,
+    path_budget, solve_kkt_shards, theorem2_max_residual, KktDiagnostics, SolverMode,
+    SolverOptions, StageOneSolution,
 };
 use fedfl_core::shard::ShardedPopulation;
-use fedfl_obs::Registry;
+use fedfl_obs::{NoopRecorder, Registry};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 
 fn bound() -> BoundParams {
     BoundParams::new(4_000.0, 100.0, 1_000).unwrap()
+}
+
+/// The index a standalone fast solve builds: normalised columns at
+/// `scale = 1`, row `i` keyed `i / GRID_SEGMENT`.
+fn positional_index(cols: &PopulationColumns, options: &SolverOptions) -> ActiveSetIndex {
+    let keys: Vec<u32> = (0..cols.len()).map(|i| (i / GRID_SEGMENT) as u32).collect();
+    ActiveSetIndex::build_keyed(
+        &IndexColumns::from_population(cols),
+        &keys,
+        cols.len().div_ceil(GRID_SEGMENT).max(1),
+        bound().alpha_over_r(),
+        options.q_min,
+        1.0,
+        options.config.n_threads,
+    )
+}
+
+/// The exact solve (`index: None`) or the fast one (`Some`).
+fn solve(
+    population: &ShardedPopulation,
+    budget: f64,
+    options: &SolverOptions,
+    hint: Option<f64>,
+    index: Option<&ActiveSetIndex>,
+) -> (StageOneSolution, KktDiagnostics) {
+    solve_kkt_shards(
+        population,
+        &bound(),
+        budget,
+        options,
+        hint,
+        index,
+        &NoopRecorder,
+    )
+    .unwrap()
 }
 
 fn spec_for(variant: u8) -> PopulationSpec {
@@ -64,10 +98,11 @@ fn spec_for(variant: u8) -> PopulationSpec {
 /// within the bands) or fall back (and then equal the exact solver bit
 /// for bit). Returns the mode for callers that pin one or the other.
 fn assert_fast_agrees(p: &Population, budget: f64, options: &SolverOptions) -> SolverMode {
-    let b = bound();
     let cols = p.columns();
-    let (exact, exact_diag) = solve_kkt_columns_hinted(&cols, &b, budget, options, None).unwrap();
-    let (fast, diag) = solve_kkt_columns_fast(&cols, &b, budget, options).unwrap();
+    let index = positional_index(&cols, options);
+    let population = ShardedPopulation::from_shards(vec![cols]).unwrap();
+    let (exact, exact_diag) = solve(&population, budget, options, None, None);
+    let (fast, diag) = solve(&population, budget, options, None, Some(&index));
     match diag.solver_mode {
         SolverMode::ThresholdIndex => {
             assert_eq!(fast.saturated, exact.saturated, "saturation flag diverged");
@@ -93,7 +128,7 @@ fn assert_fast_agrees(p: &Population, budget: f64, options: &SolverOptions) -> S
                 exact.spent
             );
             if let Some(residual) =
-                theorem2_max_residual_columns(&cols, &b, &fast, options.q_min, 2_048, 7)
+                theorem2_max_residual(&population, &bound(), &fast, options.q_min, 2_048, 7)
             {
                 assert!(residual <= 1e-6, "fast Theorem-2 residual {residual:e}");
             }
@@ -118,8 +153,10 @@ fn certified_fast_solves_agree_across_shards_and_threads() {
     let options = SolverOptions::with_threads(1);
     let budget = path_budget(&p, &b, &options, 0.4);
     let cols = p.columns();
-    let (exact, _) = solve_kkt_columns_hinted(&cols, &b, budget, &options, None).unwrap();
-    let (flat_fast, flat_diag) = solve_kkt_columns_fast(&cols, &b, budget, &options).unwrap();
+    let flat = ShardedPopulation::from_shards(vec![cols.clone()]).unwrap();
+    let (exact, _) = solve(&flat, budget, &options, None, None);
+    let flat_index = positional_index(&cols, &options);
+    let (flat_fast, flat_diag) = solve(&flat, budget, &options, None, Some(&flat_index));
     assert_eq!(
         flat_diag.solver_mode,
         SolverMode::ThresholdIndex,
@@ -129,9 +166,10 @@ fn certified_fast_solves_agree_across_shards_and_threads() {
         let sharded = ShardedPopulation::from_columns(&cols, shard_count).unwrap();
         for threads in [1usize, 3] {
             let opts = SolverOptions::with_threads(threads);
-            let (fast, diag) = solve_kkt_sharded_fast(&sharded, &b, budget, &opts).unwrap();
+            let index = positional_index(&cols, &opts);
+            let (fast, diag) = solve(&sharded, budget, &opts, None, Some(&index));
             assert_eq!(diag.solver_mode, SolverMode::ThresholdIndex);
-            // The sharded index build is bit-identical to the flat one and
+            // The index build is thread-count independent and the
             // probes/materialisation share the exact solver's shard-merge
             // contract, so the fast solve itself is shard- and
             // thread-invariant bit for bit.
@@ -158,23 +196,16 @@ fn reused_index_solves_match_and_hint_cuts_iterations() {
     let budget = path_budget(&p, &b, &options, 0.5);
     let cols = p.columns();
     let sharded = ShardedPopulation::from_columns(&cols, 4).unwrap();
-    let index = ActiveSetIndex::build_sharded(sharded.shards(), b.alpha_over_r(), options.q_min);
-    let (cold, cold_diag) =
-        solve_kkt_sharded_fast_with_index(&sharded, &b, budget, &options, &index, None).unwrap();
+    let index = positional_index(&cols, &options);
+    let (cold, cold_diag) = solve(&sharded, budget, &options, None, Some(&index));
     assert_eq!(cold_diag.solver_mode, SolverMode::ThresholdIndex);
-    assert_eq!(
-        cold_diag.index_rebuild_ns, 0,
-        "reused index reports no rebuild"
-    );
-    let (warm, warm_diag) = solve_kkt_sharded_fast_with_index(
+    let (warm, warm_diag) = solve(
         &sharded,
-        &b,
         budget,
         &options,
-        &index,
         Some(cold_diag.t_star),
-    )
-    .unwrap();
+        Some(&index),
+    );
     assert_eq!(warm_diag.solver_mode, SolverMode::ThresholdIndex);
     assert_eq!(warm, cold, "hinted fast solve changed bits");
     assert!(
@@ -186,12 +217,9 @@ fn reused_index_solves_match_and_hint_cuts_iterations() {
     // A stale index (wrong population) is detected, not trusted.
     let other = Population::synthesize(4_001, &PopulationSpec::table1_like(), 10).unwrap();
     let other_sharded = ShardedPopulation::from_columns(&other.columns(), 4).unwrap();
-    let (fb, fb_diag) =
-        solve_kkt_sharded_fast_with_index(&other_sharded, &b, budget, &options, &index, None)
-            .unwrap();
+    let (fb, fb_diag) = solve(&other_sharded, budget, &options, None, Some(&index));
     assert_eq!(fb_diag.solver_mode, SolverMode::ThresholdIndexFallback);
-    let (exact_other, _) =
-        solve_kkt_columns_hinted(&other.columns(), &b, budget, &options, None).unwrap();
+    let (exact_other, _) = solve(&other_sharded, budget, &options, None, None);
     assert_eq!(fb, exact_other);
 }
 
@@ -209,7 +237,7 @@ fn same_length_stale_index_fails_the_certificate_and_falls_back_exactly() {
     let cols = p.columns();
     let budget = path_budget(&p, &b, &options, 0.01);
     let sharded = ShardedPopulation::from_columns(&cols, 3).unwrap();
-    let (exact, exact_diag) = solve_kkt_columns_hinted(&cols, &b, budget, &options, None).unwrap();
+    let (exact, exact_diag) = solve(&sharded, budget, &options, None, None);
     let keys: Vec<u32> = (0..n as u32).map(|i| (i / 32) % 16).collect();
     // Model spend at the exact root below the budget puts the model
     // root above the exact root, and vice versa.
@@ -236,8 +264,14 @@ fn same_length_stale_index_fails_the_certificate_and_falls_back_exactly() {
             "cost factor {cost_factor}"
         );
         let registry = Registry::new();
-        let (fallback, diag) = solve_kkt_sharded_fast_with_index_observed(
-            &sharded, &b, budget, &options, &index, None, &registry,
+        let (fallback, diag) = solve_kkt_shards(
+            &sharded,
+            &b,
+            budget,
+            &options,
+            None,
+            Some(&index),
+            &registry,
         )
         .unwrap();
         assert_eq!(diag.solver_mode, SolverMode::ThresholdIndexFallback);
@@ -267,8 +301,10 @@ fn fast_probes_are_sublinear_on_moderate_instances() {
     let options = SolverOptions::default();
     let budget = path_budget(&p, &b, &options, 0.5);
     let cols = p.columns();
-    let (_, exact_diag) = solve_kkt_columns_hinted(&cols, &b, budget, &options, None).unwrap();
-    let (_, fast_diag) = solve_kkt_columns_fast(&cols, &b, budget, &options).unwrap();
+    let index = positional_index(&cols, &options);
+    let population = ShardedPopulation::from_shards(vec![cols]).unwrap();
+    let (_, exact_diag) = solve(&population, budget, &options, None, None);
+    let (_, fast_diag) = solve(&population, budget, &options, None, Some(&index));
     assert_eq!(fast_diag.solver_mode, SolverMode::ThresholdIndex);
     assert!(
         fast_diag.probe_evaluations * 10 <= exact_diag.probe_evaluations,
@@ -328,18 +364,20 @@ fn corner_budgets_classify_identically() {
     let b = bound();
     let options = SolverOptions::default();
     let cols = p.columns();
+    let index = positional_index(&cols, &options);
+    let population = ShardedPopulation::from_shards(vec![cols]).unwrap();
     // Saturated: budget above the all-caps spend.
     let generous = path_budget(&p, &b, &options, 1.0) * 2.0;
-    let (fast, diag) = solve_kkt_columns_fast(&cols, &b, generous, &options).unwrap();
-    let (exact, _) = solve_kkt_columns_hinted(&cols, &b, generous, &options, None).unwrap();
+    let (fast, diag) = solve(&population, generous, &options, None, Some(&index));
+    let (exact, _) = solve(&population, generous, &options, None, None);
     assert!(fast.saturated);
     assert_eq!(fast.q, exact.q, "saturated profile must match exactly");
     assert_eq!(diag.bisect_iterations, 0);
     // Floored: budget below the floor spend (negative here — values make
     // the floor spend negative-capable, so go far below).
     let stingy = -1e12;
-    let (fast, _) = solve_kkt_columns_fast(&cols, &b, stingy, &options).unwrap();
-    let (exact, _) = solve_kkt_columns_hinted(&cols, &b, stingy, &options, None).unwrap();
+    let (fast, _) = solve(&population, stingy, &options, None, Some(&index));
+    let (exact, _) = solve(&population, stingy, &options, None, None);
     assert_eq!(fast.q, exact.q, "floored profile must match exactly");
     assert!(!fast.saturated);
 }

@@ -11,7 +11,9 @@
 
 use fedfl_core::bound::BoundParams;
 use fedfl_core::population::{ParamDist, Population, PopulationSpec};
-use fedfl_core::server::{path_budget, solve_kkt_columns_hinted, SolverConfig, SolverOptions};
+use fedfl_core::server::{path_budget, solve_kkt_shards, SolverConfig, SolverOptions};
+use fedfl_core::shard::ShardedPopulation;
+use fedfl_obs::NoopRecorder;
 
 fn bound() -> BoundParams {
     BoundParams::new(4_000.0, 100.0, 1_000).unwrap()
@@ -37,8 +39,9 @@ fn resolution_stop_not_the_cap_terminates_on_extreme_cost_spreads() {
     let opts = SolverOptions::default();
     // A budget whose root lies ~60 decades below the saturation parameter.
     let budget = path_budget(&p, &b, &opts, 1e-60);
-    let cols = p.columns();
-    let (cold, diag) = solve_kkt_columns_hinted(&cols, &b, budget, &opts, None).unwrap();
+    let shards = ShardedPopulation::from(&p);
+    let (cold, diag) =
+        solve_kkt_shards(&shards, &b, budget, &opts, None, None, &NoopRecorder).unwrap();
     assert!(
         diag.bisect_iterations < opts.config.max_iters,
         "cold bisection cap-terminated: {} iterations at the {} cap",
@@ -69,7 +72,8 @@ fn resolution_stop_not_the_cap_terminates_on_extreme_cost_spreads() {
         1e-30,
         f64::MIN_POSITIVE,
     ] {
-        let (warm, wd) = solve_kkt_columns_hinted(&cols, &b, budget, &opts, Some(hint)).unwrap();
+        let (warm, wd) =
+            solve_kkt_shards(&shards, &b, budget, &opts, Some(hint), None, &NoopRecorder).unwrap();
         assert_eq!(warm, cold, "hint {hint:e} diverged");
         assert!(
             wd.bisect_iterations <= diag.bisect_iterations,
@@ -101,14 +105,24 @@ fn f64_resolution_stop_terminates_below_any_tolerance() {
         ..SolverOptions::default()
     };
     let budget = path_budget(&p, &b, &opts, 1e-60);
-    let cols = p.columns();
-    let (cold, diag) = solve_kkt_columns_hinted(&cols, &b, budget, &opts, None).unwrap();
+    let shards = ShardedPopulation::from(&p);
+    let (cold, diag) =
+        solve_kkt_shards(&shards, &b, budget, &opts, None, None, &NoopRecorder).unwrap();
     assert!(
         diag.bisect_iterations < opts.config.max_iters,
         "resolution stop never fired: {} iterations",
         diag.bisect_iterations
     );
-    let (warm, wd) = solve_kkt_columns_hinted(&cols, &b, budget, &opts, Some(diag.t_star)).unwrap();
+    let (warm, wd) = solve_kkt_shards(
+        &shards,
+        &b,
+        budget,
+        &opts,
+        Some(diag.t_star),
+        None,
+        &NoopRecorder,
+    )
+    .unwrap();
     assert_eq!(warm, cold);
     assert!(wd.warm_start_depth > 100, "depth {}", wd.warm_start_depth);
     assert!(wd.bisect_iterations + wd.warm_start_depth < opts.config.max_iters);
@@ -139,16 +153,24 @@ fn pareto_cost_spread_churns_stay_bit_identical_under_hints() {
     let opts = SolverOptions::default();
     for frac in [1e-9, 1e-3, 0.3, 0.9] {
         let budget = path_budget(&p, &b, &opts, frac);
-        let cols = p.columns();
-        let (cold, diag) = solve_kkt_columns_hinted(&cols, &b, budget, &opts, None).unwrap();
+        let shards = ShardedPopulation::from(&p);
+        let (cold, diag) =
+            solve_kkt_shards(&shards, &b, budget, &opts, None, None, &NoopRecorder).unwrap();
         assert!(
             diag.bisect_iterations < opts.config.max_iters,
             "frac {frac}"
         );
         for factor in [1.0, 1.001, 0.5, 2.0, 1e-6, 1e6, 1e-12] {
-            let (warm, wd) =
-                solve_kkt_columns_hinted(&cols, &b, budget, &opts, Some(diag.t_star * factor))
-                    .unwrap();
+            let (warm, wd) = solve_kkt_shards(
+                &shards,
+                &b,
+                budget,
+                &opts,
+                Some(diag.t_star * factor),
+                None,
+                &NoopRecorder,
+            )
+            .unwrap();
             assert_eq!(warm, cold, "frac {frac} factor {factor}");
             assert!(
                 wd.bisect_iterations <= diag.bisect_iterations,

@@ -16,14 +16,16 @@
 //! `cargo test --release -- --ignored` job; each asserts a wall-clock
 //! budget so a performance regression fails the build.
 
-use fedfl_core::active_set::ActiveSetIndex;
+use fedfl_core::active_set::{ActiveSetIndex, IndexColumns, GRID_SEGMENT};
 use fedfl_core::bound::BoundParams;
 use fedfl_core::game::CplGame;
 use fedfl_core::population::{ParamDist, Population, PopulationSpec, Q_MIN};
 use fedfl_core::server::{
-    path_budget, solve_kkt, solve_kkt_columns_fast, solve_kkt_columns_hinted, solve_m_search,
-    SolverMode, SolverOptions,
+    path_budget, solve_kkt, solve_kkt_shards, solve_m_search, theorem2_max_residual, SolverMode,
+    SolverOptions,
 };
+use fedfl_core::shard::ShardedPopulation;
+use fedfl_obs::NoopRecorder;
 use proptest::prelude::*;
 use std::time::Instant;
 
@@ -300,13 +302,35 @@ fn million_client_fast_path_cross_check() {
     let b = bound();
     let options = SolverOptions::with_threads(4);
     let budget = path_budget(&p, &b, &options, 0.5);
-    let cols = p.columns();
+    let population = ShardedPopulation::from(&p);
+    let solve = |index| {
+        solve_kkt_shards(
+            &population,
+            &b,
+            budget,
+            &options,
+            None,
+            index,
+            &NoopRecorder,
+        )
+    };
 
-    let (exact, exact_diag) =
-        solve_kkt_columns_hinted(&cols, &b, budget, &options, None).expect("exact solve");
+    let (exact, exact_diag) = solve(None).expect("exact solve");
 
     let started = Instant::now();
-    let (fast, fast_diag) = solve_kkt_columns_fast(&cols, &b, budget, &options).expect("fast");
+    // The positional layout: row `i` keyed `i / GRID_SEGMENT`.
+    let cols = &population.shards()[0];
+    let keys: Vec<u32> = (0..cols.len()).map(|i| (i / GRID_SEGMENT) as u32).collect();
+    let index = ActiveSetIndex::build_keyed(
+        &IndexColumns::from_population(cols),
+        &keys,
+        cols.len().div_ceil(GRID_SEGMENT),
+        b.alpha_over_r(),
+        options.q_min,
+        1.0,
+        options.config.n_threads,
+    );
+    let (fast, fast_diag) = solve(Some(&index)).expect("fast");
     let fast_time = started.elapsed();
 
     assert_eq!(
@@ -333,15 +357,8 @@ fn million_client_fast_path_cross_check() {
         fast.spent,
         exact.spent
     );
-    let residual = fedfl_core::server::theorem2_max_residual_columns(
-        &cols,
-        &b,
-        &fast,
-        options.q_min,
-        10_000,
-        99,
-    )
-    .expect("interior clients in a 1M draw");
+    let residual = theorem2_max_residual(&population, &b, &fast, options.q_min, 10_000, 99)
+        .expect("interior clients in a 1M draw");
     assert!(residual < 1e-6, "fast Theorem-2 residual {residual}");
     // Index build + certified solve together must beat the 1.3s exact
     // probe phase by a wide margin; 20s leaves room for a slow CI core
@@ -351,7 +368,6 @@ fn million_client_fast_path_cross_check() {
         "1M fast solve took {fast_time:?} (budget 20s)"
     );
 
-    let index = ActiveSetIndex::from_columns(&cols, b.alpha_over_r(), options.q_min);
     let t_hi = index.bracket_hi();
     let probes = 200;
     let started = Instant::now();

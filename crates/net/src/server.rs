@@ -168,7 +168,11 @@ impl Shared {
 
 /// Per-connection bookkeeping: the serving thread plus a tracked clone
 /// of its stream, so shutdown can unblock the thread's pending read.
+/// The accept loop prunes finished connections before each push.
 type ConnectionRegistry = Arc<Mutex<Vec<(JoinHandle<()>, TcpStream)>>>;
+
+/// Pause after a failed `accept` (or stream clone) before the next one.
+const ACCEPT_RETRY_DELAY: std::time::Duration = std::time::Duration::from_millis(10);
 
 /// A running server: its bound address and the shutdown handle.
 pub struct ServerHandle {
@@ -254,8 +258,12 @@ pub fn serve(
             if accept_shared.stop.load(Ordering::Acquire) {
                 break;
             }
-            let Ok(stream) = incoming else { continue };
-            let Ok(tracked) = stream.try_clone() else {
+            let tracked = incoming.and_then(|stream| Ok((stream.try_clone()?, stream)));
+            let Ok((tracked, stream)) = tracked else {
+                // Typically descriptor exhaustion: back off instead of
+                // spinning on an accept that fails again at once.
+                accept_shared.metrics.add(Metric::NetAcceptErrors, 1);
+                std::thread::sleep(ACCEPT_RETRY_DELAY);
                 continue;
             };
             let conn_id = next_conn;
@@ -263,7 +271,16 @@ pub fn serve(
             let conn_shared = Arc::clone(&accept_shared);
             let handle =
                 std::thread::spawn(move || serve_connection(&conn_shared, stream, conn_id));
-            lock(&accept_connections).push((handle, tracked));
+            // A finished connection's tracked clone is the last descriptor
+            // of its socket; release it now rather than at shutdown. The
+            // join returns at once: the thread has already exited.
+            let mut connections = lock(&accept_connections);
+            for (finished, _tracked) in
+                connections.extract_if(.., |(handle, _)| handle.is_finished())
+            {
+                let _ = finished.join();
+            }
+            connections.push((handle, tracked));
         }
     });
 

@@ -484,3 +484,60 @@ fn recorder_verification_catches_traces_with_out_of_band_state() {
     let records = load_records(&text).unwrap();
     assert!(verify_records(config(), &records).is_err());
 }
+
+/// Descriptors this process holds on sockets the kernel no longer lists
+/// in its TCP tables: sockets closed on the wire but never released. Live
+/// sockets of tests running in parallel stay out of the count.
+#[cfg(target_os = "linux")]
+fn released_socket_descriptors() -> usize {
+    let mut listed = std::collections::HashSet::new();
+    for table in ["/proc/net/tcp", "/proc/net/tcp6"] {
+        let Ok(text) = std::fs::read_to_string(table) else {
+            continue;
+        };
+        // Columns: sl, local, remote, state, queues, timers, retransmits,
+        // uid, timeout, inode, ...
+        for line in text.lines().skip(1) {
+            if let Some(inode) = line.split_whitespace().nth(9) {
+                listed.insert(format!("socket:[{inode}]"));
+            }
+        }
+    }
+    std::fs::read_dir("/proc/self/fd")
+        .unwrap()
+        .filter_map(|entry| std::fs::read_link(entry.ok()?.path()).ok())
+        .map(|target| target.to_string_lossy().into_owned())
+        .filter(|target| target.starts_with("socket:") && !listed.contains(target))
+        .count()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_release_their_descriptors() {
+    const CYCLES: u64 = 400;
+    let (service, _) = seeded_service(4);
+    let mut handle = start_server(service, ServerOptions::default(), None);
+    let before = released_socket_descriptors();
+    for _ in 0..CYCLES {
+        let mut conn = PricingClient::connect(handle.addr()).unwrap();
+        conn.call(&Command::Snapshot).unwrap();
+    }
+    // Wait until every connection thread has seen its peer close.
+    let metrics = handle.metrics();
+    let closed = || {
+        metrics
+            .snapshot()
+            .counter("fedfl_net_connections_closed_total")
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while closed() != Some(CYCLES) && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert_eq!(closed(), Some(CYCLES));
+    let after = released_socket_descriptors();
+    assert!(
+        after <= before + 8,
+        "{CYCLES} closed connections left {after} closed sockets open (was {before})"
+    );
+    handle.shutdown();
+}

@@ -20,10 +20,8 @@
 //!   the per-client passes of the Stage-I solvers run on a worker pool with
 //!   a fixed summation tree, so results are bit-identical regardless of
 //!   thread count.
-//! * [`prefix`] — stable argsort, exclusive prefix sums and a stable
-//!   k-way merge of sorted runs: the ordering analogue of [`parallel`]'s
-//!   shard-mergeable partial sums, backing the threshold-indexed
-//!   active-set fast path.
+//! * [`prefix`] — the stable `total_cmp` argsort behind the
+//!   threshold-indexed active-set fast path.
 //! * [`linalg`] — dense vector/matrix operations backing the multinomial
 //!   logistic-regression substrate.
 //! * [`stats`] — descriptive statistics (mean, variance, quantiles, Pearson

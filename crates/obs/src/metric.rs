@@ -141,6 +141,8 @@ metrics! {
         "TCP connections accepted."),
     NetConnectionsClosed => (Counter, "fedfl_net_connections_closed_total",
         "TCP connections closed."),
+    NetAcceptErrors => (Counter, "fedfl_net_accept_errors_total",
+        "Failed accepts (e.g. descriptor exhaustion), each followed by a short back-off."),
     NetActiveConnections => (Gauge, "fedfl_net_active_connections",
         "TCP connections currently open."),
     NetFramesRead => (Counter, "fedfl_net_frames_read_total",

@@ -22,7 +22,7 @@
 //!   monolithic `O(N)` — then gathers them block by block, as slice
 //!   copies, in insertion order with the exact `Population::from_raw`
 //!   normalisation and solves over chunk-aligned shard column-sets
-//!   ([`fedfl_core::server::solve_kkt_sharded_hinted`]). Prices are
+//!   ([`fedfl_core::server::solve_kkt_shards`]). Prices are
 //!   bit-identical for **any** shard count; [`RepriceReport`] records the
 //!   dirty-shard accounting.
 //! * **Incremental re-solve** — population deltas shift the spend curve of

@@ -6,8 +6,7 @@ use crate::{AvailabilityModel, ClientId, ClientParams};
 use fedfl_core::active_set::{ActiveSetIndex, PatchStats};
 use fedfl_core::bound::BoundParams;
 use fedfl_core::server::{
-    estimate_path_parameter_sharded, solve_kkt_sharded_fast_with_index_observed,
-    solve_kkt_sharded_hinted_observed, theorem2_max_residual_sharded, SolverMode, SolverOptions,
+    estimate_path_parameter, solve_kkt_shards, theorem2_max_residual, SolverMode, SolverOptions,
 };
 use fedfl_obs::{Metric, MetricsReport, NoopRecorder, Recorder, Registry, Stopwatch};
 use serde::{Deserialize, Serialize};
@@ -607,7 +606,7 @@ impl PricingService {
             if self.config.fast_path {
                 return t_scaled;
             }
-            estimate_path_parameter_sharded(
+            estimate_path_parameter(
                 &assembled.population,
                 &self.config.bound,
                 self.config.budget,
@@ -616,7 +615,9 @@ impl PricingService {
             )
             .unwrap_or(t_scaled)
         });
-        let (solution, diag) = if self.config.fast_path {
+        let mut index_rebuild_ns = 0u64;
+        let mut segments = PatchStats::default();
+        let index = if self.config.fast_path {
             // Reuse the cached threshold index when the global stamp
             // proves the assembled population and the index parameters
             // are unchanged (budget/bound-β-only churn). When only some
@@ -635,8 +636,6 @@ impl PricingService {
             let stamp_matches = self.fast_index.as_ref().is_some_and(|cached| {
                 cached.store_version == store_version && params_match(cached)
             });
-            let mut index_rebuild_ns = 0u64;
-            let mut segments = PatchStats::default();
             if stamp_matches {
                 recorder.add(Metric::ServiceIndexReuses, 1);
             } else {
@@ -705,34 +704,22 @@ impl PricingService {
                     availability_aware: self.config.availability_aware,
                 });
             }
-            let index = &self.fast_index.as_ref().expect("cached above").index;
-            let (solution, mut diag) = solve_kkt_sharded_fast_with_index_observed(
-                &assembled.population,
-                &self.config.bound,
-                self.config.budget,
-                &self.config.solver,
-                index,
-                hint,
-                recorder,
-            )?;
-            diag.index_rebuild_ns = index_rebuild_ns;
-            diag.index_segments_rebuilt = segments.rebuilt as u64;
-            diag.index_segments_repaired = segments.repaired as u64;
-            diag.index_segments_reused = segments.reused as u64;
-            (solution, diag)
+            Some(&self.fast_index.as_ref().expect("cached above").index)
         } else {
-            solve_kkt_sharded_hinted_observed(
-                &assembled.population,
-                &self.config.bound,
-                self.config.budget,
-                &self.config.solver,
-                hint,
-                recorder,
-            )?
+            None
         };
+        let (solution, diag) = solve_kkt_shards(
+            &assembled.population,
+            &self.config.bound,
+            self.config.budget,
+            &self.config.solver,
+            hint,
+            index,
+            recorder,
+        )?;
 
         // Certify the equilibrium before serving it (Theorem 2).
-        let residual = theorem2_max_residual_sharded(
+        let residual = theorem2_max_residual(
             &assembled.population,
             &self.config.bound,
             &solution,
@@ -765,10 +752,10 @@ impl PricingService {
             rebuilt_columns: stats.rebuilt_columns,
             solver_mode: diag.solver_mode,
             probe_evaluations: diag.probe_evaluations,
-            index_rebuild_ns: diag.index_rebuild_ns,
-            index_segments_rebuilt: diag.index_segments_rebuilt,
-            index_segments_repaired: diag.index_segments_repaired,
-            index_segments_reused: diag.index_segments_reused,
+            index_rebuild_ns,
+            index_segments_rebuilt: segments.rebuilt as u64,
+            index_segments_repaired: segments.repaired as u64,
+            index_segments_reused: segments.reused as u64,
         };
 
         // Scatter the solved profile back over the full client list.

@@ -9,8 +9,10 @@
 
 use fedfl_core::bound::BoundParams;
 use fedfl_core::population::{ClientProfile, Population};
-use fedfl_core::server::{path_budget, solve_kkt, solve_kkt_columns_hinted, SolverOptions};
+use fedfl_core::server::{path_budget, solve_kkt, solve_kkt_shards, SolverOptions};
+use fedfl_core::shard::ShardedPopulation;
 use fedfl_num::rng::substream;
+use fedfl_obs::NoopRecorder;
 use fedfl_service::{AvailabilityPattern, ClientId, ClientParams, PricingService, ServiceConfig};
 use proptest::prelude::*;
 use rand::Rng;
@@ -94,12 +96,14 @@ fn reference_solve(
         // Exercise the *public* from-scratch path where it applies.
         let sol = solve_kkt(&population, &bound(), config.budget, &config.solver)
             .expect("from-scratch solve");
-        let (check, diag) = solve_kkt_columns_hinted(
-            &population.columns(),
+        let (check, diag) = solve_kkt_shards(
+            &ShardedPopulation::from(&population),
             &bound(),
             config.budget,
             &config.solver,
             None,
+            None,
+            &NoopRecorder,
         )
         .expect("cold columns solve");
         assert_eq!(sol, check, "columns path drifted from solve_kkt");
@@ -115,8 +119,17 @@ fn reference_solve(
             .columns()
             .effective(&included_rates)
             .expect("effective view");
-        solve_kkt_columns_hinted(&eff, &bound(), config.budget, &config.solver, None)
-            .expect("cold effective solve")
+        let eff = ShardedPopulation::from_shards(vec![eff]).expect("one shard");
+        solve_kkt_shards(
+            &eff,
+            &bound(),
+            config.budget,
+            &config.solver,
+            None,
+            None,
+            &NoopRecorder,
+        )
+        .expect("cold effective solve")
     };
     let n = mirror.len();
     let mut prices = vec![0.0f64; n];

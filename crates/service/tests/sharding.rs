@@ -356,107 +356,118 @@ fn fast_path_service_stays_certified_under_churn_and_reuses_the_index() {
         }
     };
 
-    let mut rng = substream(19, 0xFA57);
-    let clients: Vec<ClientParams> = (0..512).map(|_| draw_client(&mut rng, 0)).collect();
-    let budget_pop =
-        Population::from_raw(clients.iter().map(ClientParams::raw_profile).collect()).unwrap();
-    let budget = path_budget(&budget_pop, &bound(), &SolverOptions::default(), 0.4);
-    let mut config = ServiceConfig::new(bound(), budget);
-    config.shards = 8;
-    config.fast_path = true;
-    let mut exact_config = config;
-    exact_config.fast_path = false;
-    let (mut service, ids) = PricingService::with_clients(config, clients.clone()).unwrap();
-    let (mut exact, _) = PricingService::with_clients(exact_config, clients).unwrap();
+    // The service's 256 index segments nest in 8 store shards, so churn
+    // patches the index; at 7 shards they do not, and churn rebuilds it.
+    for (shards, patches) in [(8usize, true), (7, false)] {
+        let mut rng = substream(19, 0xFA57);
+        let clients: Vec<ClientParams> = (0..512).map(|_| draw_client(&mut rng, 0)).collect();
+        let budget_pop =
+            Population::from_raw(clients.iter().map(ClientParams::raw_profile).collect()).unwrap();
+        let budget = path_budget(&budget_pop, &bound(), &SolverOptions::default(), 0.4);
+        let mut config = ServiceConfig::new(bound(), budget);
+        config.shards = shards;
+        config.fast_path = true;
+        let mut exact_config = config;
+        exact_config.fast_path = false;
+        let (mut service, ids) = PricingService::with_clients(config, clients.clone()).unwrap();
+        let (mut exact, _) = PricingService::with_clients(exact_config, clients).unwrap();
 
-    let cold = service.reprice().unwrap();
-    assert!(cold.index_rebuild_ns > 0, "cold solve builds the index");
-    let segment_total = cold.index_segments_rebuilt;
-    assert!(segment_total > 0, "cold build sorts every segment");
-    assert_eq!(cold.index_segments_reused, 0);
-    assert_agrees(
-        &service.snapshot().unwrap().prices,
-        &exact.snapshot().unwrap().prices,
-        cold.solver_mode,
-    );
+        let cold = service.reprice().unwrap();
+        assert!(cold.index_rebuild_ns > 0, "cold solve builds the index");
+        let segment_total = cold.index_segments_rebuilt;
+        assert!(segment_total > 0, "cold build sorts every segment");
+        assert_eq!(cold.index_segments_reused, 0);
+        assert_agrees(
+            &service.snapshot().unwrap().prices,
+            &exact.snapshot().unwrap().prices,
+            cold.solver_mode,
+        );
 
-    // Budget-only churn leaves the population untouched: the cached
-    // index is reused verbatim and the report says so.
-    service.update_budget(budget * 1.07).unwrap();
-    exact.update_budget(budget * 1.07).unwrap();
-    let budget_only = service.reprice().unwrap();
-    assert_eq!(
-        budget_only.index_rebuild_ns, 0,
-        "budget update must reuse the cached threshold index"
-    );
-    assert_eq!(budget_only.dirty_shards, 0);
-    assert_eq!(budget_only.index_segments_rebuilt, 0);
-    assert_eq!(budget_only.index_segments_reused, 0);
-    assert_agrees(
-        &service.snapshot().unwrap().prices,
-        &exact.snapshot().unwrap().prices,
-        budget_only.solver_mode,
-    );
+        // Budget-only churn leaves the population untouched: the cached
+        // index is reused verbatim and the report says so.
+        service.update_budget(budget * 1.07).unwrap();
+        exact.update_budget(budget * 1.07).unwrap();
+        let budget_only = service.reprice().unwrap();
+        assert_eq!(
+            budget_only.index_rebuild_ns, 0,
+            "budget update must reuse the cached threshold index"
+        );
+        assert_eq!(budget_only.dirty_shards, 0);
+        assert_eq!(budget_only.index_segments_rebuilt, 0);
+        assert_eq!(budget_only.index_segments_reused, 0);
+        assert_agrees(
+            &service.snapshot().unwrap().prices,
+            &exact.snapshot().unwrap().prices,
+            budget_only.solver_mode,
+        );
 
-    // Client churn changes the assembled population: rebuild.
-    let adds = vec![
-        ClientParams::always_on(1.0, 4.0, 30.0, 2.0, 1.0),
-        ClientParams::always_on(2.0, 9.0, 40.0, 0.0, 1.0),
-    ];
-    service.add_clients(adds.clone()).unwrap();
-    exact.add_clients(adds).unwrap();
-    service.remove_clients(&[ids[17]]).unwrap();
-    exact.remove_clients(&[ids[17]]).unwrap();
-    let churned = service.reprice().unwrap();
-    assert!(
-        churned.index_rebuild_ns > 0,
-        "churn must invalidate the cached index"
-    );
-    // Partial churn patches instead of rebuilding: only the segments
-    // nested in the dirty shards re-sort, the rest are reused (or at
-    // most repaired for threshold-order drift from the new weight
-    // total) — and the sum accounts for every segment.
-    let per_shard = segment_total / churned.shard_count as u64;
-    assert!(churned.index_segments_rebuilt >= 1);
-    assert!(churned.index_segments_rebuilt <= churned.dirty_shards as u64 * per_shard);
-    assert!(churned.index_segments_reused > 0, "clean segments reused");
-    assert_eq!(
-        churned.index_segments_rebuilt
-            + churned.index_segments_repaired
-            + churned.index_segments_reused,
-        segment_total
-    );
-    assert_agrees(
-        &service.snapshot().unwrap().prices,
-        &exact.snapshot().unwrap().prices,
-        churned.solver_mode,
-    );
+        // Client churn changes the assembled population: rebuild.
+        let adds = vec![
+            ClientParams::always_on(1.0, 4.0, 30.0, 2.0, 1.0),
+            ClientParams::always_on(2.0, 9.0, 40.0, 0.0, 1.0),
+        ];
+        service.add_clients(adds.clone()).unwrap();
+        exact.add_clients(adds).unwrap();
+        service.remove_clients(&[ids[17]]).unwrap();
+        exact.remove_clients(&[ids[17]]).unwrap();
+        let churned = service.reprice().unwrap();
+        assert!(
+            churned.index_rebuild_ns > 0,
+            "churn must invalidate the cached index"
+        );
+        if patches {
+            // Partial churn patches instead of rebuilding: only the segments
+            // nested in the dirty shards re-sort, the rest are reused (or at
+            // most repaired for threshold-order drift from the new weight
+            // total) — and the sum accounts for every segment.
+            let per_shard = segment_total / churned.shard_count as u64;
+            assert!(churned.index_segments_rebuilt >= 1);
+            assert!(churned.index_segments_rebuilt <= churned.dirty_shards as u64 * per_shard);
+            assert!(churned.index_segments_reused > 0, "clean segments reused");
+            assert_eq!(
+                churned.index_segments_rebuilt
+                    + churned.index_segments_repaired
+                    + churned.index_segments_reused,
+                segment_total
+            );
+        } else {
+            // Segments do not nest in store shards: churn rebuilds them all.
+            assert_eq!(churned.index_segments_rebuilt, segment_total);
+            assert_eq!(churned.index_segments_repaired, 0);
+            assert_eq!(churned.index_segments_reused, 0);
+        }
+        assert_agrees(
+            &service.snapshot().unwrap().prices,
+            &exact.snapshot().unwrap().prices,
+            churned.solver_mode,
+        );
 
-    // A bound update that moves α/R moves every threshold, so the stamp
-    // must invalidate the index even though no shard is dirty. (The
-    // original bound has α/R = 4; this one has α/R = 6 — a same-ratio
-    // update like (6000, 80, 1500) would legitimately keep the index.)
-    let new_bound = BoundParams::new(6_000.0, 80.0, 1_000).unwrap();
-    service.update_bound(new_bound).unwrap();
-    exact.update_bound(new_bound).unwrap();
-    let rebound = service.reprice().unwrap();
-    assert_eq!(rebound.dirty_shards, 0, "bound update dirties no shard");
-    assert!(
-        rebound.index_rebuild_ns > 0,
-        "α/R change must rebuild the threshold index"
-    );
-    assert_eq!(
-        rebound.index_segments_rebuilt, segment_total,
-        "a solver-knob change re-sorts every segment"
-    );
-    assert_eq!(rebound.index_segments_reused, 0);
-    assert_agrees(
-        &service.snapshot().unwrap().prices,
-        &exact.snapshot().unwrap().prices,
-        rebound.solver_mode,
-    );
-    if let Some(residual) = rebound.theorem2_residual {
-        assert!(residual < 1e-6, "served equilibrium stays certified");
+        // A bound update that moves α/R moves every threshold, so the stamp
+        // must invalidate the index even though no shard is dirty. (The
+        // original bound has α/R = 4; this one has α/R = 6 — a same-ratio
+        // update like (6000, 80, 1500) would legitimately keep the index.)
+        let new_bound = BoundParams::new(6_000.0, 80.0, 1_000).unwrap();
+        service.update_bound(new_bound).unwrap();
+        exact.update_bound(new_bound).unwrap();
+        let rebound = service.reprice().unwrap();
+        assert_eq!(rebound.dirty_shards, 0, "bound update dirties no shard");
+        assert!(
+            rebound.index_rebuild_ns > 0,
+            "α/R change must rebuild the threshold index"
+        );
+        assert_eq!(
+            rebound.index_segments_rebuilt, segment_total,
+            "a solver-knob change re-sorts every segment"
+        );
+        assert_eq!(rebound.index_segments_reused, 0);
+        assert_agrees(
+            &service.snapshot().unwrap().prices,
+            &exact.snapshot().unwrap().prices,
+            rebound.solver_mode,
+        );
+        if let Some(residual) = rebound.theorem2_residual {
+            assert!(residual < 1e-6, "served equilibrium stays certified");
+        }
     }
 }
 

@@ -16,7 +16,8 @@ use crate::error::WorkloadError;
 use crate::generator::{fnv1a, Phase, Trace, TraceOp};
 use crate::spec::WorkloadSpec;
 use fedfl_core::population::{ClientProfile, Population};
-use fedfl_core::server::{path_budget, solve_kkt_columns_hinted, SolverMode, SolverOptions};
+use fedfl_core::server::{path_budget, solve_kkt_shards, SolverMode, SolverOptions};
+use fedfl_core::shard::ShardedPopulation;
 use fedfl_obs::{
     Histogram, HistogramSnapshot, Metric, NoopRecorder, Recorder, Registry, Stopwatch,
 };
@@ -232,7 +233,7 @@ pub struct ReplayOutcome {
 pub fn replay_config(spec: &WorkloadSpec, trace: &Trace) -> Result<ServiceConfig, WorkloadError> {
     spec.validate()?;
     // The base budget comes from the initial batch's always-on saturation
-    // path, mirroring the service bench so records are comparable.
+    // path.
     let initial = seeding_batch(trace)?;
     let mut config = ServiceConfig::new(bound(), 0.0);
     config.solver = SolverOptions::with_threads(spec.threads);
@@ -703,16 +704,24 @@ fn reference(
         .collect();
     let eff = cols
         .effective(&included_rates)
+        .and_then(|eff| ShardedPopulation::from_shards(vec![eff]))
         .map_err(|e| WorkloadError::InvalidSpec {
             field: "effective columns",
             reason: e.to_string(),
         })?;
-    let (solution, _diag) =
-        solve_kkt_columns_hinted(&eff, &config.bound, config.budget, &config.solver, None)
-            .map_err(|e| WorkloadError::InvalidSpec {
-                field: "reference solve",
-                reason: e.to_string(),
-            })?;
+    let (solution, _diag) = solve_kkt_shards(
+        &eff,
+        &config.bound,
+        config.budget,
+        &config.solver,
+        None,
+        None,
+        &NoopRecorder,
+    )
+    .map_err(|e| WorkloadError::InvalidSpec {
+        field: "reference solve",
+        reason: e.to_string(),
+    })?;
     let n = mirror.len();
     let mut prices = vec![0.0f64; n];
     let mut q_eff = vec![0.0f64; n];
@@ -727,8 +736,7 @@ fn reference(
     Ok((prices, q_eff))
 }
 
-/// The Theorem-1 bound constants shared by every workload run (matching
-/// the service bench).
+/// The Theorem-1 bound constants shared by every workload run.
 pub fn bound() -> fedfl_core::bound::BoundParams {
     fedfl_core::bound::BoundParams::new(4_000.0, 100.0, 1_000).expect("bound")
 }
