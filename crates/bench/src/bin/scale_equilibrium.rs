@@ -5,7 +5,7 @@
 //! sequential).
 //!
 //! ```text
-//! scale_equilibrium [--clients N] [--threads T] [--shards S] [--seed S]
+//! scale_equilibrium [--clients N] [--threads T] [--seed S]
 //!                   [--budget-frac F] [--out PATH] [--skip-sequential]
 //!                   [--fast-path] [--json] [--json-out PATH]
 //!                   [--metrics-out PATH]
@@ -22,17 +22,15 @@
 //! against the exact solve — the sub-linear λ-probe demonstration. The exact solve remains
 //! the one whose equilibrium is verified and reported.
 //!
-//! Defaults: 1,000,000 clients, auto threads, 1 shard, seed 2023, budget
-//! at half the saturation path, report appended to
-//! `results/scale_equilibrium.txt`. With `--shards S > 1`, each shard's
-//! clients are materialised independently (`ShardedPopulation::synthesize`,
-//! always asserted to concatenate to the flat population) and the solve
-//! runs over the shard column-sets (`solve_kkt_shards`); the sequential
-//! flat re-solve then asserts the sharded solution bit-identical to the
-//! unsharded path — unless `--skip-sequential` suppresses that (solve-
-//! level) check. With `--json`, a machine-readable record of the same run
-//! is appended as one JSON object per line to `results/BENCH_scale.json`
-//! (or the given path) alongside the text report.
+//! Defaults: 1,000,000 clients, auto threads, seed 2023, budget at half
+//! the saturation path, report appended to
+//! `results/scale_equilibrium.txt`. The solve runs over the population's
+//! solver columns (`solve_kkt_columns`); the sequential one-thread
+//! re-solve (`solve_kkt`) then asserts it bit-identical — unless
+//! `--skip-sequential` suppresses that check. With `--json`, a
+//! machine-readable record of the same run is appended as one JSON object
+//! per line to `results/BENCH_scale.json` (or the given path) alongside
+//! the text report.
 
 use fedfl_bench::metrics_record::MetricsRecord;
 use fedfl_bench::schema::check_line;
@@ -40,10 +38,7 @@ use fedfl_core::active_set::{ActiveSetIndex, IndexColumns, GRID_SEGMENT};
 use fedfl_core::bound::BoundParams;
 use fedfl_core::equilibrium::StackelbergEquilibrium;
 use fedfl_core::population::{Population, PopulationSpec};
-use fedfl_core::server::{
-    path_budget, path_budget_sharded, solve_kkt, solve_kkt_shards, SolverOptions,
-};
-use fedfl_core::shard::ShardedPopulation;
+use fedfl_core::server::{path_budget, solve_kkt, solve_kkt_columns, SolverOptions};
 use fedfl_obs::{Metric, NoopRecorder, Recorder, Registry};
 use serde::{Serialize, Value};
 use std::io::Write as _;
@@ -54,7 +49,6 @@ use std::time::Instant;
 struct JsonRecord {
     clients: usize,
     threads: usize,
-    shards: usize,
     seed: u64,
     budget: f64,
     synthesize_seconds: f64,
@@ -66,7 +60,6 @@ struct JsonRecord {
     theorem2_max_residual: Option<f64>,
     negative_payments: usize,
     parallel_matches_sequential: Option<bool>,
-    sharded_synthesis_matches_flat: Option<bool>,
     // --fast-path fields; `None` entries are stripped before writing so
     // plain runs keep the historical record shape (the ledger schema
     // rejects nulls).
@@ -117,7 +110,6 @@ const PATCH_DIRTY_SEGMENTS: usize = 4;
 struct Args {
     clients: usize,
     threads: usize,
-    shards: usize,
     seed: u64,
     budget_frac: f64,
     out: Option<String>,
@@ -132,7 +124,6 @@ impl Args {
         let mut args = Args {
             clients: 1_000_000,
             threads: 0,
-            shards: 1,
             seed: 2023,
             budget_frac: 0.5,
             out: Some("results/scale_equilibrium.txt".into()),
@@ -154,11 +145,6 @@ impl Args {
                     args.threads = value("--threads")?
                         .parse()
                         .map_err(|e| format!("bad --threads: {e}"))?;
-                }
-                "--shards" => {
-                    args.shards = value("--shards")?
-                        .parse()
-                        .map_err(|e| format!("bad --shards: {e}"))?;
                 }
                 "--seed" => {
                     args.seed = value("--seed")?
@@ -182,18 +168,15 @@ impl Args {
                 "--fast-path" => args.fast_path = true,
                 other => {
                     return Err(format!(
-                        "unknown flag `{other}` (expected --clients N, --threads T, --shards S, \
-                         --seed S, --budget-frac F, --out PATH, --no-out, --json, \
-                         --json-out PATH, --metrics-out PATH, --skip-sequential, --fast-path)"
+                        "unknown flag `{other}` (expected --clients N, --threads T, --seed S, \
+                         --budget-frac F, --out PATH, --no-out, --json, --json-out PATH, \
+                         --metrics-out PATH, --skip-sequential, --fast-path)"
                     ))
                 }
             }
         }
         if args.clients == 0 {
             return Err("--clients must be positive".into());
-        }
-        if args.shards == 0 {
-            return Err("--shards must be positive".into());
         }
         if !(args.budget_frac > 0.0 && args.budget_frac <= 1.0) {
             return Err("--budget-frac must lie in (0, 1]".into());
@@ -224,85 +207,36 @@ fn main() {
 
     let options = SolverOptions::with_threads(args.threads);
     let budget = path_budget(&population, &bound, &options, args.budget_frac);
-    // With --shards > 1, materialise each shard independently (the unit a
-    // distributed deployment hands to a worker) and solve over the shard
-    // column-sets; both must be bit-identical to the flat path.
-    let sharded = if args.shards > 1 {
-        println!(
-            "materialising {} shards independently and re-deriving the budget ...",
-            args.shards
-        );
-        let t0 = Instant::now();
-        let sharded = ShardedPopulation::synthesize(args.clients, &spec, args.seed, args.shards)
-            .expect("sharded synthesize");
-        println!("  {:.3}s", t0.elapsed().as_secs_f64());
-        let sharded_budget = path_budget_sharded(&sharded, &bound, &options, args.budget_frac);
-        assert_eq!(
-            sharded_budget.to_bits(),
-            budget.to_bits(),
-            "sharded path budget diverged from flat"
-        );
-        Some(sharded)
-    } else {
-        None
-    };
     println!(
-        "solving the Stackelberg equilibrium (budget {budget:.4e}, threads {}, shards {}) ...",
-        args.threads, args.shards
+        "solving the Stackelberg equilibrium (budget {budget:.4e}, threads {}) ...",
+        args.threads
     );
     let registry = args.metrics_out.as_ref().map(|_| Registry::new());
     let recorder: &dyn Recorder = match &registry {
         Some(registry) => registry,
         None => &NoopRecorder,
     };
-    // The flat columns solve as one shard.
-    let flat_shard;
-    let solve_population = match &sharded {
-        Some(sharded) => sharded,
-        None => {
-            flat_shard = ShardedPopulation::from(&population);
-            &flat_shard
-        }
-    };
+    let cols = population.columns();
     let t0 = Instant::now();
-    let (solution, exact_diag) = solve_kkt_shards(
-        solve_population,
-        &bound,
-        budget,
-        &options,
-        None,
-        None,
-        recorder,
-    )
-    .expect("solve");
+    let (solution, exact_diag) =
+        solve_kkt_columns(&cols, &bound, budget, &options, None, None, recorder).expect("solve");
     let solve_time = t0.elapsed();
     println!("  {:.3}s", solve_time.as_secs_f64());
 
-    // Determinism contracts: n_threads = 1 (and, with --shards, the flat
-    // unsharded solve) must reproduce the same bits.
+    // Determinism contract: n_threads = 1 must reproduce the same bits.
     let seq_matches = if args.skip_sequential {
         None
     } else {
-        println!("re-solving sequentially (flat, 1 thread) to check bit-identity ...");
+        println!("re-solving sequentially (1 thread) to check bit-identity ...");
         let t0 = Instant::now();
         let sequential = solve_kkt(&population, &bound, budget, &SolverOptions::with_threads(1))
             .expect("sequential solve");
         println!("  {:.3}s", t0.elapsed().as_secs_f64());
         Some(sequential == solution)
     };
-    // Synthesis-level identity: the independently materialised shards
-    // must concatenate to the flat population. (Solve-level identity is
-    // covered by `seq_matches` above — the flat sequential re-solve is
-    // compared against the sharded `solution` — and is therefore skipped
-    // together with it under --skip-sequential.)
-    let sharded_synth_matches = sharded
-        .as_ref()
-        .map(|sharded| sharded.concat() == population.columns());
-
     // --fast-path: build the threshold index (timed) and run the
     // certified fast solve cold and warm against the exact baseline.
     let fast = if args.fast_path {
-        let cols = population.columns();
         let index_cols = IndexColumns::from_population(&cols);
         println!("building the threshold index ...");
         let t0 = Instant::now();
@@ -323,8 +257,8 @@ fn main() {
         recorder.observe(Metric::SolverIndexBuildNs, index_build_ns);
         println!("fast solve (cold, then warm with index + hint reuse) ...");
         let fast_solve = |hint: Option<f64>| {
-            solve_kkt_shards(
-                solve_population,
+            solve_kkt_columns(
+                &cols,
                 &bound,
                 budget,
                 &options,
@@ -427,8 +361,8 @@ fn main() {
 
     let mut report = String::new();
     report.push_str(&format!(
-        "clients={} threads={} shards={} seed={} budget={:.6e}\n",
-        args.clients, args.threads, args.shards, args.seed, budget
+        "clients={} threads={} seed={} budget={:.6e}\n",
+        args.clients, args.threads, args.seed, budget
     ));
     report.push_str(&format!(
         "  synthesize: {:.3}s   solve_kkt: {:.3}s\n",
@@ -451,12 +385,6 @@ fn main() {
         "  parallel==sequential: {}\n",
         seq_matches.map_or("skipped".into(), |m| m.to_string())
     ));
-    if let Some(matches) = sharded_synth_matches {
-        report.push_str(&format!(
-            "  sharded synthesis ({} shards) == flat: {matches}\n",
-            args.shards
-        ));
-    }
     if let Some(fast) = &fast {
         report.push_str(&format!(
             "  fast path [{}]: index {:.3}s, cold {:.3}s, warm {:.3}s\n",
@@ -501,7 +429,6 @@ fn main() {
         let record = JsonRecord {
             clients: args.clients,
             threads: args.threads,
-            shards: args.shards,
             seed: args.seed,
             budget,
             synthesize_seconds: synth_time.as_secs_f64(),
@@ -513,7 +440,6 @@ fn main() {
             theorem2_max_residual: theorem2,
             negative_payments: negative,
             parallel_matches_sequential: seq_matches,
-            sharded_synthesis_matches_flat: sharded_synth_matches,
             solver_mode: fast.as_ref().map(|f| f.solver_mode.clone()),
             index_build_seconds: fast.as_ref().map(|f| f.index_build_seconds),
             fast_solve_seconds: fast.as_ref().map(|f| f.fast_solve_seconds),
@@ -566,10 +492,8 @@ fn main() {
         println!("appended metrics record to {path}");
     }
 
-    let ok = tight
-        && theorem2.map_or(se.is_saturated(), |r| r < 1e-6)
-        && seq_matches.unwrap_or(true)
-        && sharded_synth_matches.unwrap_or(true);
+    let ok =
+        tight && theorem2.map_or(se.is_saturated(), |r| r < 1e-6) && seq_matches.unwrap_or(true);
     if !ok {
         eprintln!("FAILED: equilibrium checks did not hold");
         std::process::exit(1);

@@ -106,7 +106,7 @@
 //! The evaluation is a **model**, not the exact chunked reduction: its
 //! summation order differs from the flat solver's fixed chunk tree and
 //! its interior term truncates the value series, so it can never be
-//! bit-pinned to the goldens. [`crate::server::solve_kkt_shards`]
+//! bit-pinned to the goldens. [`crate::server::solve_kkt_columns`]
 //! therefore treats the index as a probe accelerator only: the root it
 //! finds is certified against *exact* spends (the materialised profile's
 //! and one exact probe per band) and the Theorem-2 residual, and
@@ -716,7 +716,7 @@ fn bucket_members(seg_keys: &[u32], segment_count: usize) -> Vec<Vec<u32>> {
 
 /// Deterministic parallel task fill: `build(i)` for `i in 0..count`,
 /// results in task order, workers pulling from an atomic counter (the
-/// same crew pattern as the sharded solvers — output is independent of
+/// same crew pattern as `fedfl_num::parallel` — output is independent of
 /// the worker count).
 fn run_tasks<T: Send>(count: usize, n_threads: usize, build: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let workers = resolve_threads(n_threads).min(count).max(1);

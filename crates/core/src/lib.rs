@@ -14,7 +14,10 @@
 //!   (13), and its inverse price map (17).
 //! * [`server`] — **Stage I**: the server's optimal-pricing problem P1′,
 //!   solved both by the KKT/λ-bisection derived from (22) and by the
-//!   paper's literal two-step `M`-search over P1″.
+//!   paper's literal two-step `M`-search over P1″. Services that never
+//!   build a [`Population`] solve one set of solver columns
+//!   ([`population::PopulationColumns`]) with
+//!   [`server::solve_kkt_columns`].
 //! * [`pricing`] — the three pricing schemes compared in Section VI:
 //!   optimal (ours), uniform, and datasize-weighted.
 //! * [`equilibrium`] — the Stackelberg equilibrium object with the
@@ -68,7 +71,6 @@ pub mod population;
 pub mod pricing;
 pub mod response;
 pub mod server;
-pub mod shard;
 pub mod tau;
 
 pub use bound::BoundParams;
@@ -77,4 +79,3 @@ pub use error::GameError;
 pub use game::CplGame;
 pub use population::{ClientProfile, Population};
 pub use pricing::PricingScheme;
-pub use shard::ShardedPopulation;

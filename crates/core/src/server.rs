@@ -29,16 +29,15 @@
 //!
 //! * [`solve_kkt`] and [`solve_m_search`] take a [`Population`] — the
 //!   paper binaries' entry points.
-//! * [`solve_kkt_shards`] is the one solver-column entry point (the
-//!   pricing service, the workload replay, the scale harness). It takes a
-//!   [`ShardedPopulation`], an optional warm-start hint, an optional
+//! * [`solve_kkt_columns`] is the one solver-column entry point (the
+//!   pricing service, the workload replay, the scale harness). It takes
+//!   [`PopulationColumns`], an optional warm-start hint, an optional
 //!   caller-built [`ActiveSetIndex`] (`None` = the exact bisection,
 //!   `Some` = the certified fast path) and a metric recorder, and returns
-//!   the solution with its [`KktDiagnostics`]. Flat columns are a
-//!   one-shard population: `ShardedPopulation::from_shards(vec![cols])`.
-//! * [`path_budget`] / [`path_budget_sharded`], [`estimate_path_parameter`]
-//!   and [`theorem2_max_residual`] are the budget, warm-hint and
-//!   certification helpers around them.
+//!   the solution with its [`KktDiagnostics`].
+//! * [`path_budget`], [`estimate_path_parameter`] and
+//!   [`theorem2_max_residual`] are the budget, warm-hint and certification
+//!   helpers around them.
 //!
 //! # Scale
 //!
@@ -57,8 +56,7 @@ use crate::active_set::ActiveSetIndex;
 use crate::bound::BoundParams;
 use crate::error::GameError;
 use crate::population::{Population, PopulationColumns, Q_MIN};
-use crate::shard::ShardedPopulation;
-use fedfl_num::parallel::{chunked_fill, chunked_sum, multi_shard_sum};
+use fedfl_num::parallel::{chunked_fill, chunked_sum};
 use fedfl_num::solve::{
     bisect_monotone_instrumented, penalty_minimize, BisectStats, BoxConstraints, ConstraintFn,
     ConstraintKind, PgdConfig,
@@ -170,113 +168,11 @@ impl StageOneSolution {
     }
 }
 
-/// Borrowed view of one or many shard column-sets — the abstraction every
-/// Stage-I per-client pass runs on.
-///
-/// A flat [`PopulationColumns`] is a single-shard view; a
-/// [`ShardedPopulation`] contributes one shard per column-set. Reductions
-/// are evaluated as a two-level merge: each shard produces its per-chunk
-/// partial sums ([`chunk_partial_sums`]) and the partials are merged **in
-/// shard order** ([`merge_shard_partials`]). Because shard boundaries are
-/// chunk-aligned, the merged summation tree is the flat reduction's tree —
-/// results are bit-identical for any shard count and any thread count.
-struct ShardView<'a> {
-    shards: Vec<&'a PopulationColumns>,
-    /// Prefix offsets plus the total length (`offsets.len() == shards + 1`).
-    offsets: Vec<usize>,
-}
-
-impl<'a> ShardView<'a> {
-    /// View flat columns as a single shard.
-    fn single(cols: &'a PopulationColumns) -> Self {
-        Self {
-            shards: vec![cols],
-            offsets: vec![0, cols.len()],
-        }
-    }
-
-    /// View a sharded population's column-sets.
-    fn of(population: &'a ShardedPopulation) -> Self {
-        let shards: Vec<&PopulationColumns> = population.shards().iter().collect();
-        let mut offsets = Vec::with_capacity(shards.len() + 1);
-        offsets.push(0);
-        let mut total = 0usize;
-        for shard in &shards {
-            total += shard.len();
-            offsets.push(total);
-        }
-        Self { shards, offsets }
-    }
-
-    /// Total number of clients across all shards.
-    fn len(&self) -> usize {
-        *self.offsets.last().expect("offsets never empty")
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Two-level deterministic reduction: `f` receives a shard's columns,
-    /// a shard-local index range, and the shard's global offset (for
-    /// indexing global per-client arrays such as a profile `q`). All
-    /// shards' chunks share one job queue and one worker crew per call
-    /// ([`multi_shard_sum`]), so a probe over many small shards spawns no
-    /// per-shard crews and hits no per-shard barriers.
-    fn sum<F>(&self, n_threads: usize, f: F) -> f64
-    where
-        F: Fn(&PopulationColumns, std::ops::Range<usize>, usize) -> f64 + Sync,
-    {
-        if self.shards.len() == 1 {
-            let shard = self.shards[0];
-            return chunked_sum(shard.len(), n_threads, |range| f(shard, range, 0));
-        }
-        let lens: Vec<usize> = self.shards.iter().map(|s| s.len()).collect();
-        multi_shard_sum(&lens, n_threads, |s, local| {
-            f(self.shards[s], local, self.offsets[s])
-        })
-    }
-
-    /// Fill the global buffer `out` shard by shard; `f` receives a shard's
-    /// columns, the shard-local start index of the slice, the shard's
-    /// global offset, and the output sub-slice to write.
-    fn fill<F>(&self, out: &mut [f64], n_threads: usize, f: F)
-    where
-        F: Fn(&PopulationColumns, usize, usize, &mut [f64]) + Sync,
-    {
-        debug_assert_eq!(out.len(), self.len());
-        for (shard, &offset) in self.shards.iter().zip(&self.offsets) {
-            chunked_fill(
-                &mut out[offset..offset + shard.len()],
-                n_threads,
-                |local_start, slice| f(shard, local_start, offset, slice),
-            );
-        }
-    }
-
-    /// The shard and shard-local index of global client `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    fn locate(&self, i: usize) -> (&'a PopulationColumns, usize) {
-        let s = self.offsets.partition_point(|&o| o <= i) - 1;
-        (self.shards[s], i - self.offsets[s])
-    }
-}
-
 /// The path parameter `t` at which every client sits at its cap (plus a
 /// relative epsilon so the saturated profile is strictly inside).
-fn saturation_t(view: &ShardView<'_>, aor: f64) -> f64 {
-    view.shards
-        .iter()
-        .map(|cols| {
-            (0..cols.len())
-                .map(|i| {
-                    4.0 / aor * cols.cost[i] * cols.q_max[i].powi(3) / cols.a2g2[i] + cols.value[i]
-                })
-                .fold(0.0f64, f64::max)
-        })
+fn saturation_t(cols: &PopulationColumns, aor: f64) -> f64 {
+    (0..cols.len())
+        .map(|i| 4.0 / aor * cols.cost[i] * cols.q_max[i].powi(3) / cols.a2g2[i] + cols.value[i])
         .fold(0.0f64, f64::max)
         * (1.0 + 1e-12)
         + 1e-12
@@ -298,29 +194,9 @@ pub fn path_budget(
     frac: f64,
 ) -> f64 {
     let cols = population.columns();
-    path_budget_view(&ShardView::single(&cols), bound, options, frac)
-}
-
-/// [`path_budget`] over shard column-sets — bit-identical to the flat
-/// version over the concatenated population, for any shard count.
-pub fn path_budget_sharded(
-    population: &ShardedPopulation,
-    bound: &BoundParams,
-    options: &SolverOptions,
-    frac: f64,
-) -> f64 {
-    path_budget_view(&ShardView::of(population), bound, options, frac)
-}
-
-fn path_budget_view(
-    view: &ShardView<'_>,
-    bound: &BoundParams,
-    options: &SolverOptions,
-    frac: f64,
-) -> f64 {
     let aor = bound.alpha_over_r();
-    let t = frac.clamp(0.0, 1.0) * saturation_t(view, aor);
-    path_spend(view, aor, options.q_min, t, options.config.n_threads)
+    let t = frac.clamp(0.0, 1.0) * saturation_t(&cols, aor);
+    path_spend(&cols, aor, options.q_min, t, options.config.n_threads)
 }
 
 /// The per-client participation level on the KKT path at `t = 1/λ`:
@@ -333,10 +209,10 @@ fn path_q(coef: f64, a2g2: f64, cost: f64, value: f64, q_max: f64, q_min: f64, t
 
 /// Fused spend along the KKT path: `Σ P(q_n(t)) q_n(t)` evaluated without
 /// materialising the profile — the λ-evaluation inside every bisection
-/// step, as a two-level merge of per-shard partial spends.
-fn path_spend(view: &ShardView<'_>, aor: f64, q_min: f64, t: f64, n_threads: usize) -> f64 {
+/// step.
+fn path_spend(cols: &PopulationColumns, aor: f64, q_min: f64, t: f64, n_threads: usize) -> f64 {
     let coef = aor / 4.0;
-    view.sum(n_threads, |cols, range, _offset| {
+    chunked_sum(cols.len(), n_threads, |range| {
         let mut acc = 0.0;
         for i in range {
             let q = path_q(
@@ -357,7 +233,7 @@ fn path_spend(view: &ShardView<'_>, aor: f64, q_min: f64, t: f64, n_threads: usi
 
 /// Fill `out` with the KKT-path profile at `t` (parallel, allocation-free).
 fn fill_path_profile(
-    view: &ShardView<'_>,
+    cols: &PopulationColumns,
     aor: f64,
     q_min: f64,
     t: f64,
@@ -365,9 +241,9 @@ fn fill_path_profile(
     n_threads: usize,
 ) {
     let coef = aor / 4.0;
-    view.fill(out, n_threads, |cols, local_start, _offset, slice| {
+    chunked_fill(out, n_threads, |start, slice| {
         for (k, q) in slice.iter_mut().enumerate() {
-            let i = local_start + k;
+            let i = start + k;
             *q = path_q(
                 coef,
                 cols.a2g2[i],
@@ -381,13 +257,12 @@ fn fill_path_profile(
     });
 }
 
-/// Total payment `Σ P_n(q_n) q_n` for an explicit participation profile
-/// (indexed by the view's global order).
-fn profile_spend(view: &ShardView<'_>, aor: f64, q: &[f64], n_threads: usize) -> f64 {
-    view.sum(n_threads, |cols, range, offset| {
+/// Total payment `Σ P_n(q_n) q_n` for an explicit participation profile.
+fn profile_spend(cols: &PopulationColumns, aor: f64, q: &[f64], n_threads: usize) -> f64 {
+    chunked_sum(cols.len(), n_threads, |range| {
         let mut acc = 0.0;
         for i in range {
-            let qn = q[offset + i];
+            let qn = q[i];
             acc += 2.0 * cols.cost[i] * qn * qn - cols.value[i] * aor * cols.a2g2[i] / qn;
         }
         acc
@@ -395,11 +270,17 @@ fn profile_spend(view: &ShardView<'_>, aor: f64, q: &[f64], n_threads: usize) ->
 }
 
 /// Fill `prices` with the equation-(17) read-back `P_n = 2 c q − K/q²`.
-fn fill_prices(view: &ShardView<'_>, aor: f64, q: &[f64], prices: &mut [f64], n_threads: usize) {
-    view.fill(prices, n_threads, |cols, local_start, offset, slice| {
+fn fill_prices(
+    cols: &PopulationColumns,
+    aor: f64,
+    q: &[f64],
+    prices: &mut [f64],
+    n_threads: usize,
+) {
+    chunked_fill(prices, n_threads, |start, slice| {
         for (k, p) in slice.iter_mut().enumerate() {
-            let i = local_start + k;
-            let qn = q[offset + i];
+            let i = start + k;
+            let qn = q[i];
             *p = 2.0 * cols.cost[i] * qn - cols.value[i] * aor * cols.a2g2[i] / (qn * qn);
         }
     });
@@ -458,54 +339,49 @@ fn validate_solver_knobs(budget: f64, options: &SolverOptions) -> Result<(), Gam
     Ok(())
 }
 
-/// Input validation for [`solve_kkt_shards`], mirroring
-/// [`validate_inputs`] for callers that never materialise a [`Population`]
-/// — applied shard by shard, reporting global client indices.
-fn validate_view(
-    view: &ShardView<'_>,
+/// Input validation for [`solve_kkt_columns`], mirroring
+/// [`validate_inputs`] for callers that never materialise a [`Population`].
+fn validate_columns(
+    cols: &PopulationColumns,
     budget: f64,
     options: &SolverOptions,
 ) -> Result<(), GameError> {
-    for shard in &view.shards {
-        for (len, _name) in [
-            (shard.cost.len(), "cost"),
-            (shard.value.len(), "value"),
-            (shard.q_max.len(), "q_max"),
-        ] {
-            if len != shard.a2g2.len() {
-                return Err(GameError::LengthMismatch {
-                    expected: shard.a2g2.len(),
-                    found: len,
-                });
-            }
+    for (len, _name) in [
+        (cols.cost.len(), "cost"),
+        (cols.value.len(), "value"),
+        (cols.q_max.len(), "q_max"),
+    ] {
+        if len != cols.a2g2.len() {
+            return Err(GameError::LengthMismatch {
+                expected: cols.a2g2.len(),
+                found: len,
+            });
         }
     }
-    if view.is_empty() {
+    if cols.is_empty() {
         return Err(GameError::InvalidParameter {
             name: "columns",
             reason: "need at least one client".into(),
         });
     }
     validate_solver_knobs(budget, options)?;
-    for (cols, &offset) in view.shards.iter().zip(&view.offsets) {
-        for i in 0..cols.len() {
-            let valid = cols.a2g2[i].is_finite()
-                && cols.a2g2[i] > 0.0
-                && cols.cost[i].is_finite()
-                && cols.cost[i] > 0.0
-                && cols.value[i].is_finite()
-                && cols.value[i] >= 0.0
-                && cols.q_max[i].is_finite()
-                && cols.q_max[i] > options.q_min;
-            if !valid {
-                return Err(GameError::InvalidParameter {
-                    name: "columns",
-                    reason: format!(
-                        "client {} invalid: a2g2={}, cost={}, value={}, q_max={} (need positives and q_max > q_min)",
-                        offset + i, cols.a2g2[i], cols.cost[i], cols.value[i], cols.q_max[i]
-                    ),
-                });
-            }
+    for i in 0..cols.len() {
+        let valid = cols.a2g2[i].is_finite()
+            && cols.a2g2[i] > 0.0
+            && cols.cost[i].is_finite()
+            && cols.cost[i] > 0.0
+            && cols.value[i].is_finite()
+            && cols.value[i] >= 0.0
+            && cols.q_max[i].is_finite()
+            && cols.q_max[i] > options.q_min;
+        if !valid {
+            return Err(GameError::InvalidParameter {
+                name: "columns",
+                reason: format!(
+                    "client {i} invalid: a2g2={}, cost={}, value={}, q_max={} (need positives and q_max > q_min)",
+                    cols.a2g2[i], cols.cost[i], cols.value[i], cols.q_max[i]
+                ),
+            });
         }
     }
     Ok(())
@@ -525,8 +401,7 @@ pub fn solve_kkt(
     options: &SolverOptions,
 ) -> Result<StageOneSolution, GameError> {
     validate_inputs(population, budget, options)?;
-    let cols = population.columns();
-    Ok(solve_kkt_view_unchecked(&ShardView::single(&cols), bound, budget, options, None)?.0)
+    Ok(solve_exact_unchecked(&population.columns(), bound, budget, options, None)?.0)
 }
 
 /// Which Stage-I solver path produced a solution.
@@ -629,12 +504,10 @@ const CERT_BANDS: [f64; 3] = [1e-9, 1e-7, 1e-5];
 /// Solve Stage I along the KKT path over solver columns — the one
 /// column-level entry point.
 ///
-/// Each λ-probe evaluates the shards' partial spends and merges them in
-/// shard order, so the result is **bit-identical** to the flat solve
-/// over [`ShardedPopulation::concat`] for any shard count and thread
-/// count — the contract that lets shards live on independent workers.
-/// Flat columns are a one-shard population:
-/// `ShardedPopulation::from_shards(vec![cols])` moves them in.
+/// Every per-client pass is one chunked reduction or fill over
+/// `population` ([`fedfl_num::parallel`]), whose summation tree depends
+/// on the client count alone, so the result is **bit-identical** for any
+/// thread count.
 ///
 /// `hint` is a guess at the path parameter `t = 1/λ` — typically
 /// [`KktDiagnostics::t_star`] of the previous solve of a slightly
@@ -695,8 +568,8 @@ const CERT_BANDS: [f64; 3] = [1e-9, 1e-7, 1e-5];
 /// below the floor spend saturate at `q_min` and budgets above the
 /// saturation spend return the all-`q_max` profile with
 /// `saturated = true`.
-pub fn solve_kkt_shards<R: Recorder + ?Sized>(
-    population: &ShardedPopulation,
+pub fn solve_kkt_columns<R: Recorder + ?Sized>(
+    population: &PopulationColumns,
     bound: &BoundParams,
     budget: f64,
     options: &SolverOptions,
@@ -704,40 +577,39 @@ pub fn solve_kkt_shards<R: Recorder + ?Sized>(
     index: Option<&ActiveSetIndex>,
     recorder: &R,
 ) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
-    let view = ShardView::of(population);
-    validate_view(&view, budget, options)?;
+    validate_columns(population, budget, options)?;
     let watch = Stopwatch::start();
     let (solution, diagnostics) = match index {
-        None => solve_kkt_view_unchecked(&view, bound, budget, options, hint)?,
-        Some(index) => solve_kkt_view_fast(&view, bound, budget, options, index, hint, recorder)?,
+        None => solve_exact_unchecked(population, bound, budget, options, hint)?,
+        Some(index) => solve_fast(population, bound, budget, options, index, hint, recorder)?,
     };
     diagnostics.record_solve(recorder, watch.elapsed_ns());
     Ok((solution, diagnostics))
 }
 
-fn solve_kkt_view_unchecked(
-    view: &ShardView<'_>,
+fn solve_exact_unchecked(
+    cols: &PopulationColumns,
     bound: &BoundParams,
     budget: f64,
     options: &SolverOptions,
     hint: Option<f64>,
 ) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
-    let n = view.len();
+    let n = cols.len();
     let aor = bound.alpha_over_r();
     let threads = options.config.n_threads;
     // t needed for every client to hit its cap.
-    let t_hi = saturation_t(view, aor);
+    let t_hi = saturation_t(cols, aor);
 
-    // The λ-evaluation: per-shard partial spends merged in shard order,
-    // O(N / threads) per probe, materialising no per-client buffers.
-    // Probes are counted here, at the evaluation site, so the saturation
-    // screen and every bisection probe land in one counter (the
+    // The λ-evaluation: one chunked reduction, O(N / threads) per probe,
+    // materialising no per-client buffers. Probes are counted here, at
+    // the evaluation site, so the saturation screen and every bisection
+    // probe land in one counter (the
     // bisection's own memo never calls back on a cache hit, so each count
     // is a real O(N) sweep).
     let probes = Cell::new(0u64);
     let spend_at = |t: f64| {
         probes.set(probes.get() + 1);
-        path_spend(view, aor, options.q_min, t, threads)
+        path_spend(cols, aor, options.q_min, t, threads)
     };
 
     let (t_used, lambda, saturated, stats) = if spend_at(t_hi) <= budget {
@@ -763,16 +635,16 @@ fn solve_kkt_view_unchecked(
     // Materialise the profile and prices once, into buffers filled in
     // parallel chunks.
     let mut q = vec![0.0f64; n];
-    fill_path_profile(view, aor, options.q_min, t_used, &mut q, threads);
+    fill_path_profile(cols, aor, options.q_min, t_used, &mut q, threads);
     let mut prices = vec![0.0f64; n];
-    fill_prices(view, aor, &q, &mut prices, threads);
+    fill_prices(cols, aor, &q, &mut prices, threads);
     if let Some(bad) = prices.iter().position(|p| !p.is_finite()) {
         return Err(GameError::SolverFailed {
             solver: "kkt",
             reason: format!("non-finite price for client {bad}"),
         });
     }
-    let spent = profile_spend(view, aor, &q, threads);
+    let spent = profile_spend(cols, aor, &q, threads);
     Ok((
         StageOneSolution {
             q,
@@ -794,12 +666,12 @@ fn solve_kkt_view_unchecked(
 
 /// The certify-or-fallback core of the fast path: model bisection,
 /// materialisation at the candidate root, then the one-sided exact
-/// certificate of [`solve_kkt_shards`] — the materialised spend is the
+/// certificate of [`solve_kkt_columns`] — the materialised spend is the
 /// near end of the bracket, one exact probe per band the far end.
 /// `recorder` only receives certification outcomes (band hits, failures,
 /// residual rejects) — it never influences the solve.
-fn solve_kkt_view_fast<R: Recorder + ?Sized>(
-    view: &ShardView<'_>,
+fn solve_fast<R: Recorder + ?Sized>(
+    cols: &PopulationColumns,
     bound: &BoundParams,
     budget: f64,
     options: &SolverOptions,
@@ -807,7 +679,7 @@ fn solve_kkt_view_fast<R: Recorder + ?Sized>(
     hint: Option<f64>,
     recorder: &R,
 ) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
-    let n = view.len();
+    let n = cols.len();
     let aor = bound.alpha_over_r();
     let threads = options.config.n_threads;
     // A usable index describes exactly this population at exactly these
@@ -826,7 +698,7 @@ fn solve_kkt_view_fast<R: Recorder + ?Sized>(
         }
         let exact_spend = |t: f64| {
             exact_probes.set(exact_probes.get() + 1);
-            path_spend(view, aor, options.q_min, t, threads)
+            path_spend(cols, aor, options.q_min, t, threads)
         };
         // Materialise exactly, as the exact solver does. The realised
         // spend is bit-identical to an exact probe at `t` (same
@@ -834,8 +706,8 @@ fn solve_kkt_view_fast<R: Recorder + ?Sized>(
         // certificate below.
         let mut q = vec![0.0f64; n];
         let mut materialise = |t: f64| {
-            fill_path_profile(view, aor, options.q_min, t, &mut q, threads);
-            profile_spend(view, aor, &q, threads)
+            fill_path_profile(cols, aor, options.q_min, t, &mut q, threads);
+            profile_spend(cols, aor, &q, threads)
         };
         let t_hi = index.bracket_hi();
 
@@ -896,7 +768,7 @@ fn solve_kkt_view_fast<R: Recorder + ?Sized>(
         };
 
         let mut prices = vec![0.0f64; n];
-        fill_prices(view, aor, &q, &mut prices, threads);
+        fill_prices(cols, aor, &q, &mut prices, threads);
         if prices.iter().any(|p| !p.is_finite()) {
             // Let the exact path produce its own (identical) diagnosis.
             break 'fast None;
@@ -909,8 +781,8 @@ fn solve_kkt_view_fast<R: Recorder + ?Sized>(
             saturated,
         };
         // Exact Theorem-2 residual gate on the materialised profile.
-        let residual_ok = match theorem2_max_residual_view(
-            view,
+        let residual_ok = match theorem2_max_residual(
+            cols,
             bound,
             &solution,
             options.q_min,
@@ -943,7 +815,7 @@ fn solve_kkt_view_fast<R: Recorder + ?Sized>(
         )),
         None => {
             let (solution, mut diagnostics) =
-                solve_kkt_view_unchecked(view, bound, budget, options, hint)?;
+                solve_exact_unchecked(cols, bound, budget, options, hint)?;
             diagnostics.solver_mode = SolverMode::ThresholdIndexFallback;
             diagnostics.probe_evaluations += fast_phase_evaluations;
             Ok((solution, diagnostics))
@@ -968,20 +840,19 @@ fn solve_kkt_view_fast<R: Recorder + ?Sized>(
 /// fast path, whose sub-linear model probes cost far less than these
 /// passes; the pricing service refines its hint on the exact path only.
 ///
-/// The result is *only a hint*: [`solve_kkt_shards`] verifies the
+/// The result is *only a hint*: [`solve_kkt_columns`] verifies the
 /// bracket it implies before trusting it, so a misprediction costs a few
-/// probes, never correctness. The estimate is bit-identical for any shard
-/// count. Returns `None` when the model degenerates (no interior clients
-/// at the split, or no budget left after `C`).
+/// probes, never correctness. The estimate is bit-identical for any
+/// thread count. Returns `None` when the model degenerates (no interior
+/// clients at the split, or no budget left after `C`).
 pub fn estimate_path_parameter(
-    population: &ShardedPopulation,
+    cols: &PopulationColumns,
     bound: &BoundParams,
     budget: f64,
     t_ref: f64,
     n_threads: usize,
 ) -> Option<f64> {
-    let view = ShardView::of(population);
-    if view.is_empty() || !(t_ref.is_finite() && t_ref > 0.0) {
+    if cols.is_empty() || !(t_ref.is_finite() && t_ref > 0.0) {
         return None;
     }
     let aor = bound.alpha_over_r();
@@ -989,7 +860,7 @@ pub fn estimate_path_parameter(
     let mut t = t_ref;
     let mut estimate = None;
     for _ in 0..8 {
-        let saturated_spend = view.sum(n_threads, |cols, range, _offset| {
+        let saturated_spend = chunked_sum(cols.len(), n_threads, |range| {
             let mut acc = 0.0;
             for i in range {
                 let t_sat =
@@ -1008,7 +879,7 @@ pub fn estimate_path_parameter(
             t *= 0.5;
             continue;
         }
-        let interior_coefficient = view.sum(n_threads, |cols, range, _offset| {
+        let interior_coefficient = chunked_sum(cols.len(), n_threads, |range| {
             let mut acc = 0.0;
             for i in range {
                 let t_sat =
@@ -1049,30 +920,11 @@ pub fn estimate_path_parameter(
 ///
 /// This is the solver-column counterpart of
 /// [`crate::equilibrium::StackelbergEquilibrium::theorem2_max_residual`];
-/// the pricing service asserts it after every incremental re-solve. The
-/// sampled indices and residuals are the same for any shard count.
+/// the pricing service asserts it after every incremental re-solve.
 /// Returns `None` when the solution has no interior KKT multiplier or no
 /// sampled client is interior.
 pub fn theorem2_max_residual(
-    population: &ShardedPopulation,
-    bound: &BoundParams,
-    solution: &StageOneSolution,
-    q_min: f64,
-    sample: usize,
-    seed: u64,
-) -> Option<f64> {
-    theorem2_max_residual_view(
-        &ShardView::of(population),
-        bound,
-        solution,
-        q_min,
-        sample,
-        seed,
-    )
-}
-
-fn theorem2_max_residual_view(
-    view: &ShardView<'_>,
+    cols: &PopulationColumns,
     bound: &BoundParams,
     solution: &StageOneSolution,
     q_min: f64,
@@ -1081,7 +933,7 @@ fn theorem2_max_residual_view(
 ) -> Option<f64> {
     let target = 1.0 / solution.lambda?;
     let coef = 4.0 / bound.alpha_over_r();
-    let n = view.len().min(solution.q.len());
+    let n = cols.len().min(solution.q.len());
     if n == 0 {
         return None;
     }
@@ -1089,11 +941,9 @@ fn theorem2_max_residual_view(
     let mut worst: Option<f64> = None;
     for _ in 0..sample {
         let i = (rand::Rng::random::<u64>(&mut rng) % n as u64) as usize;
-        let (cols, local) = view.locate(i);
         let q = solution.q[i];
-        if q > q_min * 1.01 && q < cols.q_max[local] * 0.999 {
-            let invariant =
-                coef * cols.cost[local] * q.powi(3) / cols.a2g2[local] + cols.value[local];
+        if q > q_min * 1.01 && q < cols.q_max[i] * 0.999 {
+            let invariant = coef * cols.cost[i] * q.powi(3) / cols.a2g2[i] + cols.value[i];
             let residual = (invariant - target).abs() / target.abs().max(1.0);
             worst = Some(worst.map_or(residual, |w| w.max(residual)));
         }
@@ -1120,54 +970,41 @@ pub fn solve_m_search(
     options: &SolverOptions,
 ) -> Result<StageOneSolution, GameError> {
     validate_inputs(population, budget, options)?;
-    let cols = population.columns();
-    solve_m_search_view(&ShardView::single(&cols), bound, budget, options)
-}
-
-fn solve_m_search_view(
-    view: &ShardView<'_>,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-) -> Result<StageOneSolution, GameError> {
-    let n = view.len();
+    let cols = &population.columns();
+    let n = cols.len();
     let threads = options.config.n_threads;
     let aor = bound.alpha_over_r();
     // Precomputed intrinsic gains `K_n = v_n (α/R) a_n²G_n²`: every inner
-    // pass below is a shard-merged reduction or fill over the view's
-    // columns, so one PGD iteration strides each column once and allocates
-    // no per-client vectors.
+    // pass below is a chunked reduction or fill over the columns, so one
+    // PGD iteration strides each column once and allocates no per-client
+    // vectors.
     let mut gains = vec![0.0f64; n];
-    view.fill(&mut gains, threads, |cols, local_start, _offset, slice| {
+    chunked_fill(&mut gains, threads, |start, slice| {
         for (k, g) in slice.iter_mut().enumerate() {
-            let i = local_start + k;
+            let i = start + k;
             *g = cols.value[i] * aor * cols.a2g2[i];
         }
     });
     let lo: Vec<f64> = vec![options.q_min; n];
-    let mut hi = vec![0.0f64; n];
-    view.fill(&mut hi, threads, |cols, local_start, _offset, slice| {
-        slice.copy_from_slice(&cols.q_max[local_start..local_start + slice.len()]);
-    });
+    let hi = cols.q_max.clone();
     let bounds_box = BoxConstraints::new(lo.clone(), hi.clone())?;
-    // `M(q) = Σ c_n q_n²` and the realised spend, as shard-merged
-    // reductions.
+    // `M(q) = Σ c_n q_n²` and the realised spend, as chunked reductions.
     let m_of = |q: &[f64]| {
-        view.sum(threads, |cols, range, offset| {
+        chunked_sum(n, threads, |range| {
             let mut acc = 0.0;
             for i in range {
-                let qn = q[offset + i];
+                let qn = q[i];
                 acc += cols.cost[i] * qn * qn;
             }
             acc
         })
     };
-    let spend_of = |q: &[f64]| profile_spend(view, aor, q, threads);
+    let spend_of = |q: &[f64]| profile_spend(cols, aor, q, threads);
     let variance_of = |q: &[f64]| {
-        view.sum(threads, |cols, range, offset| {
+        chunked_sum(n, threads, |range| {
             let mut acc = 0.0;
             for i in range {
-                acc += cols.a2g2[i] * (1.0 / q[offset + i] - 1.0);
+                acc += cols.a2g2[i] * (1.0 / q[i] - 1.0);
             }
             acc
         })
@@ -1212,10 +1049,10 @@ fn solve_m_search_view(
                 ConstraintKind::Equality,
                 Box::new(|q: &[f64], g: &mut [f64]| {
                     let val = m_of(q) - m;
-                    view.fill(g, threads, |cols, local_start, offset, slice| {
+                    chunked_fill(g, threads, |start, slice| {
                         for (k, gi) in slice.iter_mut().enumerate() {
-                            let i = local_start + k;
-                            *gi = 2.0 * cols.cost[i] * q[offset + i] / m_scale;
+                            let i = start + k;
+                            *gi = 2.0 * cols.cost[i] * q[i] / m_scale;
                         }
                     });
                     val / m_scale
@@ -1225,10 +1062,10 @@ fn solve_m_search_view(
         let result = penalty_minimize(
             |q: &[f64], g: &mut [f64]| {
                 let val = variance_of(q);
-                view.fill(g, threads, |cols, local_start, offset, slice| {
+                chunked_fill(g, threads, |start, slice| {
                     for (k, gi) in slice.iter_mut().enumerate() {
-                        let i = local_start + k;
-                        let qn = q[offset + i];
+                        let i = start + k;
+                        let qn = q[i];
                         *gi = -cols.a2g2[i] / (qn * qn);
                     }
                 });
@@ -1281,7 +1118,7 @@ fn solve_m_search_view(
         reason: "no feasible M found".into(),
     })?;
     let mut prices = vec![0.0f64; n];
-    fill_prices(view, aor, &q, &mut prices, threads);
+    fill_prices(cols, aor, &q, &mut prices, threads);
     if let Some(bad) = prices.iter().position(|p| !p.is_finite()) {
         return Err(GameError::SolverFailed {
             solver: "m_search",
@@ -1318,23 +1155,14 @@ mod tests {
         BoundParams::new(4000.0, 100.0, 1000).unwrap()
     }
 
-    /// The exact column-level solve over one flat column set.
+    /// The exact column-level solve.
     fn solve_flat(
         cols: PopulationColumns,
         budget: f64,
         hint: Option<f64>,
     ) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
-        let population = ShardedPopulation::from_shards(vec![cols])?;
         let options = SolverOptions::default();
-        solve_kkt_shards(
-            &population,
-            &bound(),
-            budget,
-            &options,
-            hint,
-            None,
-            &NoopRecorder,
-        )
+        solve_kkt_columns(&cols, &bound(), budget, &options, hint, None, &NoopRecorder)
     }
 
     #[test]
@@ -1559,7 +1387,7 @@ mod tests {
         let opts = SolverOptions::default();
         let budget = path_budget(&p, &b, &opts, 0.4);
         let (_, diag) = solve_flat(p.columns(), budget, None).unwrap();
-        let cols = ShardedPopulation::from(&p);
+        let cols = p.columns();
         // Start the split from a deliberately wrong reference.
         let estimate = estimate_path_parameter(&cols, &b, budget, diag.t_star * 3.0, 1).unwrap();
         let rel = (estimate - diag.t_star).abs() / diag.t_star;
@@ -1574,13 +1402,12 @@ mod tests {
             None
         );
         assert_eq!(estimate_path_parameter(&cols, &b, budget, -1.0, 1), None);
-        let empty = ShardedPopulation::from_shards(vec![PopulationColumns {
+        let empty = PopulationColumns {
             a2g2: vec![],
             cost: vec![],
             value: vec![],
             q_max: vec![],
-        }])
-        .unwrap();
+        };
         assert_eq!(estimate_path_parameter(&empty, &b, budget, 1.0, 1), None);
         // A budget below any interior spend (here: deeply negative, while
         // every client's saturated/zero-value spend is non-negative)
@@ -1597,8 +1424,7 @@ mod tests {
         let p = population();
         let b = bound();
         let sol = solve_kkt(&p, &b, 10.0, &SolverOptions::default()).unwrap();
-        let via_columns =
-            theorem2_max_residual(&ShardedPopulation::from(&p), &b, &sol, Q_MIN, 100, 0).unwrap();
+        let via_columns = theorem2_max_residual(&p.columns(), &b, &sol, Q_MIN, 100, 0).unwrap();
         let se = StackelbergEquilibrium::from_stage_one(sol, &p, &b, 10.0);
         let via_equilibrium = se.theorem2_max_residual(&p, &b, 100, 0).unwrap();
         assert_eq!(via_columns.to_bits(), via_equilibrium.to_bits());
@@ -1606,51 +1432,43 @@ mod tests {
     }
 
     #[test]
-    fn sharded_solver_is_bit_identical_to_flat_for_any_shard_count() {
+    fn column_solver_is_bit_identical_across_thread_counts() {
         use crate::population::PopulationSpec;
         use fedfl_num::parallel::DEFAULT_CHUNK;
-        // Enough clients for several chunks so shard boundaries genuinely
-        // partition the reduction.
-        let n = DEFAULT_CHUNK * 2 + 531;
+        // Five chunks: a worker spawns only when each gets at least two
+        // chunks, so threads 2 and 3 run the spawned reductions and fills.
+        let n = DEFAULT_CHUNK * 4 + 531;
         let p = Population::synthesize(n, &PopulationSpec::table1_like(), 5).unwrap();
         let b = bound();
-        let budget = path_budget(&p, &b, &SolverOptions::default(), 0.4);
+        let serial = SolverOptions::with_threads(1);
+        let budget = path_budget(&p, &b, &serial, 0.4);
+        let reference = solve_kkt(&p, &b, budget, &serial).unwrap();
+        let t_star = 1.0 / reference.lambda.unwrap();
         let cols = p.columns();
-        let flat = solve_kkt(&p, &b, budget, &SolverOptions::default()).unwrap();
-        let t_star = 1.0 / flat.lambda.unwrap();
-        let one_shard = ShardedPopulation::from(&p);
-        let flat_res = theorem2_max_residual(&one_shard, &b, &flat, Q_MIN, 256, 3).unwrap();
-        let flat_est = estimate_path_parameter(&one_shard, &b, budget, t_star * 2.0, 1);
-        for shard_count in [1, 2, 7, 32] {
-            let sharded = ShardedPopulation::from_columns(&cols, shard_count).unwrap();
+        let serial_est = estimate_path_parameter(&cols, &b, budget, t_star * 2.0, 1);
+        for threads in [1, 2, 3] {
+            let opts = SolverOptions::with_threads(threads);
             assert_eq!(
-                path_budget_sharded(&sharded, &b, &SolverOptions::default(), 0.4).to_bits(),
+                path_budget(&p, &b, &opts, 0.4).to_bits(),
                 budget.to_bits(),
-                "path budget drifted at shard_count {shard_count}"
+                "path budget drifted at threads {threads}"
             );
-            for threads in [1, 3] {
-                let opts = SolverOptions::with_threads(threads);
-                for hint in [None, Some(t_star)] {
-                    let (sol, diag) =
-                        solve_kkt_shards(&sharded, &b, budget, &opts, hint, None, &NoopRecorder)
-                            .unwrap();
-                    assert_eq!(sol, flat, "shard_count {shard_count} threads {threads}");
-                    assert_eq!(
-                        diag.warm_start_depth > 0,
-                        hint.is_some(),
-                        "exact hint should verify deep"
-                    );
-                }
+            assert_eq!(solve_kkt(&p, &b, budget, &opts).unwrap(), reference);
+            for hint in [None, Some(t_star)] {
+                let (sol, diag) =
+                    solve_kkt_columns(&cols, &b, budget, &opts, hint, None, &NoopRecorder).unwrap();
+                assert_eq!(sol, reference, "threads {threads} hint {hint:?}");
+                assert_eq!(
+                    diag.warm_start_depth > 0,
+                    hint.is_some(),
+                    "exact hint should verify deep"
+                );
             }
-            // The sampled Theorem 2 check and the hint estimator agree
-            // with their one-shard values bit for bit.
-            let shard_res = theorem2_max_residual(&sharded, &b, &flat, Q_MIN, 256, 3).unwrap();
-            assert_eq!(flat_res.to_bits(), shard_res.to_bits());
-            let shard_est = estimate_path_parameter(&sharded, &b, budget, t_star * 2.0, 1);
+            let est = estimate_path_parameter(&cols, &b, budget, t_star * 2.0, threads);
             assert_eq!(
-                flat_est.map(f64::to_bits),
-                shard_est.map(f64::to_bits),
-                "estimate drifted at shard_count {shard_count}"
+                serial_est.map(f64::to_bits),
+                est.map(f64::to_bits),
+                "estimate drifted at threads {threads}"
             );
         }
     }
@@ -1665,33 +1483,29 @@ mod tests {
         let p = Population::synthesize(n, &PopulationSpec::table1_like(), 31).unwrap();
         let cols = p.columns();
         let aor = bound().alpha_over_r();
-        let t_hi = saturation_t(&ShardView::single(&cols), aor);
+        let t_hi = saturation_t(&cols, aor);
         let mut parts = [false; 3];
-        for shard_count in [1usize, 3, 8] {
-            let sharded = ShardedPopulation::from_columns(&cols, shard_count).unwrap();
-            let view = ShardView::of(&sharded);
-            for threads in [1usize, 2] {
-                for frac in [0.0, 1e-3, 0.05, 0.5, 1.0] {
-                    let t = frac * t_hi;
-                    let mut q = vec![0.0f64; n];
-                    fill_path_profile(&view, aor, Q_MIN, t, &mut q, threads);
-                    let realised = profile_spend(&view, aor, &q, threads);
-                    let probed = path_spend(&view, aor, Q_MIN, t, threads);
-                    assert_eq!(
-                        realised.to_bits(),
-                        probed.to_bits(),
-                        "shards {shard_count} threads {threads} t {t}"
-                    );
-                    for (i, &qn) in q.iter().enumerate() {
-                        let part = if qn == Q_MIN {
-                            0
-                        } else if qn == cols.q_max[i] {
-                            2
-                        } else {
-                            1
-                        };
-                        parts[part] = true;
-                    }
+        for threads in [1usize, 2] {
+            for frac in [0.0, 1e-3, 0.05, 0.5, 1.0] {
+                let t = frac * t_hi;
+                let mut q = vec![0.0f64; n];
+                fill_path_profile(&cols, aor, Q_MIN, t, &mut q, threads);
+                let realised = profile_spend(&cols, aor, &q, threads);
+                let probed = path_spend(&cols, aor, Q_MIN, t, threads);
+                assert_eq!(
+                    realised.to_bits(),
+                    probed.to_bits(),
+                    "threads {threads} t {t}"
+                );
+                for (i, &qn) in q.iter().enumerate() {
+                    let part = if qn == Q_MIN {
+                        0
+                    } else if qn == cols.q_max[i] {
+                        2
+                    } else {
+                        1
+                    };
+                    parts[part] = true;
                 }
             }
         }

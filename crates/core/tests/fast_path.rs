@@ -12,18 +12,17 @@
 //! And every *fallback* solve must be **bit-identical** to the exact
 //! solver — the fallback is the exact solver.
 //!
-//! Pinned across shard counts {1, 2, 7, 32} × threads {1, 3}, the
-//! proptest population variants of `scale_properties`, and the
-//! heavy-tail Pareto spreads of `heavy_tail`.
+//! Pinned across threads {1, 2, 3} on a population large enough to spawn
+//! workers, the proptest population variants of `scale_properties`, and
+//! the heavy-tail Pareto spreads of `heavy_tail`.
 
 use fedfl_core::active_set::{ActiveSetIndex, IndexColumns, GRID_SEGMENT};
 use fedfl_core::bound::BoundParams;
 use fedfl_core::population::{ParamDist, Population, PopulationColumns, PopulationSpec};
 use fedfl_core::server::{
-    path_budget, solve_kkt_shards, theorem2_max_residual, KktDiagnostics, SolverMode,
+    path_budget, solve_kkt_columns, theorem2_max_residual, KktDiagnostics, SolverMode,
     SolverOptions, StageOneSolution,
 };
-use fedfl_core::shard::ShardedPopulation;
 use fedfl_obs::{NoopRecorder, Registry};
 use proptest::prelude::*;
 use std::cmp::Ordering;
@@ -49,13 +48,13 @@ fn positional_index(cols: &PopulationColumns, options: &SolverOptions) -> Active
 
 /// The exact solve (`index: None`) or the fast one (`Some`).
 fn solve(
-    population: &ShardedPopulation,
+    population: &PopulationColumns,
     budget: f64,
     options: &SolverOptions,
     hint: Option<f64>,
     index: Option<&ActiveSetIndex>,
 ) -> (StageOneSolution, KktDiagnostics) {
-    solve_kkt_shards(
+    solve_kkt_columns(
         population,
         &bound(),
         budget,
@@ -100,9 +99,8 @@ fn spec_for(variant: u8) -> PopulationSpec {
 fn assert_fast_agrees(p: &Population, budget: f64, options: &SolverOptions) -> SolverMode {
     let cols = p.columns();
     let index = positional_index(&cols, options);
-    let population = ShardedPopulation::from_shards(vec![cols]).unwrap();
-    let (exact, exact_diag) = solve(&population, budget, options, None, None);
-    let (fast, diag) = solve(&population, budget, options, None, Some(&index));
+    let (exact, exact_diag) = solve(&cols, budget, options, None, None);
+    let (fast, diag) = solve(&cols, budget, options, None, Some(&index));
     match diag.solver_mode {
         SolverMode::ThresholdIndex => {
             assert_eq!(fast.saturated, exact.saturated, "saturation flag diverged");
@@ -128,7 +126,7 @@ fn assert_fast_agrees(p: &Population, budget: f64, options: &SolverOptions) -> S
                 exact.spent
             );
             if let Some(residual) =
-                theorem2_max_residual(&population, &bound(), &fast, options.q_min, 2_048, 7)
+                theorem2_max_residual(&cols, &bound(), &fast, options.q_min, 2_048, 7)
             {
                 assert!(residual <= 1e-6, "fast Theorem-2 residual {residual:e}");
             }
@@ -146,45 +144,43 @@ fn assert_fast_agrees(p: &Population, budget: f64, options: &SolverOptions) -> S
 }
 
 #[test]
-fn certified_fast_solves_agree_across_shards_and_threads() {
-    let n = fedfl_num::parallel::DEFAULT_CHUNK + 997;
+fn certified_fast_solves_are_thread_count_invariant() {
+    // Five chunks: a worker spawns only when each gets at least two
+    // chunks, so threads 2 and 3 run the spawned passes.
+    let n = 4 * fedfl_num::parallel::DEFAULT_CHUNK + 531;
     let p = Population::synthesize(n, &PopulationSpec::table1_like(), 5).unwrap();
     let b = bound();
     let options = SolverOptions::with_threads(1);
     let budget = path_budget(&p, &b, &options, 0.4);
     let cols = p.columns();
-    let flat = ShardedPopulation::from_shards(vec![cols.clone()]).unwrap();
-    let (exact, _) = solve(&flat, budget, &options, None, None);
-    let flat_index = positional_index(&cols, &options);
-    let (flat_fast, flat_diag) = solve(&flat, budget, &options, None, Some(&flat_index));
+    let (exact, _) = solve(&cols, budget, &options, None, None);
+    let serial_index = positional_index(&cols, &options);
+    let (serial_fast, serial_diag) = solve(&cols, budget, &options, None, Some(&serial_index));
     assert_eq!(
-        flat_diag.solver_mode,
+        serial_diag.solver_mode,
         SolverMode::ThresholdIndex,
         "table1-like population should certify"
     );
-    for shard_count in [1usize, 2, 7, 32] {
-        let sharded = ShardedPopulation::from_columns(&cols, shard_count).unwrap();
-        for threads in [1usize, 3] {
-            let opts = SolverOptions::with_threads(threads);
-            let index = positional_index(&cols, &opts);
-            let (fast, diag) = solve(&sharded, budget, &opts, None, Some(&index));
-            assert_eq!(diag.solver_mode, SolverMode::ThresholdIndex);
-            // The index build is thread-count independent and the
-            // probes/materialisation share the exact solver's shard-merge
-            // contract, so the fast solve itself is shard- and
-            // thread-invariant bit for bit.
-            assert_eq!(
-                fast, flat_fast,
-                "shards {shard_count} × threads {threads} changed fast bits"
-            );
-            let worst = fast
-                .prices
-                .iter()
-                .zip(&exact.prices)
-                .map(|(f, e)| (f - e).abs() / e.abs().max(1.0))
-                .fold(0.0f64, f64::max);
-            assert!(worst <= 1e-6, "price error {worst:e}");
-        }
+    for threads in [1usize, 2, 3] {
+        let opts = SolverOptions::with_threads(threads);
+        // The exact solve the fast path certifies against (and falls back
+        // to) is thread-invariant too.
+        let (exact_t, _) = solve(&cols, budget, &opts, None, None);
+        assert_eq!(exact_t, exact, "threads {threads} changed exact bits");
+        let index = positional_index(&cols, &opts);
+        let (fast, diag) = solve(&cols, budget, &opts, None, Some(&index));
+        assert_eq!(diag.solver_mode, SolverMode::ThresholdIndex);
+        // The index build is thread-count independent and the probes and
+        // materialisation share the exact solver's fixed chunk tree, so
+        // the fast solve itself is thread-invariant bit for bit.
+        assert_eq!(fast, serial_fast, "threads {threads} changed fast bits");
+        let worst = fast
+            .prices
+            .iter()
+            .zip(&exact.prices)
+            .map(|(f, e)| (f - e).abs() / e.abs().max(1.0))
+            .fold(0.0f64, f64::max);
+        assert!(worst <= 1e-6, "price error {worst:e}");
     }
 }
 
@@ -195,12 +191,11 @@ fn reused_index_solves_match_and_hint_cuts_iterations() {
     let options = SolverOptions::default();
     let budget = path_budget(&p, &b, &options, 0.5);
     let cols = p.columns();
-    let sharded = ShardedPopulation::from_columns(&cols, 4).unwrap();
     let index = positional_index(&cols, &options);
-    let (cold, cold_diag) = solve(&sharded, budget, &options, None, Some(&index));
+    let (cold, cold_diag) = solve(&cols, budget, &options, None, Some(&index));
     assert_eq!(cold_diag.solver_mode, SolverMode::ThresholdIndex);
     let (warm, warm_diag) = solve(
-        &sharded,
+        &cols,
         budget,
         &options,
         Some(cold_diag.t_star),
@@ -216,10 +211,10 @@ fn reused_index_solves_match_and_hint_cuts_iterations() {
     );
     // A stale index (wrong population) is detected, not trusted.
     let other = Population::synthesize(4_001, &PopulationSpec::table1_like(), 10).unwrap();
-    let other_sharded = ShardedPopulation::from_columns(&other.columns(), 4).unwrap();
-    let (fb, fb_diag) = solve(&other_sharded, budget, &options, None, Some(&index));
+    let other_cols = other.columns();
+    let (fb, fb_diag) = solve(&other_cols, budget, &options, None, Some(&index));
     assert_eq!(fb_diag.solver_mode, SolverMode::ThresholdIndexFallback);
-    let (exact_other, _) = solve(&other_sharded, budget, &options, None, None);
+    let (exact_other, _) = solve(&other_cols, budget, &options, None, None);
     assert_eq!(fb, exact_other);
 }
 
@@ -236,8 +231,7 @@ fn same_length_stale_index_fails_the_certificate_and_falls_back_exactly() {
     let p = Population::synthesize(n, &PopulationSpec::table1_like(), 21).unwrap();
     let cols = p.columns();
     let budget = path_budget(&p, &b, &options, 0.01);
-    let sharded = ShardedPopulation::from_columns(&cols, 3).unwrap();
-    let (exact, exact_diag) = solve(&sharded, budget, &options, None, None);
+    let (exact, exact_diag) = solve(&cols, budget, &options, None, None);
     let keys: Vec<u32> = (0..n as u32).map(|i| (i / 32) % 16).collect();
     // Model spend at the exact root below the budget puts the model
     // root above the exact root, and vice versa.
@@ -264,16 +258,8 @@ fn same_length_stale_index_fails_the_certificate_and_falls_back_exactly() {
             "cost factor {cost_factor}"
         );
         let registry = Registry::new();
-        let (fallback, diag) = solve_kkt_shards(
-            &sharded,
-            &b,
-            budget,
-            &options,
-            None,
-            Some(&index),
-            &registry,
-        )
-        .unwrap();
+        let (fallback, diag) =
+            solve_kkt_columns(&cols, &b, budget, &options, None, Some(&index), &registry).unwrap();
         assert_eq!(diag.solver_mode, SolverMode::ThresholdIndexFallback);
         assert_eq!(
             fallback, exact,
@@ -302,9 +288,8 @@ fn fast_probes_are_sublinear_on_moderate_instances() {
     let budget = path_budget(&p, &b, &options, 0.5);
     let cols = p.columns();
     let index = positional_index(&cols, &options);
-    let population = ShardedPopulation::from_shards(vec![cols]).unwrap();
-    let (_, exact_diag) = solve(&population, budget, &options, None, None);
-    let (_, fast_diag) = solve(&population, budget, &options, None, Some(&index));
+    let (_, exact_diag) = solve(&cols, budget, &options, None, None);
+    let (_, fast_diag) = solve(&cols, budget, &options, None, Some(&index));
     assert_eq!(fast_diag.solver_mode, SolverMode::ThresholdIndex);
     assert!(
         fast_diag.probe_evaluations * 10 <= exact_diag.probe_evaluations,
@@ -365,19 +350,18 @@ fn corner_budgets_classify_identically() {
     let options = SolverOptions::default();
     let cols = p.columns();
     let index = positional_index(&cols, &options);
-    let population = ShardedPopulation::from_shards(vec![cols]).unwrap();
     // Saturated: budget above the all-caps spend.
     let generous = path_budget(&p, &b, &options, 1.0) * 2.0;
-    let (fast, diag) = solve(&population, generous, &options, None, Some(&index));
-    let (exact, _) = solve(&population, generous, &options, None, None);
+    let (fast, diag) = solve(&cols, generous, &options, None, Some(&index));
+    let (exact, _) = solve(&cols, generous, &options, None, None);
     assert!(fast.saturated);
     assert_eq!(fast.q, exact.q, "saturated profile must match exactly");
     assert_eq!(diag.bisect_iterations, 0);
     // Floored: budget below the floor spend (negative here — values make
     // the floor spend negative-capable, so go far below).
     let stingy = -1e12;
-    let (fast, _) = solve(&population, stingy, &options, None, Some(&index));
-    let (exact, _) = solve(&population, stingy, &options, None, None);
+    let (fast, _) = solve(&cols, stingy, &options, None, Some(&index));
+    let (exact, _) = solve(&cols, stingy, &options, None, None);
     assert_eq!(fast.q, exact.q, "floored profile must match exactly");
     assert!(!fast.saturated);
 }

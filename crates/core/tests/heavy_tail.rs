@@ -11,8 +11,7 @@
 
 use fedfl_core::bound::BoundParams;
 use fedfl_core::population::{ParamDist, Population, PopulationSpec};
-use fedfl_core::server::{path_budget, solve_kkt_shards, SolverConfig, SolverOptions};
-use fedfl_core::shard::ShardedPopulation;
+use fedfl_core::server::{path_budget, solve_kkt_columns, SolverConfig, SolverOptions};
 use fedfl_obs::NoopRecorder;
 
 fn bound() -> BoundParams {
@@ -39,9 +38,9 @@ fn resolution_stop_not_the_cap_terminates_on_extreme_cost_spreads() {
     let opts = SolverOptions::default();
     // A budget whose root lies ~60 decades below the saturation parameter.
     let budget = path_budget(&p, &b, &opts, 1e-60);
-    let shards = ShardedPopulation::from(&p);
+    let cols = p.columns();
     let (cold, diag) =
-        solve_kkt_shards(&shards, &b, budget, &opts, None, None, &NoopRecorder).unwrap();
+        solve_kkt_columns(&cols, &b, budget, &opts, None, None, &NoopRecorder).unwrap();
     assert!(
         diag.bisect_iterations < opts.config.max_iters,
         "cold bisection cap-terminated: {} iterations at the {} cap",
@@ -73,7 +72,7 @@ fn resolution_stop_not_the_cap_terminates_on_extreme_cost_spreads() {
         f64::MIN_POSITIVE,
     ] {
         let (warm, wd) =
-            solve_kkt_shards(&shards, &b, budget, &opts, Some(hint), None, &NoopRecorder).unwrap();
+            solve_kkt_columns(&cols, &b, budget, &opts, Some(hint), None, &NoopRecorder).unwrap();
         assert_eq!(warm, cold, "hint {hint:e} diverged");
         assert!(
             wd.bisect_iterations <= diag.bisect_iterations,
@@ -105,16 +104,16 @@ fn f64_resolution_stop_terminates_below_any_tolerance() {
         ..SolverOptions::default()
     };
     let budget = path_budget(&p, &b, &opts, 1e-60);
-    let shards = ShardedPopulation::from(&p);
+    let cols = p.columns();
     let (cold, diag) =
-        solve_kkt_shards(&shards, &b, budget, &opts, None, None, &NoopRecorder).unwrap();
+        solve_kkt_columns(&cols, &b, budget, &opts, None, None, &NoopRecorder).unwrap();
     assert!(
         diag.bisect_iterations < opts.config.max_iters,
         "resolution stop never fired: {} iterations",
         diag.bisect_iterations
     );
-    let (warm, wd) = solve_kkt_shards(
-        &shards,
+    let (warm, wd) = solve_kkt_columns(
+        &cols,
         &b,
         budget,
         &opts,
@@ -153,16 +152,16 @@ fn pareto_cost_spread_churns_stay_bit_identical_under_hints() {
     let opts = SolverOptions::default();
     for frac in [1e-9, 1e-3, 0.3, 0.9] {
         let budget = path_budget(&p, &b, &opts, frac);
-        let shards = ShardedPopulation::from(&p);
+        let cols = p.columns();
         let (cold, diag) =
-            solve_kkt_shards(&shards, &b, budget, &opts, None, None, &NoopRecorder).unwrap();
+            solve_kkt_columns(&cols, &b, budget, &opts, None, None, &NoopRecorder).unwrap();
         assert!(
             diag.bisect_iterations < opts.config.max_iters,
             "frac {frac}"
         );
         for factor in [1.0, 1.001, 0.5, 2.0, 1e-6, 1e6, 1e-12] {
-            let (warm, wd) = solve_kkt_shards(
-                &shards,
+            let (warm, wd) = solve_kkt_columns(
+                &cols,
                 &b,
                 budget,
                 &opts,

@@ -21,10 +21,9 @@ use fedfl_core::bound::BoundParams;
 use fedfl_core::game::CplGame;
 use fedfl_core::population::{ParamDist, Population, PopulationSpec, Q_MIN};
 use fedfl_core::server::{
-    path_budget, solve_kkt, solve_kkt_shards, solve_m_search, theorem2_max_residual, SolverMode,
+    path_budget, solve_kkt, solve_kkt_columns, solve_m_search, theorem2_max_residual, SolverMode,
     SolverOptions,
 };
-use fedfl_core::shard::ShardedPopulation;
 use fedfl_obs::NoopRecorder;
 use proptest::prelude::*;
 use std::time::Instant;
@@ -302,9 +301,9 @@ fn million_client_fast_path_cross_check() {
     let b = bound();
     let options = SolverOptions::with_threads(4);
     let budget = path_budget(&p, &b, &options, 0.5);
-    let population = ShardedPopulation::from(&p);
+    let population = p.columns();
     let solve = |index| {
-        solve_kkt_shards(
+        solve_kkt_columns(
             &population,
             &b,
             budget,
@@ -319,7 +318,7 @@ fn million_client_fast_path_cross_check() {
 
     let started = Instant::now();
     // The positional layout: row `i` keyed `i / GRID_SEGMENT`.
-    let cols = &population.shards()[0];
+    let cols = &population;
     let keys: Vec<u32> = (0..cols.len()).map(|i| (i / GRID_SEGMENT) as u32).collect();
     let index = ActiveSetIndex::build_keyed(
         &IndexColumns::from_population(cols),

@@ -18,8 +18,12 @@
 //! at least two chunks — below that the per-call thread/channel overhead
 //! rivals the chunk work itself, and the inline path computes the
 //! identical result (the summation tree is fixed by the chunking alone).
+//! A thread sweep therefore needs at least four chunks before a second
+//! worker spawns.
+//!
+//! The Stage-I solver runs every per-client pass as one [`chunked_sum`]
+//! or [`chunked_fill`] over one set of population columns.
 
-use crate::error::NumError;
 use crossbeam::channel;
 
 /// Fixed chunk width used by the solvers' per-client passes.
@@ -113,245 +117,6 @@ where
     }
     // Combine in chunk order: the summation tree is fixed by `chunk` alone.
     partials.into_iter().sum()
-}
-
-/// A chunk-aligned partition of `0..n` into contiguous shards.
-///
-/// This is the unit of the two-level merge the sharded solvers run on:
-/// every shard boundary lies on the fixed [`DEFAULT_CHUNK`] grid, so a
-/// shard's per-chunk partial sums are *exactly* the global reduction's
-/// partials for those chunks. Merging all shards' partials in shard order
-/// ([`merge_shard_partials`]) therefore reproduces the flat
-/// [`chunked_sum`] **bit for bit**, for any shard count and any thread
-/// count — which is what lets a shard be computed by a different worker
-/// crew (or, eventually, a different process) without perturbing results.
-///
-/// When there are fewer chunks than shards, trailing shards are empty;
-/// empty shards contribute nothing to the merge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardPlan {
-    n: usize,
-    /// Shard start offsets plus the final `n`; `starts.len() == shards + 1`
-    /// and every entry except the last is a multiple of [`DEFAULT_CHUNK`].
-    starts: Vec<usize>,
-}
-
-impl ShardPlan {
-    /// Partition `0..n` into `shards` contiguous, chunk-aligned shards of
-    /// near-equal chunk counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::InvalidParameter`] for `shards == 0`.
-    pub fn new(n: usize, shards: usize) -> Result<Self, NumError> {
-        if shards == 0 {
-            return Err(NumError::InvalidParameter {
-                name: "shards",
-                reason: "need at least one shard".into(),
-            });
-        }
-        let chunks = chunk_count(n, DEFAULT_CHUNK);
-        let mut starts = Vec::with_capacity(shards + 1);
-        for s in 0..shards {
-            starts.push(((s * chunks).div_ceil(shards) * DEFAULT_CHUNK).min(n));
-        }
-        starts.push(n);
-        Ok(Self { n, starts })
-    }
-
-    /// Total number of items covered by the plan.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the plan covers no items.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Number of shards (including empty trailing shards).
-    pub fn shard_count(&self) -> usize {
-        self.starts.len() - 1
-    }
-
-    /// The half-open item range of shard `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s >= shard_count()`.
-    pub fn range(&self, s: usize) -> std::ops::Range<usize> {
-        self.starts[s]..self.starts[s + 1]
-    }
-
-    /// Iterate over the shard ranges in shard order.
-    pub fn ranges(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
-        (0..self.shard_count()).map(|s| self.range(s))
-    }
-}
-
-/// Per-chunk partial sums of `f` over `0..n` — the mergeable accumulator
-/// of one shard.
-///
-/// The returned vector holds one entry per fixed-width chunk, in chunk
-/// order; folding it from zero reproduces `chunked_sum(n, _, f)` exactly.
-/// A shard of a larger population computes this over its *local* index
-/// space: because shard boundaries are chunk-aligned ([`ShardPlan`]), the
-/// local chunk grid coincides with the global one restricted to the shard,
-/// so the partials can be merged across shards without re-summation.
-pub fn chunk_partial_sums<F>(n: usize, n_threads: usize, f: F) -> Vec<f64>
-where
-    F: Fn(std::ops::Range<usize>) -> f64 + Sync,
-{
-    let chunk = DEFAULT_CHUNK;
-    let chunks = chunk_count(n, chunk);
-    let workers = effective_workers(n_threads, chunks);
-    let mut partials = vec![0.0f64; chunks];
-    if workers <= 1 {
-        for (c, p) in partials.iter_mut().enumerate() {
-            let start = c * chunk;
-            *p = f(start..(start + chunk).min(n));
-        }
-        return partials;
-    }
-
-    let (job_tx, job_rx) = channel::unbounded::<usize>();
-    for c in 0..chunks {
-        job_tx.send(c).expect("queue open");
-    }
-    drop(job_tx);
-
-    let collected: Vec<Vec<(usize, f64)>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let mut local = Vec::new();
-                while let Ok(c) = job_rx.recv() {
-                    let start = c * chunk;
-                    local.push((c, f(start..(start + chunk).min(n))));
-                }
-                local
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    for (c, partial) in collected.into_iter().flatten() {
-        partials[c] = partial;
-    }
-    partials
-}
-
-/// Merge shards' per-chunk partial sums, in shard order, into the total.
-///
-/// Concatenating the shards' chunk partials (shard boundaries are
-/// chunk-aligned, so the concatenation *is* the global per-chunk partial
-/// vector) and folding from zero uses the identical summation tree as the
-/// flat [`chunked_sum`]: the result is bit-identical for any shard count.
-pub fn merge_shard_partials<'a, I>(shards: I) -> f64
-where
-    I: IntoIterator<Item = &'a [f64]>,
-{
-    let mut total = 0.0f64;
-    for part in shards {
-        for &p in part {
-            total += p;
-        }
-    }
-    total
-}
-
-/// Two-level deterministic reduction over explicit shard lengths, run by
-/// a **single** worker crew: one job queue covers every shard's chunks,
-/// the per-chunk partials land in one flat buffer in (shard, chunk)
-/// order, and the final fold over that buffer is exactly the
-/// [`merge_shard_partials`] merge — bit-identical to the flat
-/// [`chunked_sum`] over the concatenation when the shard lengths are
-/// chunk-aligned ([`ShardPlan`] lengths always are).
-///
-/// `f` receives a shard index and a *shard-local* chunk range. Compared
-/// to reducing each shard with its own crew, this spawns one crew (not
-/// one per shard) per call, allocates one partials buffer (not one per
-/// shard), and lets workers cross shard boundaries instead of idling at
-/// each barrier — the shape a λ-probe over many small shards wants.
-pub fn multi_shard_sum<F>(shard_lens: &[usize], n_threads: usize, f: F) -> f64
-where
-    F: Fn(usize, std::ops::Range<usize>) -> f64 + Sync,
-{
-    let chunk = DEFAULT_CHUNK;
-    // Flat slot table in shard-major, chunk-ascending order: folding the
-    // partials by slot index reproduces the shard-order merge.
-    let mut slots: Vec<(usize, usize)> = Vec::new();
-    for (s, &len) in shard_lens.iter().enumerate() {
-        for c in 0..chunk_count(len, chunk) {
-            slots.push((s, c));
-        }
-    }
-    let eval = |slot: usize| {
-        let (s, c) = slots[slot];
-        let start = c * chunk;
-        f(s, start..(start + chunk).min(shard_lens[s]))
-    };
-    let workers = effective_workers(n_threads, slots.len());
-    let mut partials = vec![0.0f64; slots.len()];
-    if workers <= 1 {
-        for (slot, p) in partials.iter_mut().enumerate() {
-            *p = eval(slot);
-        }
-        return partials.into_iter().sum();
-    }
-
-    let (job_tx, job_rx) = channel::unbounded::<usize>();
-    for slot in 0..slots.len() {
-        job_tx.send(slot).expect("queue open");
-    }
-    drop(job_tx);
-
-    let collected: Vec<Vec<(usize, f64)>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let eval = &eval;
-            handles.push(scope.spawn(move || {
-                let mut local = Vec::new();
-                while let Ok(slot) = job_rx.recv() {
-                    local.push((slot, eval(slot)));
-                }
-                local
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    for (slot, partial) in collected.into_iter().flatten() {
-        partials[slot] = partial;
-    }
-    partials.into_iter().sum()
-}
-
-/// Two-level deterministic reduction: per-shard chunk partials merged in
-/// shard order.
-///
-/// `f` receives global index ranges, exactly as in [`chunked_sum`]; the
-/// result is bit-identical to `chunked_sum(plan.len(), n_threads, f)` for
-/// **any** shard plan over the same `n` and any thread count.
-pub fn sharded_sum<F>(plan: &ShardPlan, n_threads: usize, f: F) -> f64
-where
-    F: Fn(std::ops::Range<usize>) -> f64 + Sync,
-{
-    if plan.shard_count() == 1 {
-        return chunked_sum(plan.len(), n_threads, f);
-    }
-    let lens: Vec<usize> = plan.ranges().map(|r| r.len()).collect();
-    multi_shard_sum(&lens, n_threads, |s, local| {
-        let offset = plan.range(s).start;
-        f(offset + local.start..offset + local.end)
-    })
 }
 
 /// Fill `out` in parallel by fixed-width chunks.
@@ -468,105 +233,5 @@ mod tests {
     fn resolve_threads_zero_means_auto() {
         assert!(resolve_threads(0) >= 1);
         assert_eq!(resolve_threads(3), 3);
-    }
-
-    #[test]
-    fn shard_plan_is_chunk_aligned_and_covers_everything() {
-        for &(n, shards) in &[
-            (0usize, 3usize),
-            (100, 1),
-            (100, 7),
-            (DEFAULT_CHUNK * 5 + 17, 2),
-            (DEFAULT_CHUNK * 11 + 1, 32),
-            (DEFAULT_CHUNK, 4),
-        ] {
-            let plan = ShardPlan::new(n, shards).unwrap();
-            assert_eq!(plan.len(), n);
-            assert_eq!(plan.is_empty(), n == 0);
-            assert_eq!(plan.shard_count(), shards);
-            let mut next = 0usize;
-            for (s, range) in plan.ranges().enumerate() {
-                assert_eq!(range.start, next, "gap before shard {s}");
-                assert!(
-                    range.start % DEFAULT_CHUNK == 0 || range.start == n,
-                    "shard {s} of ({n}, {shards}) starts off-grid at {}",
-                    range.start
-                );
-                next = range.end;
-            }
-            assert_eq!(next, n, "plan ({n}, {shards}) does not cover 0..{n}");
-        }
-        assert!(ShardPlan::new(10, 0).is_err());
-    }
-
-    #[test]
-    fn sharded_sum_is_bitwise_identical_to_chunked_sum() {
-        // Values with order-sensitive low bits: any change to the
-        // summation tree shows up in the last ulps.
-        let n = DEFAULT_CHUNK * 11 + 123;
-        let xs: Vec<f64> = (0..n)
-            .map(|i| 1.0 / (i as f64 + 1.0) * if i % 3 == 0 { -1.0 } else { 1.0 })
-            .collect();
-        let f = |r: std::ops::Range<usize>| r.map(|i| xs[i]).sum::<f64>();
-        let flat = chunked_sum(n, 1, f);
-        for shards in [1, 2, 7, 32, 200] {
-            let plan = ShardPlan::new(n, shards).unwrap();
-            for threads in [1, 3] {
-                let got = sharded_sum(&plan, threads, f);
-                assert_eq!(
-                    got.to_bits(),
-                    flat.to_bits(),
-                    "shards={shards} threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_partials_merge_to_the_flat_sum() {
-        let n = DEFAULT_CHUNK * 6 + 77;
-        let xs: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin()).collect();
-        let f = |r: std::ops::Range<usize>| r.map(|i| xs[i]).sum::<f64>();
-        // One shard's partials fold to the chunked sum ...
-        let partials = chunk_partial_sums(n, 3, f);
-        assert_eq!(partials.len(), n.div_ceil(DEFAULT_CHUNK));
-        assert_eq!(
-            merge_shard_partials([partials.as_slice()]).to_bits(),
-            chunked_sum(n, 1, f).to_bits()
-        );
-        // ... and per-shard partials computed independently (as a remote
-        // worker would) concatenate to the identical global partials.
-        let plan = ShardPlan::new(n, 4).unwrap();
-        let per_shard: Vec<Vec<f64>> = plan
-            .ranges()
-            .map(|range| {
-                let offset = range.start;
-                chunk_partial_sums(range.len(), 1, |local| {
-                    f(offset + local.start..offset + local.end)
-                })
-            })
-            .collect();
-        let concat: Vec<f64> = per_shard.iter().flatten().copied().collect();
-        assert_eq!(concat, partials);
-        assert_eq!(
-            merge_shard_partials(per_shard.iter().map(Vec::as_slice)).to_bits(),
-            chunked_sum(n, 1, f).to_bits()
-        );
-    }
-
-    #[test]
-    fn empty_shards_contribute_nothing() {
-        // More shards than chunks: trailing shards are empty.
-        let n = 100;
-        let plan = ShardPlan::new(n, 32).unwrap();
-        assert_eq!(plan.range(0), 0..100);
-        assert!(plan.ranges().skip(1).all(|r| r.is_empty()));
-        let xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let f = |r: std::ops::Range<usize>| r.map(|i| xs[i]).sum::<f64>();
-        assert_eq!(
-            sharded_sum(&plan, 2, f).to_bits(),
-            chunked_sum(n, 1, f).to_bits()
-        );
-        assert_eq!(merge_shard_partials(std::iter::empty()), 0.0);
     }
 }

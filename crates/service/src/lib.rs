@@ -12,17 +12,17 @@
 //!   [`PricingService::execute`] (or the equivalent typed methods).
 //! * **Sharded store, dirty-shard rebuilds** — clients are routed to
 //!   [`ServiceConfig::shards`] store shards by 32-id block; each shard
-//!   caches its clients' solver columns (availability rates, inclusion
-//!   masks, the effective `cost/rate²` and `q_max·rate` transforms) and a
-//!   delta dirties only the shards it touches. Ids are issued in sequence
-//!   and never reused, so insertion order is id order, and a directory
-//!   with one live mask and start position per id block locates any
-//!   client with one array index and a popcount. A re-solve rebuilds
-//!   **only the dirty shards' columns** — `O(N/S · dirty)` instead of the
-//!   monolithic `O(N)` — then gathers them block by block, as slice
-//!   copies, in insertion order with the exact `Population::from_raw`
-//!   normalisation and solves over chunk-aligned shard column-sets
-//!   ([`fedfl_core::server::solve_kkt_shards`]). Prices are
+//!   caches its clients' solver columns (inclusion masks, the effective
+//!   `cost/rate²` and `q_max·rate` transforms) and a delta dirties only
+//!   the shards it touches. Ids are issued in sequence and never reused,
+//!   so insertion order is id order, and a directory with one live mask
+//!   and start position per id block locates any client with one array
+//!   index and a popcount. A re-solve rebuilds **only the dirty shards'
+//!   columns** — `O(N/S · dirty)` instead of the monolithic `O(N)` — then
+//!   gathers them block by block, as slice copies, in insertion order
+//!   with the exact `Population::from_raw` normalisation, and solves over
+//!   the gathered columns as one population
+//!   ([`fedfl_core::server::solve_kkt_columns`]). Prices are
 //!   bit-identical for **any** shard count; [`RepriceReport`] records the
 //!   dirty-shard accounting.
 //! * **Incremental re-solve** — population deltas shift the spend curve of

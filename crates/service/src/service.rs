@@ -6,7 +6,7 @@ use crate::{AvailabilityModel, ClientId, ClientParams};
 use fedfl_core::active_set::{ActiveSetIndex, PatchStats};
 use fedfl_core::bound::BoundParams;
 use fedfl_core::server::{
-    estimate_path_parameter, solve_kkt_shards, theorem2_max_residual, SolverMode, SolverOptions,
+    estimate_path_parameter, solve_kkt_columns, theorem2_max_residual, SolverMode, SolverOptions,
 };
 use fedfl_obs::{Metric, MetricsReport, NoopRecorder, Recorder, Registry, Stopwatch};
 use serde::{Deserialize, Serialize};
@@ -27,10 +27,13 @@ pub struct ServiceConfig {
     /// service reproduces the paper's always-on pricing bit-for-bit.
     pub availability_aware: bool,
     /// Number of store shards — the granularity of dirty tracking under
-    /// churn (a delta rebuilds only the shards it touches) and of the
-    /// solver's partial-spend merge. Prices are **bit-identical for any
-    /// shard count**; the knob only trades rebuild granularity against
-    /// per-shard overhead. Must be at least 1.
+    /// churn (a delta rebuilds only the shards it touches). Ids route to
+    /// shards by 32-id block, and when the count divides the fast path's
+    /// 256 index segments, each segment nests in one shard, so churn
+    /// patches only the dirty shards' segments. The solver always sees
+    /// one set of columns: prices are **bit-identical for any shard
+    /// count**; the knob only trades rebuild granularity against per-shard
+    /// overhead. Must be at least 1.
     pub shards: usize,
     /// Maximum sampled Theorem 2 residual accepted after a re-solve.
     pub residual_tolerance: f64,
@@ -578,18 +581,17 @@ impl PricingService {
     ) -> Result<RepriceReport, ServiceError> {
         let reprice_watch = Stopwatch::start();
         let n = self.store.len();
-        // Rebuild only the dirty shards' cached columns (availability
-        // rates, inclusion masks, the effective cost/cap transform) —
-        // O(N/S · dirty) instead of the monolithic O(N) rebuild — then
-        // gather them in global insertion order with the exact
-        // `Population::from_raw` weight normalisation, split into
-        // chunk-aligned solver shards. Prices are therefore bit-identical
-        // to a from-scratch solve over the same clients, for any shard
-        // count.
+        // Rebuild only the dirty shards' cached columns (inclusion masks,
+        // the effective cost/cap transform) — O(N/S · dirty) instead of
+        // the monolithic O(N) rebuild — then gather them in global
+        // insertion order with the exact `Population::from_raw` weight
+        // normalisation into the one column set the solver reads. Prices
+        // are therefore bit-identical to a from-scratch solve over the
+        // same clients, for any shard count.
         let stats = self
             .store
             .ensure_caches(self.config.availability_aware, self.config.solver.q_min);
-        let assembled = self.store.assemble(self.config.shards)?;
+        let assembled = self.store.assemble()?;
         let aor = self.config.bound.alpha_over_r();
 
         // Warm-start hint: rescale the previous path parameter for the
@@ -660,7 +662,7 @@ impl PricingService {
                     }
                     let patch_watch = Stopwatch::start();
                     let (index, stats) = cached.index.patch(
-                        &assembled.index.columns(),
+                        &assembled.index_columns(),
                         &assembled.index.seg_keys,
                         &dirty,
                         assembled.index.scale,
@@ -676,7 +678,7 @@ impl PricingService {
                     recorder.add(Metric::ServiceIndexRebuilds, 1);
                     let build_watch = Stopwatch::start();
                     let index = ActiveSetIndex::build_keyed(
-                        &assembled.index.columns(),
+                        &assembled.index_columns(),
                         &assembled.index.seg_keys,
                         INDEX_SEGMENTS,
                         aor,
@@ -708,7 +710,7 @@ impl PricingService {
         } else {
             None
         };
-        let (solution, diag) = solve_kkt_shards(
+        let (solution, diag) = solve_kkt_columns(
             &assembled.population,
             &self.config.bound,
             self.config.budget,

@@ -14,19 +14,18 @@
 //! slice.
 //!
 //! Each shard caches the per-client solver inputs that are expensive to
-//! recompute under churn (availability rates, inclusion masks, the
-//! effective-cost transform `c/rate²` and cap `q_max·rate`); a delta
-//! dirties only the shards it touches, and
-//! [`ShardedClientStore::ensure_caches`] rebuilds only those. A removal
-//! clears directory bits, compacts only the touched shards plus the global
-//! id list, and recomputes block starts from the first touched block:
-//! `O(batch + touched shards + N/32)`. The per-solve
+//! recompute under churn (inclusion masks, the effective-cost transform
+//! `c/rate²` and cap `q_max·rate`); a delta dirties only the shards it
+//! touches, and [`ShardedClientStore::ensure_caches`] rebuilds only those.
+//! A removal clears directory bits, compacts only the touched shards plus
+//! the global id list, and recomputes block starts from the first touched
+//! block: `O(batch + touched shards + N/32)`. The per-solve
 //! [`ShardedClientStore::assemble`] pass then gathers the cached columns in
-//! global order, normalises raw weights with the same left-fold
-//! `Population::from_raw` performs, and splits the result into
-//! chunk-aligned solver shards — so the sharded service's prices are
-//! bit-identical to a from-scratch solve over the same clients for any
-//! shard count.
+//! global order and normalises raw weights with the same left-fold
+//! `Population::from_raw` performs. The solver takes the gathered columns
+//! as they are, one set for the whole population, so the service's prices
+//! are bit-identical to a from-scratch solve over the same clients for any
+//! store shard count.
 //!
 //! The store keeps *raw* data weights (`d_n`, not the normalised `a_n`):
 //! normalisation depends on who else is currently registered, so it is
@@ -36,9 +35,7 @@ use crate::error::ServiceError;
 use crate::{ClientId, ClientParams};
 use fedfl_core::active_set::IndexColumns;
 use fedfl_core::population::PopulationColumns;
-use fedfl_core::shard::ShardedPopulation;
 use fedfl_core::GameError;
-use fedfl_num::parallel::ShardPlan;
 use fedfl_sim::availability::AvailabilityModel;
 use std::ops::Range;
 
@@ -76,7 +73,6 @@ pub(crate) struct ClientRecord {
 /// global and recomputed in the assembly pass.
 #[derive(Debug, Clone, Default)]
 struct ShardCache {
-    rate: Vec<f64>,
     included: Vec<bool>,
     w_raw: Vec<f64>,
     g2: Vec<f64>,
@@ -169,25 +165,19 @@ pub(crate) struct ShardStats {
 }
 
 /// Scale-free threshold-index inputs of the included clients, in
-/// insertion order — the raw-weight twin of the normalised solver
-/// columns.
+/// insertion order — the raw-weight twin of the normalised `a²G²` column.
 ///
 /// The normalised `a²G² = (w/W)²G²` column moves with every change of the
 /// raw-weight total `W`, so an index over it could never reuse segments
-/// across churn. These columns carry `w²G²` from *raw* weights instead
-/// and the squared total as [`IndexInputs::scale`]; the index evaluates
+/// across churn. This carries `w²G²` from *raw* weights instead and the
+/// squared total as [`IndexInputs::scale`]; the index evaluates
 /// thresholds at that scale on the fly, keeping its stored segments
-/// `W`-independent (see `fedfl_core::active_set`).
+/// `W`-independent (see `fedfl_core::active_set`). The cost, value and cap
+/// columns are the solver's own ([`AssembledView::index_columns`]).
 #[derive(Debug)]
 pub(crate) struct IndexInputs {
     /// `w_raw²·G²` per included client.
     pub w2g2: Vec<f64>,
-    /// Effective costs (same values the solver columns carry).
-    pub cost: Vec<f64>,
-    /// Client values.
-    pub value: Vec<f64>,
-    /// Effective caps.
-    pub q_max: Vec<f64>,
     /// Index segment key per included client:
     /// `(id / ROUTE_BLOCK) % INDEX_SEGMENTS` — a pure function of the id,
     /// so the segment partition never depends on shard or thread counts.
@@ -196,24 +186,12 @@ pub(crate) struct IndexInputs {
     pub scale: f64,
 }
 
-impl IndexInputs {
-    /// Borrow as the index builder's column view.
-    pub fn columns(&self) -> IndexColumns<'_> {
-        IndexColumns {
-            w2g2: &self.w2g2,
-            cost: &self.cost,
-            value: &self.value,
-            q_max: &self.q_max,
-        }
-    }
-}
-
 /// The assembled solver view of the current population.
 #[derive(Debug)]
 pub(crate) struct AssembledView {
     /// Effective solver columns of the included clients, in insertion
-    /// order, split into chunk-aligned solver shards.
-    pub population: ShardedPopulation,
+    /// order.
+    pub population: PopulationColumns,
     /// Global inclusion mask, aligned with [`ShardedClientStore::ids`].
     pub included: Vec<bool>,
     /// Number of included clients.
@@ -223,6 +201,19 @@ pub(crate) struct AssembledView {
     pub total_raw_weight: f64,
     /// Scale-free inputs for the fast path's keyed threshold index.
     pub index: IndexInputs,
+}
+
+impl AssembledView {
+    /// The index builder's column view: the raw-weight `w²G²` column
+    /// beside the solver's cost, value and cap columns.
+    pub fn index_columns(&self) -> IndexColumns<'_> {
+        IndexColumns {
+            w2g2: &self.index.w2g2,
+            cost: &self.population.cost,
+            value: &self.population.value,
+            q_max: &self.population.q_max,
+        }
+    }
 }
 
 /// Sharded client store with a route-block id directory, per-shard dirty
@@ -473,7 +464,6 @@ impl ShardedClientStore {
             stats.rebuilt_columns += shard.records.len();
             let m = shard.records.len();
             let mut cache = ShardCache {
-                rate: Vec::with_capacity(m),
                 included: Vec::with_capacity(m),
                 w_raw: Vec::with_capacity(m),
                 g2: Vec::with_capacity(m),
@@ -492,7 +482,6 @@ impl ShardedClientStore {
                 // identities, so the always-on path matches the paper's
                 // pricing bit for bit.
                 let included = rate > 0.0 && p.q_max * rate > q_min;
-                cache.rate.push(rate);
                 cache.included.push(included);
                 cache.w_raw.push(p.data_size);
                 cache.g2.push(p.g_squared);
@@ -509,10 +498,9 @@ impl ShardedClientStore {
         stats
     }
 
-    /// Gather the cached columns in global order, normalise the raw
+    /// Gather the cached columns in global order and normalise the raw
     /// weights (the exact left-fold `Population::from_raw` performs over
-    /// the included clients), and split the result into `solve_shards`
-    /// chunk-aligned solver shards.
+    /// the included clients).
     ///
     /// The gather walks the route blocks in order and copies each block's
     /// run out of its shard's cache as slices; a block's segment key is
@@ -526,7 +514,7 @@ impl ShardedClientStore {
     /// excluded, and [`ServiceError::Game`] for degenerate raw weights —
     /// the same conditions the from-scratch `Population::from_raw` path
     /// rejects.
-    pub fn assemble(&self, solve_shards: usize) -> Result<AssembledView, ServiceError> {
+    pub fn assemble(&self) -> Result<AssembledView, ServiceError> {
         let n = self.order.len();
         let mut included = Vec::with_capacity(n);
         let mut w_raw = Vec::with_capacity(n);
@@ -566,49 +554,37 @@ impl ShardedClientStore {
                 ),
             }));
         }
-        let plan = ShardPlan::new(included_count, solve_shards.max(1))
-            .expect("solve_shards >= 1 by construction");
-        let mut shards = Vec::with_capacity(plan.shard_count());
-        for range in plan.ranges() {
-            let mut cols = PopulationColumns {
-                a2g2: Vec::with_capacity(range.len()),
-                cost: cost[range.clone()].to_vec(),
-                value: value[range.clone()].to_vec(),
-                q_max: q_max[range.clone()].to_vec(),
-            };
-            for i in range {
-                let nw = w_raw[i] / total_raw_weight;
-                if !(nw.is_finite() && nw > 0.0) {
-                    return Err(ServiceError::Game(GameError::InvalidParameter {
-                        name: "weight",
-                        reason: format!("normalised weight must be finite and positive, got {nw}"),
-                    }));
-                }
-                cols.a2g2.push(nw * nw * g2[i]);
+        let mut a2g2 = Vec::with_capacity(included_count);
+        for (&w, &g) in w_raw.iter().zip(&g2) {
+            let nw = w / total_raw_weight;
+            if !(nw.is_finite() && nw > 0.0) {
+                return Err(ServiceError::Game(GameError::InvalidParameter {
+                    name: "weight",
+                    reason: format!("normalised weight must be finite and positive, got {nw}"),
+                }));
             }
-            shards.push(cols);
+            a2g2.push(nw * nw * g);
         }
-        let population = ShardedPopulation::from_shards(shards)
-            .expect("plan-split shards are chunk-aligned by construction");
         let w2g2 = w_raw
             .iter()
             .zip(&g2)
             .map(|(&w, &g)| w * w * g)
             .collect::<Vec<f64>>();
-        let index = IndexInputs {
-            w2g2,
-            cost,
-            value,
-            q_max,
-            seg_keys,
-            scale: total_raw_weight * total_raw_weight,
-        };
         Ok(AssembledView {
-            population,
+            population: PopulationColumns {
+                a2g2,
+                cost,
+                value,
+                q_max,
+            },
             included,
             included_count,
             total_raw_weight,
-            index,
+            index: IndexInputs {
+                w2g2,
+                seg_keys,
+                scale: total_raw_weight * total_raw_weight,
+            },
         })
     }
 
@@ -781,7 +757,7 @@ mod tests {
             .add(vec![params(1.5), dead, params(3.0), params(4.0)])
             .unwrap();
         store.ensure_caches(true, Q_MIN);
-        let assembled = store.assemble(1).unwrap();
+        let assembled = store.assemble().unwrap();
         let inputs = &assembled.index;
         assert_eq!(inputs.w2g2.len(), assembled.included_count);
         assert_eq!(inputs.seg_keys.len(), assembled.included_count);
@@ -795,8 +771,7 @@ mod tests {
         assert_eq!(inputs.seg_keys, vec![0, 0, 0]);
         // The scaled index columns describe the same clients the solver
         // columns do: (w/W)²G² == w²G² / scale up to one rounding.
-        let cols = assembled.population.concat();
-        for (i, &a2g2) in cols.a2g2.iter().enumerate() {
+        for (i, &a2g2) in assembled.population.a2g2.iter().enumerate() {
             let rescaled = inputs.w2g2[i] / inputs.scale;
             assert!((rescaled - a2g2).abs() <= 1e-12 * a2g2.abs());
         }
@@ -832,14 +807,14 @@ mod tests {
         let clients: Vec<ClientParams> = (0..10).map(|k| params(1.0 + k as f64)).collect();
         store.add(clients.clone()).unwrap();
         store.ensure_caches(false, Q_MIN);
-        let assembled = store.assemble(2).unwrap();
+        let assembled = store.assemble().unwrap();
         assert_eq!(assembled.included_count, 10);
         assert!(assembled.included.iter().all(|&inc| inc));
         let reference =
             Population::from_raw(clients.iter().map(ClientParams::raw_profile).collect())
                 .unwrap()
                 .columns();
-        assert_eq!(assembled.population.concat(), reference);
+        assert_eq!(assembled.population, reference);
         let expected_total: f64 = clients.iter().map(|c| c.data_size).sum();
         assert_eq!(
             assembled.total_raw_weight.to_bits(),
@@ -854,7 +829,7 @@ mod tests {
         dead.availability = AvailabilityPattern::Random { probability: 1e-12 };
         store.add(vec![params(1.0), dead, params(3.0)]).unwrap();
         store.ensure_caches(true, Q_MIN);
-        let assembled = store.assemble(1).unwrap();
+        let assembled = store.assemble().unwrap();
         assert_eq!(assembled.included, vec![true, false, true]);
         assert_eq!(assembled.included_count, 2);
         assert_eq!(assembled.population.len(), 2);
@@ -865,7 +840,7 @@ mod tests {
         empty.add(vec![gone]).unwrap();
         empty.ensure_caches(true, Q_MIN);
         assert!(matches!(
-            empty.assemble(1),
+            empty.assemble(),
             Err(ServiceError::NoPriceableClients { registered: 1 })
         ));
     }
@@ -1085,7 +1060,7 @@ mod tests {
                 .map(|((_, p), &r)| r > 0.0 && p.q_max * r > Q_MIN)
                 .collect();
             let survivors: Vec<usize> = (0..included.len()).filter(|&i| included[i]).collect();
-            let result = self.store.assemble(3);
+            let result = self.store.assemble();
             if survivors.is_empty() {
                 let registered = self.clients.len();
                 assert!(matches!(
@@ -1108,7 +1083,7 @@ mod tests {
             .columns()
             .effective(&survivor_rates)
             .unwrap();
-            let got = view.population.concat();
+            let got = &view.population;
             assert_eq!(bits(&got.a2g2), bits(&expected.a2g2));
             assert_eq!(bits(&got.cost), bits(&expected.cost));
             assert_eq!(bits(&got.value), bits(&expected.value));
@@ -1128,9 +1103,11 @@ mod tests {
                 })
                 .collect();
             assert_eq!(bits(&index.w2g2), bits(&w2g2));
-            assert_eq!(bits(&index.cost), bits(&expected.cost));
-            assert_eq!(bits(&index.value), bits(&expected.value));
-            assert_eq!(bits(&index.q_max), bits(&expected.q_max));
+            let index_cols = view.index_columns();
+            assert_eq!(bits(index_cols.w2g2), bits(&w2g2));
+            assert_eq!(bits(index_cols.cost), bits(&expected.cost));
+            assert_eq!(bits(index_cols.value), bits(&expected.value));
+            assert_eq!(bits(index_cols.q_max), bits(&expected.q_max));
             let keys: Vec<u32> = survivors
                 .iter()
                 .map(|&i| ((self.clients[i].0 .0 / ROUTE_BLOCK) % INDEX_SEGMENTS as u64) as u32)

@@ -9,8 +9,7 @@
 
 use fedfl_core::bound::BoundParams;
 use fedfl_core::population::{ClientProfile, Population};
-use fedfl_core::server::{path_budget, solve_kkt, solve_kkt_shards, SolverOptions};
-use fedfl_core::shard::ShardedPopulation;
+use fedfl_core::server::{path_budget, solve_kkt, solve_kkt_columns, SolverOptions};
 use fedfl_num::rng::substream;
 use fedfl_obs::NoopRecorder;
 use fedfl_service::{AvailabilityPattern, ClientId, ClientParams, PricingService, ServiceConfig};
@@ -96,8 +95,8 @@ fn reference_solve(
         // Exercise the *public* from-scratch path where it applies.
         let sol = solve_kkt(&population, &bound(), config.budget, &config.solver)
             .expect("from-scratch solve");
-        let (check, diag) = solve_kkt_shards(
-            &ShardedPopulation::from(&population),
+        let (check, diag) = solve_kkt_columns(
+            &population.columns(),
             &bound(),
             config.budget,
             &config.solver,
@@ -119,8 +118,7 @@ fn reference_solve(
             .columns()
             .effective(&included_rates)
             .expect("effective view");
-        let eff = ShardedPopulation::from_shards(vec![eff]).expect("one shard");
-        solve_kkt_shards(
+        solve_kkt_columns(
             &eff,
             &bound(),
             config.budget,

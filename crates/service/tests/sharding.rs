@@ -4,6 +4,8 @@
 //!    services configured with 1, 2, 7 and 32 store shards (and 1 or 3
 //!    worker threads) produces **bit-identical** snapshots at every step:
 //!    sharding changes which columns are rebuilt, never the prices.
+//!    A 33k-client service repeats the check with spawned solver workers
+//!    on the exact and the fast path.
 //! 2. **Dirty-shard accounting** — a delta rebuilds only the shards it
 //!    touches; with enough shards a small churn batch rebuilds a strict
 //!    subset of the columns.
@@ -18,6 +20,7 @@ use fedfl_core::server::{path_budget, SolverOptions};
 use fedfl_num::rng::substream;
 use fedfl_service::{
     AvailabilityPattern, ClientId, ClientParams, Command, PricingService, Response, ServiceConfig,
+    ServiceSnapshot,
 };
 use proptest::prelude::*;
 use rand::Rng;
@@ -199,6 +202,70 @@ proptest! {
 #[test]
 fn long_history_is_shard_count_invariant() {
     run_shard_invariance(2023, 48, 12, 1);
+}
+
+/// A snapshot's served bits: ids, prices, levels, and the λ*/spend of
+/// the solve behind them (the report's timings are left out).
+fn served_bits(s: &ServiceSnapshot) -> (Vec<ClientId>, Vec<u64>, Vec<u64>, u64, u64) {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    (
+        s.ids.clone(),
+        bits(&s.prices),
+        bits(&s.q_eff),
+        s.report.lambda.map_or(0, f64::to_bits),
+        s.report.spent.to_bits(),
+    )
+}
+
+#[test]
+fn spawned_solver_workers_keep_snapshots_bit_identical() {
+    use fedfl_core::server::SolverMode;
+    use fedfl_num::parallel::DEFAULT_CHUNK;
+
+    // Five solver chunks: a worker spawns only when each gets at least two
+    // chunks, so two threads run the spawned passes that the small
+    // histories above never reach.
+    let n = 4 * DEFAULT_CHUNK + 531;
+    let mut rng = substream(29, 0x5B0A);
+    let clients: Vec<ClientParams> = (0..n).map(|_| draw_client(&mut rng, 1)).collect();
+    let budget_pop =
+        Population::from_raw(clients.iter().map(ClientParams::raw_profile).collect()).unwrap();
+    let budget = path_budget(&budget_pop, &bound(), &SolverOptions::default(), 0.4);
+    for fast_path in [false, true] {
+        let mut reference = None;
+        for threads in [1usize, 2] {
+            for shards in [1usize, 256] {
+                let mut config = ServiceConfig::new(bound(), budget);
+                config.solver = SolverOptions::with_threads(threads);
+                config.availability_aware = true;
+                config.shards = shards;
+                config.fast_path = fast_path;
+                let (mut service, ids) =
+                    PricingService::with_clients(config, clients.clone()).expect("service");
+                let cold = service.snapshot().expect("cold snapshot");
+                let doomed: Vec<ClientId> = ids.iter().step_by(97).copied().collect();
+                service.remove_clients(&doomed).expect("remove");
+                let warm = service.snapshot().expect("warm snapshot");
+                let expected_mode = if fast_path {
+                    SolverMode::ThresholdIndex
+                } else {
+                    SolverMode::Exact
+                };
+                assert_eq!(cold.report.solver_mode, expected_mode);
+                assert_eq!(warm.report.solver_mode, expected_mode);
+                assert!(warm.report.warm_started);
+                let got = (served_bits(&cold), served_bits(&warm));
+                match &reference {
+                    None => reference = Some(got),
+                    Some(first) => assert!(
+                        *first == got,
+                        "fast_path {fast_path}: threads {threads} × shards {shards} \
+                         changed the served bits"
+                    ),
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -16,8 +16,7 @@ use crate::error::WorkloadError;
 use crate::generator::{fnv1a, Phase, Trace, TraceOp};
 use crate::spec::WorkloadSpec;
 use fedfl_core::population::{ClientProfile, Population};
-use fedfl_core::server::{path_budget, solve_kkt_shards, SolverMode, SolverOptions};
-use fedfl_core::shard::ShardedPopulation;
+use fedfl_core::server::{path_budget, solve_kkt_columns, SolverMode, SolverOptions};
 use fedfl_obs::{
     Histogram, HistogramSnapshot, Metric, NoopRecorder, Recorder, Registry, Stopwatch,
 };
@@ -704,12 +703,11 @@ fn reference(
         .collect();
     let eff = cols
         .effective(&included_rates)
-        .and_then(|eff| ShardedPopulation::from_shards(vec![eff]))
         .map_err(|e| WorkloadError::InvalidSpec {
             field: "effective columns",
             reason: e.to_string(),
         })?;
-    let (solution, _diag) = solve_kkt_shards(
+    let (solution, _diag) = solve_kkt_columns(
         &eff,
         &config.bound,
         config.budget,
