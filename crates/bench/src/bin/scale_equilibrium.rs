@@ -6,99 +6,32 @@
 //!
 //! ```text
 //! scale_equilibrium [--clients N] [--threads T] [--seed S]
-//!                   [--budget-frac F] [--out PATH] [--skip-sequential]
-//!                   [--fast-path] [--json] [--json-out PATH]
-//!                   [--metrics-out PATH]
+//!                   [--budget-frac F] [--out PATH] [--no-out]
+//!                   [--skip-sequential] [--fast-path]
 //! ```
-//!
-//! `--metrics-out` appends a `"bench":"metrics"` JSONL export of the
-//! run's solver counters and spans (probe evaluations, bisection
-//! iterations, solve/index-build histograms). The solves record into the
-//! registry as they run; recording never changes a price bit.
 //!
 //! With `--fast-path`, the run additionally builds the threshold index
 //! (timed, positional segments), runs the certified fast solve cold and
-//! warm (index + hint reuse), and records the probe-work comparison
-//! against the exact solve — the sub-linear λ-probe demonstration. The exact solve remains
-//! the one whose equilibrium is verified and reported.
+//! warm (index + hint reuse), and reports the probe-work comparison
+//! against the exact solve — the sub-linear λ-probe demonstration. The
+//! exact solve remains the one whose equilibrium is verified and
+//! reported.
 //!
 //! Defaults: 1,000,000 clients, auto threads, seed 2023, budget at half
 //! the saturation path, report appended to
 //! `results/scale_equilibrium.txt`. The solve runs over the population's
 //! solver columns (`solve_kkt_columns`); the sequential one-thread
 //! re-solve (`solve_kkt`) then asserts it bit-identical — unless
-//! `--skip-sequential` suppresses that check. With `--json`, a
-//! machine-readable record of the same run is appended as one JSON object
-//! per line to `results/BENCH_scale.json` (or the given path) alongside
-//! the text report.
+//! `--skip-sequential` suppresses that check.
 
-use fedfl_bench::metrics_record::MetricsRecord;
-use fedfl_bench::schema::check_line;
 use fedfl_core::active_set::{ActiveSetIndex, IndexColumns, GRID_SEGMENT};
 use fedfl_core::bound::BoundParams;
 use fedfl_core::equilibrium::StackelbergEquilibrium;
 use fedfl_core::population::{Population, PopulationSpec};
 use fedfl_core::server::{path_budget, solve_kkt, solve_kkt_columns, SolverOptions};
-use fedfl_obs::{Metric, NoopRecorder, Recorder, Registry};
-use serde::{Serialize, Value};
+use fedfl_obs::NoopRecorder;
 use std::io::Write as _;
 use std::time::Instant;
-
-/// The machine-readable record `--json` appends (one object per line).
-#[derive(Debug, Serialize)]
-struct JsonRecord {
-    clients: usize,
-    threads: usize,
-    seed: u64,
-    budget: f64,
-    synthesize_seconds: f64,
-    solve_seconds: f64,
-    spent: f64,
-    budget_tight: bool,
-    saturated: bool,
-    lambda: Option<f64>,
-    theorem2_max_residual: Option<f64>,
-    negative_payments: usize,
-    parallel_matches_sequential: Option<bool>,
-    // --fast-path fields; `None` entries are stripped before writing so
-    // plain runs keep the historical record shape (the ledger schema
-    // rejects nulls).
-    solver_mode: Option<String>,
-    index_build_seconds: Option<f64>,
-    fast_solve_seconds: Option<f64>,
-    fast_warm_solve_seconds: Option<f64>,
-    probe_evaluations: Option<u64>,
-    probe_evaluations_exact: Option<u64>,
-    fast_rel_spend_error: Option<f64>,
-    index_segments: Option<usize>,
-    index_keyed_build_seconds: Option<f64>,
-    index_patch_seconds: Option<f64>,
-    index_patch_segments_rebuilt: Option<usize>,
-    index_patch_segments_reused: Option<usize>,
-}
-
-/// Everything a `--fast-path` run measured beyond the exact solve.
-struct FastStats {
-    solver_mode: String,
-    index_build_seconds: f64,
-    fast_solve_seconds: f64,
-    fast_warm_solve_seconds: f64,
-    probe_evaluations: u64,
-    probe_evaluations_exact: u64,
-    fast_rel_spend_error: f64,
-    /// Segments of the positional index the fast solve probed.
-    index_segments: usize,
-    /// Cold keyed (service-layout) index build time — the incremental
-    /// patch's baseline.
-    index_keyed_build_seconds: f64,
-    /// Time to patch the keyed index with [`PATCH_DIRTY_SEGMENTS`]
-    /// segments marked dirty.
-    index_patch_seconds: f64,
-    /// Segments the patch re-sorted (== the dirty count).
-    index_patch_segments_rebuilt: usize,
-    /// Segments the patch reused verbatim.
-    index_patch_segments_reused: usize,
-}
 
 /// Keyed-index layout of the patch micro-bench: the service's segment
 /// count and routing-block width (`store::INDEX_SEGMENTS`, `ROUTE_BLOCK`).
@@ -113,8 +46,6 @@ struct Args {
     seed: u64,
     budget_frac: f64,
     out: Option<String>,
-    json: Option<String>,
-    metrics_out: Option<String>,
     skip_sequential: bool,
     fast_path: bool,
 }
@@ -127,8 +58,6 @@ impl Args {
             seed: 2023,
             budget_frac: 0.5,
             out: Some("results/scale_equilibrium.txt".into()),
-            json: None,
-            metrics_out: None,
             skip_sequential: false,
             fast_path: false,
         };
@@ -158,19 +87,12 @@ impl Args {
                 }
                 "--out" => args.out = Some(value("--out")?),
                 "--no-out" => args.out = None,
-                "--json" => {
-                    args.json
-                        .get_or_insert_with(|| "results/BENCH_scale.json".into());
-                }
-                "--json-out" => args.json = Some(value("--json-out")?),
-                "--metrics-out" => args.metrics_out = Some(value("--metrics-out")?),
                 "--skip-sequential" => args.skip_sequential = true,
                 "--fast-path" => args.fast_path = true,
                 other => {
                     return Err(format!(
                         "unknown flag `{other}` (expected --clients N, --threads T, --seed S, \
-                         --budget-frac F, --out PATH, --no-out, --json, --json-out PATH, \
-                         --metrics-out PATH, --skip-sequential, --fast-path)"
+                         --budget-frac F, --out PATH, --no-out, --skip-sequential, --fast-path)"
                     ))
                 }
             }
@@ -211,15 +133,11 @@ fn main() {
         "solving the Stackelberg equilibrium (budget {budget:.4e}, threads {}) ...",
         args.threads
     );
-    let registry = args.metrics_out.as_ref().map(|_| Registry::new());
-    let recorder: &dyn Recorder = match &registry {
-        Some(registry) => registry,
-        None => &NoopRecorder,
-    };
     let cols = population.columns();
     let t0 = Instant::now();
     let (solution, exact_diag) =
-        solve_kkt_columns(&cols, &bound, budget, &options, None, None, recorder).expect("solve");
+        solve_kkt_columns(&cols, &bound, budget, &options, None, None, &NoopRecorder)
+            .expect("solve");
     let solve_time = t0.elapsed();
     println!("  {:.3}s", solve_time.as_secs_f64());
 
@@ -250,11 +168,8 @@ fn main() {
             1.0,
             options.config.n_threads,
         );
-        let index_build_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let index_build_seconds = index_build_ns as f64 / 1e9;
+        let index_build_seconds = t0.elapsed().as_secs_f64();
         println!("  {index_build_seconds:.3}s");
-        recorder.add(Metric::SolverIndexBuilds, 1);
-        recorder.observe(Metric::SolverIndexBuildNs, index_build_ns);
         println!("fast solve (cold, then warm with index + hint reuse) ...");
         let fast_solve = |hint: Option<f64>| {
             solve_kkt_columns(
@@ -264,7 +179,7 @@ fn main() {
                 &options,
                 hint,
                 Some(&index),
-                recorder,
+                &NoopRecorder,
             )
         };
         let t0 = Instant::now();
@@ -316,39 +231,40 @@ fn main() {
             1.0,
             options.config.n_threads,
         );
-        let patch_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let index_patch_seconds = patch_ns as f64 / 1e9;
+        let index_patch_seconds = t0.elapsed().as_secs_f64();
         assert_eq!(patched, keyed, "patched keyed index diverged from cold");
         println!(
             "  cold keyed {index_keyed_build_seconds:.3}s vs patch {index_patch_seconds:.3}s \
              (rebuilt {}, repaired {}, reused {})",
             patch_stats.rebuilt, patch_stats.repaired, patch_stats.reused
         );
-        recorder.observe(Metric::SolverIndexPatchNs, patch_ns);
-        recorder.add(
-            Metric::SolverIndexSegmentsRebuilt,
-            patch_stats.rebuilt as u64,
-        );
-        recorder.add(
-            Metric::SolverIndexSegmentsRepaired,
-            patch_stats.repaired as u64,
-        );
-        recorder.add(Metric::SolverIndexSegmentsReused, patch_stats.reused as u64);
 
-        Some(FastStats {
-            solver_mode: cold_diag.solver_mode.as_str().to_string(),
-            index_build_seconds,
-            fast_solve_seconds,
-            fast_warm_solve_seconds,
-            probe_evaluations: cold_diag.probe_evaluations,
-            probe_evaluations_exact: exact_diag.probe_evaluations,
-            fast_rel_spend_error,
-            index_segments: index.segment_count(),
-            index_keyed_build_seconds,
-            index_patch_seconds,
-            index_patch_segments_rebuilt: patch_stats.rebuilt,
-            index_patch_segments_reused: patch_stats.reused,
-        })
+        // The report lines of everything the fast path measured beyond
+        // the exact solve.
+        let probes_fast = cold_diag.probe_evaluations;
+        let probes_exact = exact_diag.probe_evaluations;
+        Some(
+            [
+                format!(
+                    "  fast path [{}]: index {index_build_seconds:.3}s, \
+                     cold {fast_solve_seconds:.3}s, warm {fast_warm_solve_seconds:.3}s\n",
+                    cold_diag.solver_mode
+                ),
+                format!(
+                    "  probe work: fast {probes_fast} vs exact {probes_exact} spend-evaluations \
+                     ({:.1}x fewer), rel spend error {fast_rel_spend_error:.3e}\n",
+                    probes_exact as f64 / probes_fast.max(1) as f64
+                ),
+                format!(
+                    "  segmented index: {} grid segments; keyed patch {index_patch_seconds:.3}s \
+                     vs cold keyed build {index_keyed_build_seconds:.3}s (rebuilt {}, reused {})\n",
+                    index.segment_count(),
+                    patch_stats.rebuilt,
+                    patch_stats.reused
+                ),
+            ]
+            .concat(),
+        )
     } else {
         None
     };
@@ -385,30 +301,8 @@ fn main() {
         "  parallel==sequential: {}\n",
         seq_matches.map_or("skipped".into(), |m| m.to_string())
     ));
-    if let Some(fast) = &fast {
-        report.push_str(&format!(
-            "  fast path [{}]: index {:.3}s, cold {:.3}s, warm {:.3}s\n",
-            fast.solver_mode,
-            fast.index_build_seconds,
-            fast.fast_solve_seconds,
-            fast.fast_warm_solve_seconds
-        ));
-        report.push_str(&format!(
-            "  probe work: fast {} vs exact {} spend-evaluations ({:.1}x fewer), rel spend error {:.3e}\n",
-            fast.probe_evaluations,
-            fast.probe_evaluations_exact,
-            fast.probe_evaluations_exact as f64 / (fast.probe_evaluations.max(1)) as f64,
-            fast.fast_rel_spend_error
-        ));
-        report.push_str(&format!(
-            "  segmented index: {} grid segments; keyed patch {:.3}s vs cold keyed build {:.3}s \
-             (rebuilt {}, reused {})\n",
-            fast.index_segments,
-            fast.index_patch_seconds,
-            fast.index_keyed_build_seconds,
-            fast.index_patch_segments_rebuilt,
-            fast.index_patch_segments_reused
-        ));
+    if let Some(lines) = &fast {
+        report.push_str(lines);
     }
     print!("{report}");
 
@@ -423,73 +317,6 @@ fn main() {
             .expect("open report file");
         file.write_all(report.as_bytes()).expect("write report");
         println!("appended to {path}");
-    }
-
-    if let Some(path) = &args.json {
-        let record = JsonRecord {
-            clients: args.clients,
-            threads: args.threads,
-            seed: args.seed,
-            budget,
-            synthesize_seconds: synth_time.as_secs_f64(),
-            solve_seconds: solve_time.as_secs_f64(),
-            spent: se.spent(),
-            budget_tight: tight,
-            saturated: se.is_saturated(),
-            lambda: se.lambda(),
-            theorem2_max_residual: theorem2,
-            negative_payments: negative,
-            parallel_matches_sequential: seq_matches,
-            solver_mode: fast.as_ref().map(|f| f.solver_mode.clone()),
-            index_build_seconds: fast.as_ref().map(|f| f.index_build_seconds),
-            fast_solve_seconds: fast.as_ref().map(|f| f.fast_solve_seconds),
-            fast_warm_solve_seconds: fast.as_ref().map(|f| f.fast_warm_solve_seconds),
-            probe_evaluations: fast.as_ref().map(|f| f.probe_evaluations),
-            probe_evaluations_exact: fast.as_ref().map(|f| f.probe_evaluations_exact),
-            fast_rel_spend_error: fast.as_ref().map(|f| f.fast_rel_spend_error),
-            index_segments: fast.as_ref().map(|f| f.index_segments),
-            index_keyed_build_seconds: fast.as_ref().map(|f| f.index_keyed_build_seconds),
-            index_patch_seconds: fast.as_ref().map(|f| f.index_patch_seconds),
-            index_patch_segments_rebuilt: fast.as_ref().map(|f| f.index_patch_segments_rebuilt),
-            index_patch_segments_reused: fast.as_ref().map(|f| f.index_patch_segments_reused),
-        };
-        // `None` fields serialize as `null`, which the ledger schema
-        // rejects — strip them so plain runs keep the historical shape
-        // and fast runs only add the fields they measured.
-        let mut value = record.to_value();
-        if let Value::Map(entries) = &mut value {
-            entries.retain(|(_, v)| !matches!(v, Value::Null));
-        }
-        let line = serde_json::to_string(&value).expect("serialize json record");
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .expect("open json record file");
-        writeln!(file, "{line}").expect("write json record");
-        println!("appended JSON record to {path}");
-    }
-
-    if let (Some(path), Some(registry)) = (&args.metrics_out, &registry) {
-        let record = MetricsRecord::new("scale_equilibrium", "none", &registry.snapshot());
-        let line = serde_json::to_string(&record).expect("serialize metrics record");
-        if let Err(err) = check_line(&line) {
-            eprintln!("scale_equilibrium: produced a malformed metrics record: {err}");
-            std::process::exit(1);
-        }
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .expect("open metrics record file");
-        writeln!(file, "{line}").expect("write metrics record");
-        println!("appended metrics record to {path}");
     }
 
     let ok =

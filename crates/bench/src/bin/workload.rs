@@ -18,54 +18,51 @@
 //!          [--transport inproc|tcp] [--record-wire PATH]
 //!          [--assert-price-checksum HEX] [--assert-solver-mode MODE]
 //!          [--assert-mean-resolve-ms X] [--assert-p99-read-ms X]
-//!          [--metrics-out PATH] [--assert-counter NAME=V]
-//!          [--assert-counter-min NAME=V] [--assert-counter-le A=B]
-//!          [--out PATH] [--no-out] [--json] [--json-out PATH]
+//!          [--assert-counter NAME=V] [--assert-counter-min NAME=V]
+//!          [--assert-counter-le A=B] [--out PATH] [--no-out]
 //! ```
+//!
+//! Every number the run reports comes from one obs registry: the
+//! service, the solver and the replay loop record into it, and the
+//! summary reads its snapshot (with `--transport tcp`, the snapshot is a
+//! `Metrics` scrape over the connection, so the exposition path itself is
+//! exercised).
 //!
 //! `--fast-path` replays through the threshold-indexed fast solver;
 //! `verify_every` checkpoints then certify served prices against the
 //! fast-path tolerance instead of bit-identity, and the price checksum is
 //! no longer comparable to exact-solver references.
 //! `--assert-solver-mode exact|threshold_index|threshold_index_fallback`
-//! pins the record's run-level solver mode (CI uses
+//! pins the run-level solver mode (CI uses
 //! `--assert-solver-mode threshold_index` to prove certification never
 //! tripped the fallback on the reference trace).
 //!
 //! With `--transport tcp` the trace is replayed through a loopback
 //! `fedfl-net` server instead of direct calls; the served price bits and
 //! `price_checksum` must be bit-identical to the in-process transport.
-//! `--assert-price-checksum` pins the checksum to a committed reference
-//! (CI uses this to hold the TCP path to the in-process record), and
-//! `--record-wire` dumps every (command, reply) exchange to a JSONL wire
-//! trace.
+//! `--assert-price-checksum` pins the checksum to a reference (CI pins
+//! both transports to the 10k reference checksum), and `--record-wire`
+//! dumps every (command, reply) exchange to a JSONL wire trace.
 //!
-//! `--metrics-out` appends a `"bench":"metrics"` JSONL export of the
-//! run's obs registry (scraped over the wire with `--transport tcp`, so
-//! the exposition path itself is exercised); `--assert-counter NAME=V`
-//! and `--assert-counter-min NAME=V` gate on exported counters, and
-//! `--assert-counter-le A=B` gates counter A at or below counter B
-//! (CI uses `solver_index_segments_rebuilt=service_dirty_shards` to
-//! prove churn batches patch only the affected shard segments). Names
-//! are accepted with or without the `fedfl_` prefix and `_total`
-//! suffix. Any of these flags implies metrics collection.
+//! `--assert-counter NAME=V` and `--assert-counter-min NAME=V` gate on
+//! the snapshot's counters, and `--assert-counter-le A=B` gates counter A
+//! at or below counter B (CI uses
+//! `solver_index_segments_rebuilt=service_dirty_shards` to prove churn
+//! batches patch only the affected shard segments). Names are accepted
+//! with or without the `fedfl_` prefix and `_total` suffix.
+//! `--assert-mean-resolve-ms` reads the exact mean of the re-solve
+//! histograms, `--assert-p99-read-ms` the p99 of the read histograms
+//! (the upper bound of its bucket, at most 1/32 above the sample).
 //!
 //! Defaults are the committed 10k reference trace
 //! ([`WorkloadSpec::reference_10k`]). A human-readable report is appended
-//! to `results/workload.txt`; with `--json`, the machine-readable record
-//! is appended to `results/BENCH_scale.json` (or the given path) after
-//! passing the same schema check CI runs. Exits non-zero on a
-//! bit-identity mismatch, a malformed record, or a busted latency
-//! ceiling.
+//! to `results/workload.txt`. Exits non-zero on a bit-identity mismatch
+//! or a failed gate.
 
-use fedfl_bench::metrics_record::MetricsRecord;
-use fedfl_bench::schema::check_line;
 use fedfl_bench::tcp::replay_over_tcp;
-use fedfl_obs::Registry;
-use fedfl_workload::report::percentile;
-use fedfl_workload::{generate, replay, replay_observed, WorkloadRecord, WorkloadSpec};
+use fedfl_workload::report::counter;
+use fedfl_workload::{generate, replay, WorkloadRecord, WorkloadSpec};
 use std::io::Write as _;
-use std::sync::Arc;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Transport {
@@ -91,8 +88,6 @@ struct Args {
     assert_mean_resolve_ms: Option<f64>,
     assert_p99_read_ms: Option<f64>,
     out: Option<String>,
-    json: Option<String>,
-    metrics_out: Option<String>,
     assert_counter: Vec<(String, u64)>,
     assert_counter_min: Vec<(String, u64)>,
     assert_counter_le: Vec<(String, String)>,
@@ -109,8 +104,6 @@ impl Args {
             assert_mean_resolve_ms: None,
             assert_p99_read_ms: None,
             out: Some("results/workload.txt".into()),
-            json: None,
-            metrics_out: None,
             assert_counter: Vec::new(),
             assert_counter_min: Vec::new(),
             assert_counter_le: Vec::new(),
@@ -165,7 +158,6 @@ impl Args {
                 "--assert-p99-read-ms" => {
                     args.assert_p99_read_ms = Some(parse(value("--assert-p99-read-ms")?)?)
                 }
-                "--metrics-out" => args.metrics_out = Some(value("--metrics-out")?),
                 "--assert-counter" => args
                     .assert_counter
                     .push(parse_counter_assert(&value("--assert-counter")?)?),
@@ -177,11 +169,6 @@ impl Args {
                     .push(parse_counter_pair(&value("--assert-counter-le")?)?),
                 "--out" => args.out = Some(value("--out")?),
                 "--no-out" => args.out = None,
-                "--json" => {
-                    args.json
-                        .get_or_insert_with(|| "results/BENCH_scale.json".into());
-                }
-                "--json-out" => args.json = Some(value("--json-out")?),
                 other => return Err(format!("unknown flag `{other}` (see --help in the doc)")),
             }
         }
@@ -257,26 +244,9 @@ fn main() {
         eprintln!("workload: --record-wire needs --transport tcp");
         std::process::exit(2);
     }
-    // Metrics are collected whenever they are exported or asserted on;
-    // otherwise the replay runs with the no-op recorder (zero overhead).
-    let want_metrics = args.metrics_out.is_some()
-        || !args.assert_counter.is_empty()
-        || !args.assert_counter_min.is_empty()
-        || !args.assert_counter_le.is_empty();
-    let (outcome, metrics) = match (args.transport, want_metrics) {
-        (Transport::Inproc, false) => (replay(spec, &trace), None),
-        (Transport::Inproc, true) => {
-            let registry = Arc::new(Registry::new());
-            let outcome = replay_observed(spec, &trace, Arc::clone(&registry));
-            (outcome, Some(registry.snapshot()))
-        }
-        (Transport::Tcp, want) => {
-            let registry = want.then(|| Arc::new(Registry::new()));
-            match replay_over_tcp(spec, &trace, args.record_wire.as_deref(), registry) {
-                Ok((outcome, report)) => (Ok(outcome), report.map(|r| r.snapshot)),
-                Err(err) => (Err(err), None),
-            }
-        }
+    let outcome = match args.transport {
+        Transport::Inproc => replay(spec, &trace),
+        Transport::Tcp => replay_over_tcp(spec, &trace, args.record_wire.as_deref()),
     };
     let outcome = match outcome {
         Ok(o) => o,
@@ -285,19 +255,18 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let mut record = WorkloadRecord::new(spec, &trace, &outcome);
-    record.transport = args.transport.name().to_string();
+    let record = WorkloadRecord::new(spec, &trace, &outcome);
 
     let mut report = String::new();
     report.push_str(&format!(
         "workload[{}]: clients {} (final {}), steps {}, shards {}, threads {}, seed {}\n",
-        record.transport,
+        args.transport.name(),
         record.clients,
         record.final_clients,
-        record.steps,
-        record.shards,
-        record.threads,
-        record.seed
+        spec.steps,
+        spec.shards,
+        spec.threads,
+        spec.seed
     ));
     report.push_str(&format!(
         "  trace {} · {} commands · prices {} · base budget {:.3}\n",
@@ -341,7 +310,7 @@ fn main() {
     report.push_str(&format!(
         "  verified {} / {} steps {} · solver {} · wall {:.2} s\n",
         record.verified_steps,
-        record.steps,
+        spec.steps,
         if spec.fast_path {
             "within fast-path tolerance"
         } else {
@@ -360,131 +329,82 @@ fn main() {
         println!("report appended to {path}");
     }
 
-    // The record must pass the same schema gate CI enforces before it is
-    // allowed into the ledger.
-    let line = serde_json::to_string(&record).expect("record serializes");
-    if let Err(err) = check_line(&line) {
-        eprintln!("workload: produced a malformed BENCH record: {err}");
-        eprintln!("workload: record was: {line}");
-        std::process::exit(1);
-    }
-    if let Some(path) = &args.json {
-        if let Err(err) = append(path, &format!("{line}\n")) {
-            eprintln!("workload: cannot write {path}: {err}");
-            std::process::exit(1);
-        }
-        println!("JSON record appended to {path}");
-    }
-
+    // Every gate prints its verdict; any failure fails the run.
     let mut failed = false;
-    let metrics_record = metrics
-        .as_ref()
-        .map(|snapshot| MetricsRecord::new("workload", args.transport.name(), snapshot));
-    if let Some(record) = &metrics_record {
-        // The export passes the same schema gate as every other record.
-        let line = serde_json::to_string(record).expect("metrics record serializes");
-        if let Err(err) = check_line(&line) {
-            eprintln!("workload: produced a malformed metrics record: {err}");
-            std::process::exit(1);
+    let mut gate = |ok: bool, verdict: String| {
+        if ok {
+            println!("{verdict}");
+        } else {
+            eprintln!("workload: FAILED {verdict}");
+            failed = true;
         }
-        if let Some(path) = &args.metrics_out {
-            if let Err(err) = append(path, &format!("{line}\n")) {
-                eprintln!("workload: cannot write {path}: {err}");
-                std::process::exit(1);
-            }
-            println!("metrics record appended to {path}");
-        }
-        for (name, expected) in &args.assert_counter {
-            match record.counter(name) {
-                Some(value) if value == *expected => {
-                    println!("counter {name} = {value} as expected");
-                }
-                Some(value) => {
-                    eprintln!("workload: counter {name} = {value}, expected {expected}");
-                    failed = true;
-                }
-                None => {
-                    eprintln!("workload: counter {name} not found in the metrics export");
-                    failed = true;
-                }
-            }
-        }
-        for (name, floor) in &args.assert_counter_min {
-            match record.counter(name) {
-                Some(value) if value >= *floor => {
-                    println!("counter {name} = {value} ≥ {floor} as expected");
-                }
-                Some(value) => {
-                    eprintln!("workload: counter {name} = {value}, expected at least {floor}");
-                    failed = true;
-                }
-                None => {
-                    eprintln!("workload: counter {name} not found in the metrics export");
-                    failed = true;
-                }
-            }
-        }
-        for (a, b) in &args.assert_counter_le {
-            match (record.counter(a), record.counter(b)) {
-                (Some(lhs), Some(rhs)) if lhs <= rhs => {
-                    println!("counter {a} = {lhs} ≤ {b} = {rhs} as expected");
-                }
-                (Some(lhs), Some(rhs)) => {
-                    eprintln!("workload: counter {a} = {lhs} exceeds {b} = {rhs}");
-                    failed = true;
-                }
-                (lhs, rhs) => {
-                    if lhs.is_none() {
-                        eprintln!("workload: counter {a} not found in the metrics export");
-                    }
-                    if rhs.is_none() {
-                        eprintln!("workload: counter {b} not found in the metrics export");
-                    }
-                    failed = true;
-                }
-            }
-        }
+    };
+    // A counter's value, `-` when the snapshot has no such counter.
+    let lookup = |name: &str| counter(&outcome.metrics, name);
+    let show = |value: Option<u64>| value.map_or("-".to_string(), |v| v.to_string());
+    for (name, expected) in &args.assert_counter {
+        let value = lookup(name);
+        gate(
+            value == Some(*expected),
+            format!("counter {name} = {}, expected {expected}", show(value)),
+        );
+    }
+    for (name, floor) in &args.assert_counter_min {
+        let value = lookup(name);
+        gate(
+            value.is_some_and(|v| v >= *floor),
+            format!(
+                "counter {name} = {}, expected at least {floor}",
+                show(value)
+            ),
+        );
+    }
+    for (a, b) in &args.assert_counter_le {
+        let (lhs, rhs) = (lookup(a), lookup(b));
+        gate(
+            matches!((lhs, rhs), (Some(l), Some(r)) if l <= r),
+            format!(
+                "counter {a} = {}, expected at most {b} = {}",
+                show(lhs),
+                show(rhs)
+            ),
+        );
     }
     if let Some(expected) = &args.assert_price_checksum {
-        if &record.price_checksum != expected {
-            eprintln!(
-                "workload: price checksum {} diverges from the pinned reference {expected}",
+        gate(
+            &record.price_checksum == expected,
+            format!(
+                "price checksum {}, pinned reference {expected}",
                 record.price_checksum
-            );
-            failed = true;
-        } else {
-            println!("price checksum {} matches the pinned reference", expected);
-        }
+            ),
+        );
     }
     if let Some(expected) = &args.assert_solver_mode {
-        if &record.solver_mode != expected {
-            eprintln!(
-                "workload: solver mode `{}` diverges from the expected `{expected}`",
+        gate(
+            &record.solver_mode == expected,
+            format!(
+                "solver mode `{}`, expected `{expected}`",
                 record.solver_mode
-            );
-            failed = true;
-        } else {
-            println!("solver mode `{expected}` as expected");
-        }
+            ),
+        );
     }
     if let Some(ceiling) = args.assert_mean_resolve_ms {
-        let mean_ms = record.mean_resolve_ms(&outcome);
-        if mean_ms > ceiling {
-            eprintln!("workload: mean re-solve {mean_ms:.3} ms exceeds ceiling {ceiling:.3} ms");
-            failed = true;
-        } else {
-            println!("mean re-solve {mean_ms:.3} ms within ceiling {ceiling:.3} ms");
-        }
+        gate(
+            record.mean_resolve_ms <= ceiling,
+            format!(
+                "mean re-solve {:.3} ms, ceiling {ceiling:.3} ms",
+                record.mean_resolve_ms
+            ),
+        );
     }
     if let Some(ceiling) = args.assert_p99_read_ms {
-        let read_ms: Vec<f64> = outcome.reads.iter().map(|r| r.millis).collect();
-        let p99 = percentile(&read_ms, 0.99);
-        if p99 > ceiling {
-            eprintln!("workload: p99 read {p99:.3} ms exceeds ceiling {ceiling:.3} ms");
-            failed = true;
-        } else {
-            println!("p99 read {p99:.3} ms within ceiling {ceiling:.3} ms");
-        }
+        gate(
+            record.read_p99_ms <= ceiling,
+            format!(
+                "p99 read {:.3} ms, ceiling {ceiling:.3} ms",
+                record.read_p99_ms
+            ),
+        );
     }
     if failed {
         std::process::exit(1);

@@ -10,11 +10,10 @@
 //! carrying two loopback hops) may differ.
 
 use fedfl_net::{serve, PricingClient, ServerOptions, WireRecorder};
-use fedfl_obs::{MetricsReport, NoopRecorder, Registry};
+use fedfl_obs::Registry;
 use fedfl_service::{Command, PricingService, RepriceReport, Response};
 use fedfl_workload::{
-    replay_config, replay_with_recorder, CommandDriver, ReplayOutcome, Trace, WorkloadError,
-    WorkloadSpec,
+    replay_config, replay_with, CommandDriver, ReplayOutcome, Trace, WorkloadError, WorkloadSpec,
 };
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -64,29 +63,26 @@ impl CommandDriver for TcpDriver {
 /// `record_wire`, every (command, reply) exchange is appended to a JSONL
 /// wire trace at that path.
 ///
-/// With `registry`, the whole stack records into it — the server adopts
-/// it for solver/service/net metrics (the loopback server shares the
-/// process) and the replay loop records its command counts and latency
-/// spans — and the returned report is a genuine wire scrape: one
-/// `Metrics` command issued over the connection after the replay, so the
-/// export also proves the exposition path works end to end.
+/// The server and the replay loop record into one fresh registry (the
+/// loopback server shares the process), and the run ends with one
+/// `Metrics` command over the connection: the outcome's metrics are that
+/// wire scrape, so every run also exercises the exposition path end to
+/// end.
 ///
 /// # Errors
 ///
-/// Returns [`WorkloadError::Transport`] for server-boot, connection, or
-/// frame failures, and whatever the replay harness reports otherwise.
+/// Returns [`WorkloadError::Transport`] for server-boot, connection,
+/// frame or scrape failures, and whatever the replay harness reports
+/// otherwise.
 pub fn replay_over_tcp(
     spec: &WorkloadSpec,
     trace: &Trace,
     record_wire: Option<&str>,
-    registry: Option<Arc<Registry>>,
-) -> Result<(ReplayOutcome, Option<MetricsReport>), WorkloadError> {
+) -> Result<ReplayOutcome, WorkloadError> {
     let transport = |detail: String| WorkloadError::Transport { detail };
     let config = replay_config(spec, trace)?;
-    let service = match &registry {
-        Some(registry) => PricingService::with_recorder(config, Arc::clone(registry))?,
-        None => PricingService::new(config)?,
-    };
+    let registry = Arc::new(Registry::new());
+    let service = PricingService::with_recorder(config, Arc::clone(&registry))?;
     let recorder = match record_wire {
         Some(path) => Some(
             WireRecorder::to_file(path)
@@ -101,21 +97,16 @@ pub fn replay_over_tcp(
     let client = PricingClient::connect(handle.addr())
         .map_err(|e| transport(format!("cannot connect to {}: {e}", handle.addr())))?;
     let mut driver = TcpDriver::new(client);
-    let outcome = match &registry {
-        Some(registry) => replay_with_recorder(spec, trace, &mut driver, &**registry),
-        None => replay_with_recorder(spec, trace, &mut driver, &NoopRecorder),
-    };
-    let report = match (&outcome, registry) {
-        (Ok(_), Some(_)) => Some(
-            driver
-                .client
-                .metrics()
-                .map_err(|e| transport(format!("metrics scrape failed after replay: {e}")))?,
-        ),
-        _ => None,
-    };
+    let outcome = replay_with(spec, trace, &mut driver, &registry).and_then(|mut outcome| {
+        outcome.metrics = driver
+            .client
+            .metrics()
+            .map_err(|e| transport(format!("metrics scrape failed after replay: {e}")))?
+            .snapshot;
+        Ok(outcome)
+    });
     handle.shutdown();
-    Ok((outcome?, report))
+    outcome
 }
 
 #[cfg(test)]
@@ -146,8 +137,7 @@ mod tests {
     fn tcp_replay_is_bit_identical_to_in_process() {
         let spec = tiny_spec();
         let trace = generate(&spec).expect("trace");
-        let (wire, report) = replay_over_tcp(&spec, &trace, None, None).expect("tcp replay");
-        assert!(report.is_none());
+        let wire = replay_over_tcp(&spec, &trace, None).expect("tcp replay");
         let local = replay(&spec, &trace).expect("in-process replay");
         assert_eq!(wire.price_checksum, local.price_checksum);
         assert_eq!(wire.final_clients, local.final_clients);
@@ -161,18 +151,24 @@ mod tests {
             assert_eq!(w.iterations, l.iterations);
             assert_eq!(w.clients, l.clients);
         }
-        assert_eq!(wire.reads.len(), local.reads.len());
+        let reads = |outcome: &ReplayOutcome| {
+            [
+                "fedfl_workload_read_steady_ns",
+                "fedfl_workload_read_flash_ns",
+            ]
+            .map(|name| outcome.metrics.histogram(name).map_or(0, |h| h.count))
+        };
+        assert_eq!(reads(&wire), reads(&local));
     }
 
     #[test]
     fn tcp_replay_scrapes_a_report_covering_the_whole_stack() {
         let spec = tiny_spec();
         let trace = generate(&spec).expect("trace");
-        let registry = Arc::new(Registry::new());
-        let (wire, report) =
-            replay_over_tcp(&spec, &trace, None, Some(Arc::clone(&registry))).expect("tcp replay");
-        let report = report.expect("scrape returned");
-        let snap = &report.snapshot;
+        let wire = replay_over_tcp(&spec, &trace, None).expect("tcp replay");
+        let snap = &wire.metrics;
+        // The outcome's metrics are the one wire scrape that ends the run.
+        assert_eq!(snap.counter("fedfl_net_metrics_scrapes_total"), Some(1));
         // One shared registry: the scrape sees the solver, service, net
         // and workload layers of the same run.
         assert_eq!(
@@ -190,26 +186,27 @@ mod tests {
             snap.counter("fedfl_workload_verified_steps_total"),
             Some(wire.verified_steps as u64)
         );
-        // Observed TCP replay serves the same bits as the plain one.
-        let local = replay(&spec, &trace).expect("in-process replay");
-        assert_eq!(wire.price_checksum, local.price_checksum);
     }
 
     #[test]
     fn tcp_replay_wire_trace_replays_bit_for_bit() {
-        let spec = tiny_spec();
-        let trace = generate(&spec).expect("trace");
         let dir = std::env::temp_dir().join("fedfl-tcp-trace-test");
         std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("wire.jsonl");
-        let path_str = path.to_str().expect("utf-8 temp path");
-        replay_over_tcp(&spec, &trace, Some(path_str), None).expect("tcp replay");
-        let text = std::fs::read_to_string(&path).expect("trace written");
-        let records = fedfl_net::load_records(&text).expect("trace parses");
-        assert!(!records.is_empty());
-        let config = replay_config(&spec, &trace).expect("config");
-        let verified = fedfl_net::verify_records(config, &records).expect("replays bit-for-bit");
-        assert_eq!(verified, records.len());
-        std::fs::remove_file(&path).ok();
+        for fast_path in [false, true] {
+            let mut spec = tiny_spec();
+            spec.fast_path = fast_path;
+            let trace = generate(&spec).expect("trace");
+            let path = dir.join(format!("wire-{fast_path}.jsonl"));
+            let path_str = path.to_str().expect("utf-8 temp path");
+            replay_over_tcp(&spec, &trace, Some(path_str)).expect("tcp replay");
+            let text = std::fs::read_to_string(&path).expect("trace written");
+            let records = fedfl_net::load_records(&text).expect("trace parses");
+            assert!(!records.is_empty());
+            let config = replay_config(&spec, &trace).expect("config");
+            let verified =
+                fedfl_net::verify_records(config, &records).expect("replays bit-for-bit");
+            assert_eq!(verified, records.len());
+            std::fs::remove_file(&path).ok();
+        }
     }
 }

@@ -99,6 +99,10 @@ pub fn load_records(text: &str) -> Result<Vec<WireRecord>, String> {
 /// in-process service deployed with `config`, checking every recorded
 /// reply bit-for-bit. Returns the number of verified exchanges.
 ///
+/// The one wall-clock field a reply carries,
+/// `RepriceReport::index_rebuild_ns`, is zeroed on both sides before the
+/// comparison; every other field must match exactly.
+///
 /// Codec-rejected records (no command) are skipped: they never reached
 /// the service, so they cannot affect its state. So are `Metrics`
 /// scrapes from hand-built traces: their replies are live counter reads,
@@ -119,10 +123,10 @@ pub fn verify_records(config: ServiceConfig, records: &[WireRecord]) -> Result<u
             continue;
         }
         let expected = match service.execute(command.clone()) {
-            Ok(response) => WireReply::Ok(normalise(response)),
+            Ok(response) => normalise(WireReply::Ok(response)),
             Err(e) => WireReply::Err(WireError::from(&e)),
         };
-        if expected != record.reply {
+        if expected != normalise(record.reply.clone()) {
             return Err(format!(
                 "exchange seq {} diverged: recorded {:?}, in-process {:?}",
                 record.seq, record.reply, expected
@@ -133,8 +137,13 @@ pub fn verify_records(config: ServiceConfig, records: &[WireRecord]) -> Result<u
     Ok(verified)
 }
 
-/// Responses compare bit-for-bit as-is; hook for future variants whose
-/// replay-equality needs canonicalisation.
-fn normalise(response: Response) -> Response {
-    response
+/// Zero the wall-clock index build/patch time of a reply's reprice
+/// report, so that replies compare on their deterministic fields.
+fn normalise(mut reply: WireReply) -> WireReply {
+    match &mut reply {
+        WireReply::Ok(Response::Repriced(report)) => report.index_rebuild_ns = 0,
+        WireReply::Ok(Response::Snapshot(snapshot)) => snapshot.report.index_rebuild_ns = 0,
+        _ => {}
+    }
+    reply
 }

@@ -127,6 +127,46 @@ fn metrics_scrapes_stay_out_of_wire_traces() {
 }
 
 #[test]
+fn fast_path_wire_traces_verify_despite_wall_clock_index_timings() {
+    // Fast-path reprice reports carry `index_rebuild_ns`, a wall-clock
+    // time no replay reproduces. Verification must still hold every
+    // other field of every reply to the in-process service.
+    let mut fast = config();
+    fast.fast_path = true;
+    let buffer = Arc::new(Mutex::new(Vec::new()));
+    let recorder = WireRecorder::to_writer(Box::new(SharedBuf(Arc::clone(&buffer))));
+    let service = PricingService::new(fast).unwrap();
+    let mut handle = start_server(service, ServerOptions::default(), Some(recorder));
+    let mut conn = PricingClient::connect(handle.addr()).unwrap();
+    let Response::Added(ids) = conn
+        .call(&Command::AddClients((0..40).map(client).collect()))
+        .unwrap()
+    else {
+        panic!("AddClients reply");
+    };
+    conn.call(&Command::Reprice).unwrap();
+    conn.call(&Command::RemoveClients(vec![ids[3]])).unwrap();
+    conn.call(&Command::AddClients(vec![client(41)])).unwrap();
+    conn.call(&Command::Snapshot).unwrap();
+    conn.call(&Command::GetPrices(ids[4..8].to_vec())).unwrap();
+    handle.shutdown();
+
+    let text = String::from_utf8(buffer.lock().unwrap().clone()).unwrap();
+    let records = load_records(&text).unwrap();
+    let timed = records
+        .iter()
+        .filter(|r| match &r.reply {
+            WireReply::Ok(Response::Repriced(report)) => report.index_rebuild_ns > 0,
+            WireReply::Ok(Response::Snapshot(snapshot)) => snapshot.report.index_rebuild_ns > 0,
+            _ => false,
+        })
+        .count();
+    assert_eq!(timed, 2, "the cold build and the patch are both timed");
+    let verified = verify_records(fast, &records).unwrap();
+    assert_eq!(verified, records.len());
+}
+
+#[test]
 fn every_service_error_variant_round_trips_through_error_frames() {
     let variants: Vec<ServiceError> = vec![
         ServiceError::InvalidConfig {

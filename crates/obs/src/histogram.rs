@@ -182,8 +182,8 @@ impl HistogramSnapshot {
     /// Nearest-rank `p`-quantile, reported as the upper bound of the
     /// bucket holding the ranked sample; 0 if the histogram is empty.
     ///
-    /// The rank convention matches the workload harness's sorted-vector
-    /// percentile: `rank = ceil(p * count)` clamped to `[1, count]`.
+    /// The rank convention is the nearest-rank percentile of a sorted
+    /// sample: `rank = ceil(p * count)` clamped to `[1, count]`.
     #[must_use]
     pub fn quantile(&self, p: f64) -> u64 {
         self.quantile_bounds(p).1

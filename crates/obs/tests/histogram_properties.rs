@@ -6,8 +6,8 @@ use fedfl_obs::{
 };
 use proptest::prelude::*;
 
-/// The workload harness's nearest-rank percentile over raw samples
-/// (mirrors `crates/workload/src/report.rs`).
+/// The nearest-rank percentile over raw samples, the exact answer the
+/// histogram's quantiles must bracket.
 fn exact_percentile(samples: &[u64], p: f64) -> u64 {
     assert!(!samples.is_empty());
     let mut sorted = samples.to_vec();

@@ -19,11 +19,12 @@ use fedfl_core::population::Population;
 use fedfl_core::server::{path_budget, SolverOptions};
 use fedfl_num::rng::substream;
 use fedfl_service::{
-    AvailabilityPattern, ClientId, ClientParams, Command, PricingService, Response, ServiceConfig,
-    ServiceSnapshot,
+    AvailabilityPattern, ClientId, ClientParams, Command, Metric, PricingService, Registry,
+    RepriceReport, Response, ServiceConfig, ServiceSnapshot,
 };
 use proptest::prelude::*;
 use rand::Rng;
+use std::sync::Arc;
 
 fn bound() -> BoundParams {
     BoundParams::new(4_000.0, 100.0, 1_000).unwrap()
@@ -438,12 +439,29 @@ fn fast_path_service_stays_certified_under_churn_and_reuses_the_index() {
         exact_config.fast_path = false;
         let (mut service, ids) = PricingService::with_clients(config, clients.clone()).unwrap();
         let (mut exact, _) = PricingService::with_clients(exact_config, clients).unwrap();
+        // Segment work lives in the obs counters: a reprice's share is
+        // the `[rebuilt, repaired, reused]` delta across it.
+        let registry = Arc::new(Registry::new());
+        service.set_recorder(Arc::clone(&registry));
+        let reprice = |service: &mut PricingService| -> (RepriceReport, [u64; 3]) {
+            let segments = || {
+                [
+                    Metric::SolverIndexSegmentsRebuilt,
+                    Metric::SolverIndexSegmentsRepaired,
+                    Metric::SolverIndexSegmentsReused,
+                ]
+                .map(|metric| registry.counter(metric))
+            };
+            let before = segments();
+            let report = service.reprice().unwrap();
+            let after = segments();
+            (report, [0, 1, 2].map(|k| after[k] - before[k]))
+        };
 
-        let cold = service.reprice().unwrap();
+        let (cold, [segment_total, _, cold_reused]) = reprice(&mut service);
         assert!(cold.index_rebuild_ns > 0, "cold solve builds the index");
-        let segment_total = cold.index_segments_rebuilt;
         assert!(segment_total > 0, "cold build sorts every segment");
-        assert_eq!(cold.index_segments_reused, 0);
+        assert_eq!(cold_reused, 0);
         assert_agrees(
             &service.snapshot().unwrap().prices,
             &exact.snapshot().unwrap().prices,
@@ -454,14 +472,14 @@ fn fast_path_service_stays_certified_under_churn_and_reuses_the_index() {
         // index is reused verbatim and the report says so.
         service.update_budget(budget * 1.07).unwrap();
         exact.update_budget(budget * 1.07).unwrap();
-        let budget_only = service.reprice().unwrap();
+        let (budget_only, [rebuilt, _, reused]) = reprice(&mut service);
         assert_eq!(
             budget_only.index_rebuild_ns, 0,
             "budget update must reuse the cached threshold index"
         );
         assert_eq!(budget_only.dirty_shards, 0);
-        assert_eq!(budget_only.index_segments_rebuilt, 0);
-        assert_eq!(budget_only.index_segments_reused, 0);
+        assert_eq!(rebuilt, 0);
+        assert_eq!(reused, 0);
         assert_agrees(
             &service.snapshot().unwrap().prices,
             &exact.snapshot().unwrap().prices,
@@ -477,7 +495,7 @@ fn fast_path_service_stays_certified_under_churn_and_reuses_the_index() {
         exact.add_clients(adds).unwrap();
         service.remove_clients(&[ids[17]]).unwrap();
         exact.remove_clients(&[ids[17]]).unwrap();
-        let churned = service.reprice().unwrap();
+        let (churned, [rebuilt, repaired, reused]) = reprice(&mut service);
         assert!(
             churned.index_rebuild_ns > 0,
             "churn must invalidate the cached index"
@@ -488,20 +506,13 @@ fn fast_path_service_stays_certified_under_churn_and_reuses_the_index() {
             // most repaired for threshold-order drift from the new weight
             // total) — and the sum accounts for every segment.
             let per_shard = segment_total / churned.shard_count as u64;
-            assert!(churned.index_segments_rebuilt >= 1);
-            assert!(churned.index_segments_rebuilt <= churned.dirty_shards as u64 * per_shard);
-            assert!(churned.index_segments_reused > 0, "clean segments reused");
-            assert_eq!(
-                churned.index_segments_rebuilt
-                    + churned.index_segments_repaired
-                    + churned.index_segments_reused,
-                segment_total
-            );
+            assert!(rebuilt >= 1);
+            assert!(rebuilt <= churned.dirty_shards as u64 * per_shard);
+            assert!(reused > 0, "clean segments reused");
+            assert_eq!(rebuilt + repaired + reused, segment_total);
         } else {
             // Segments do not nest in store shards: churn rebuilds them all.
-            assert_eq!(churned.index_segments_rebuilt, segment_total);
-            assert_eq!(churned.index_segments_repaired, 0);
-            assert_eq!(churned.index_segments_reused, 0);
+            assert_eq!([rebuilt, repaired, reused], [segment_total, 0, 0]);
         }
         assert_agrees(
             &service.snapshot().unwrap().prices,
@@ -516,17 +527,17 @@ fn fast_path_service_stays_certified_under_churn_and_reuses_the_index() {
         let new_bound = BoundParams::new(6_000.0, 80.0, 1_000).unwrap();
         service.update_bound(new_bound).unwrap();
         exact.update_bound(new_bound).unwrap();
-        let rebound = service.reprice().unwrap();
+        let (rebound, [rebuilt, _, reused]) = reprice(&mut service);
         assert_eq!(rebound.dirty_shards, 0, "bound update dirties no shard");
         assert!(
             rebound.index_rebuild_ns > 0,
             "α/R change must rebuild the threshold index"
         );
         assert_eq!(
-            rebound.index_segments_rebuilt, segment_total,
+            rebuilt, segment_total,
             "a solver-knob change re-sorts every segment"
         );
-        assert_eq!(rebound.index_segments_reused, 0);
+        assert_eq!(reused, 0);
         assert_agrees(
             &service.snapshot().unwrap().prices,
             &exact.snapshot().unwrap().prices,

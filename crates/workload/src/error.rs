@@ -18,11 +18,14 @@ pub enum WorkloadError {
     /// The pricing service rejected a replayed command.
     Service(ServiceError),
     /// A `verify_every` checkpoint found served prices that are not
-    /// bit-identical to a from-scratch solve over the same clients.
+    /// bit-identical to a from-scratch solve over the same clients, or
+    /// one of the replay's cross-checks against the driver failed: the
+    /// dirty prediction, the id mirror or the availability pattern count.
     VerificationFailed {
         /// The trace step at which the divergence was detected.
         step: usize,
-        /// What diverged (client id, served vs. reference bits).
+        /// What diverged (client id, served vs. reference bits, or the
+        /// failed cross-check).
         detail: String,
     },
     /// A timed read absorbed a re-solve, but the driver could not produce
@@ -48,10 +51,7 @@ impl fmt::Display for WorkloadError {
             }
             WorkloadError::Service(err) => write!(f, "pricing service error: {err}"),
             WorkloadError::VerificationFailed { step, detail } => {
-                write!(
-                    f,
-                    "bit-identity verification failed at step {step}: {detail}"
-                )
+                write!(f, "verification failed at step {step}: {detail}")
             }
             WorkloadError::MissingSolveReport { step } => {
                 write!(

@@ -14,11 +14,12 @@
 //!   command stream (diurnal `UpdateAvailability`, heavy-tail churn,
 //!   flash crowds, interleaved reads) fingerprinted with FNV-1a;
 //! * [`replay::replay`] — trace → [`replay::ReplayOutcome`], timing every
-//!   read and re-solve against a live service and certifying served
-//!   prices bit-identical to from-scratch solves at `verify_every`
-//!   checkpoints;
-//! * [`report::WorkloadRecord`] — the JSONL record `BENCH_scale.json`
-//!   accumulates across PRs.
+//!   read and re-solve against a live service into an obs registry and
+//!   certifying served prices bit-identical to from-scratch solves at
+//!   `verify_every` checkpoints;
+//! * [`report::WorkloadRecord`] — the run's summary, read from the
+//!   outcome's metrics snapshot and per-solve samples;
+//!   [`report::counter`] resolves the counter names CI gates on.
 //!
 //! The same spec produces the same trace, the same served price bits,
 //! and the same solver iteration counts regardless of `shards` or thread
@@ -36,8 +37,7 @@ pub mod spec;
 pub use error::WorkloadError;
 pub use generator::{generate, Phase, Trace, TraceOp, TraceStep};
 pub use replay::{
-    replay, replay_config, replay_observed, replay_with, replay_with_recorder, CommandDriver,
-    InProcessDriver, LatencyHistograms, ReplayOutcome,
+    replay, replay_config, replay_with, CommandDriver, InProcessDriver, ReplayOutcome,
 };
 pub use report::WorkloadRecord;
 pub use spec::WorkloadSpec;

@@ -1,7 +1,7 @@
 //! Replay a generated trace through a live [`PricingService`] — in
-//! process or across a transport — timing every read and re-solve and
-//! (optionally) certifying served prices bit-identical to from-scratch
-//! solves.
+//! process or across a transport — timing every read and re-solve into
+//! an obs [`Registry`] and (optionally) certifying served prices
+//! bit-identical to from-scratch solves.
 //!
 //! The replay loop is written against the [`CommandDriver`] trait, so
 //! the same trace drives the in-process service and a remote front-end
@@ -11,15 +11,18 @@
 //! so the solve/read classification (and with it the warm/cold counts of
 //! [`crate::report::WorkloadRecord::deterministic_key`]) is
 //! transport-independent by construction.
+//!
+//! The registry is the run's one store of counts and latency: the loop
+//! records command counts, verified steps and per-phase latency spans
+//! into it, and [`ReplayOutcome::metrics`] is its snapshot. The per-solve
+//! samples keep only what no counter holds.
 
 use crate::error::WorkloadError;
 use crate::generator::{fnv1a, Phase, Trace, TraceOp};
 use crate::spec::WorkloadSpec;
 use fedfl_core::population::{ClientProfile, Population};
-use fedfl_core::server::{path_budget, solve_kkt_columns, SolverMode, SolverOptions};
-use fedfl_obs::{
-    Histogram, HistogramSnapshot, Metric, NoopRecorder, Recorder, Registry, Stopwatch,
-};
+use fedfl_core::server::{path_budget, solve_kkt_columns, SolverOptions};
+use fedfl_obs::{Metric, MetricsSnapshot, NoopRecorder, Recorder, Registry, Stopwatch};
 use fedfl_service::{
     AvailabilityModel, ClientId, ClientParams, Command, PricingService, RepriceReport, Response,
     ServiceConfig, ServiceSnapshot,
@@ -112,13 +115,11 @@ impl CommandDriver for InProcessDriver {
 /// root of the same population).
 const FAST_VERIFY_TOLERANCE: f64 = 1e-5;
 
-/// Timing and warm-start diagnostics of one triggered re-solve.
+/// Warm-start and dirty-shard diagnostics of one triggered re-solve:
+/// the per-solve figures no run-level counter holds. Latency, solver
+/// mode and index work live in [`ReplayOutcome::metrics`].
 #[derive(Debug, Clone, Copy)]
 pub struct SolveSample {
-    /// Traffic regime of the step that triggered the solve.
-    pub phase: Phase,
-    /// Wall-clock of the command that absorbed the solve, in ms.
-    pub millis: f64,
     /// Whether the λ-bisection started from a warm hint.
     pub warm: bool,
     /// Midpoint iterations the bisection ran.
@@ -131,66 +132,6 @@ pub struct SolveSample {
     pub rebuilt_columns: usize,
     /// Clients registered at solve time.
     pub clients: usize,
-    /// Which solver path produced the prices (exact, certified fast, or
-    /// certification fallback).
-    pub mode: SolverMode,
-    /// Probe-phase work in per-client spend-evaluation units.
-    pub probe_evaluations: u64,
-    /// Nanoseconds building or patching the threshold index (0 on reuse
-    /// or exact).
-    pub index_rebuild_ns: u64,
-    /// Index segments re-sorted for this solve (every segment on a cold
-    /// build, only dirty ones on an incremental patch).
-    pub index_segments_rebuilt: u64,
-    /// Clean segments a patch re-sorted because scale drift reordered
-    /// their thresholds.
-    pub index_segments_repaired: u64,
-    /// Segments a patch reused verbatim.
-    pub index_segments_reused: u64,
-}
-
-/// Timing of one clean (already-priced) read.
-#[derive(Debug, Clone, Copy)]
-pub struct ReadSample {
-    /// Traffic regime of the step issuing the read.
-    pub phase: Phase,
-    /// Wall-clock of the read, in ms.
-    pub millis: f64,
-}
-
-/// Nanosecond latency histograms of one replay, one per
-/// (operation, traffic phase) pair. These are the authoritative source
-/// of the p50/p99 figures in [`crate::report::PhaseStats`]; the sample
-/// vectors on [`ReplayOutcome`] remain for means and confidence
-/// intervals.
-#[derive(Debug, Clone, Default)]
-pub struct LatencyHistograms {
-    /// Re-solves absorbed by reads issued in the steady phase.
-    pub resolve_steady: HistogramSnapshot,
-    /// Re-solves absorbed by reads issued during flash crowds.
-    pub resolve_flash: HistogramSnapshot,
-    /// Clean reads in the steady phase.
-    pub read_steady: HistogramSnapshot,
-    /// Clean reads during flash crowds.
-    pub read_flash: HistogramSnapshot,
-}
-
-impl LatencyHistograms {
-    /// The re-solve histogram of `phase`.
-    pub fn resolve(&self, phase: Phase) -> &HistogramSnapshot {
-        match phase {
-            Phase::Steady => &self.resolve_steady,
-            Phase::Flash => &self.resolve_flash,
-        }
-    }
-
-    /// The clean-read histogram of `phase`.
-    pub fn read(&self, phase: Phase) -> &HistogramSnapshot {
-        match phase {
-            Phase::Steady => &self.read_steady,
-            Phase::Flash => &self.read_flash,
-        }
-    }
 }
 
 /// Everything a replay run observed.
@@ -203,11 +144,6 @@ pub struct ReplayOutcome {
     pub final_clients: usize,
     /// One sample per triggered re-solve, in trace order.
     pub solves: Vec<SolveSample>,
-    /// One sample per clean read, in trace order.
-    pub reads: Vec<ReadSample>,
-    /// Per-phase latency histograms (nanoseconds) fed by the same clock
-    /// reads as `solves`/`reads` — the report's p50/p99 source.
-    pub latency: LatencyHistograms,
     /// Steps whose served prices were certified bit-identical to a
     /// from-scratch solve.
     pub verified_steps: usize,
@@ -216,6 +152,23 @@ pub struct ReplayOutcome {
     pub price_checksum: u64,
     /// Total replay wall-clock, in seconds.
     pub total_wall_seconds: f64,
+    /// The run's metrics: the loop's command counts, verified steps and
+    /// per-phase latency histograms, plus whatever the service recorded
+    /// into the same registry. Over TCP this is the wire scrape that ends
+    /// the run.
+    pub metrics: MetricsSnapshot,
+}
+
+/// The histogram a timed command issued in `phase` records into: the
+/// re-solve span when the command absorbed a re-solve, else the
+/// clean-read span.
+pub(crate) fn latency_metric(phase: Phase, resolve: bool) -> Metric {
+    match (resolve, phase) {
+        (true, Phase::Steady) => Metric::WorkloadResolveSteadyNs,
+        (true, Phase::Flash) => Metric::WorkloadResolveFlashNs,
+        (false, Phase::Steady) => Metric::WorkloadReadSteadyNs,
+        (false, Phase::Flash) => Metric::WorkloadReadFlashNs,
+    }
 }
 
 /// Derive the service configuration a trace replays against: shards and
@@ -276,41 +229,23 @@ fn seeding_batch(trace: &Trace) -> Result<Vec<ClientParams>, WorkloadError> {
 }
 
 /// Replay `trace` (generated from `spec`) through a fresh in-process
-/// service.
+/// service. The service, the solver and the replay loop all record into
+/// one fresh registry, whose snapshot the outcome carries.
 ///
 /// # Errors
 ///
-/// Returns [`WorkloadError::Service`] if the service rejects a command
-/// and [`WorkloadError::VerificationFailed`] if a `verify_every`
-/// checkpoint finds served prices diverging from a from-scratch solve.
+/// Same conditions as [`replay_with`].
 pub fn replay(spec: &WorkloadSpec, trace: &Trace) -> Result<ReplayOutcome, WorkloadError> {
     let config = replay_config(spec, trace)?;
-    let mut driver = InProcessDriver::new(config)?;
-    replay_with(spec, trace, &mut driver)
-}
-
-/// [`replay`], with every layer recording into `registry`: the service
-/// and solver record through the driver's recorder, and the replay loop
-/// itself records command counts, verified steps and per-phase latency
-/// spans.
-///
-/// Prices are bit-identical to an unobserved [`replay`] of the same
-/// trace — recording never touches solver arithmetic.
-///
-/// # Errors
-///
-/// Same conditions as [`replay`].
-pub fn replay_observed(
-    spec: &WorkloadSpec,
-    trace: &Trace,
-    registry: Arc<Registry>,
-) -> Result<ReplayOutcome, WorkloadError> {
-    let config = replay_config(spec, trace)?;
+    let registry = Arc::new(Registry::new());
     let mut driver = InProcessDriver::with_recorder(config, Arc::clone(&registry))?;
-    replay_with_recorder(spec, trace, &mut driver, &*registry)
+    replay_with(spec, trace, &mut driver, &registry)
 }
 
-/// Replay `trace` through an already-connected [`CommandDriver`].
+/// Replay `trace` through an already-connected [`CommandDriver`],
+/// recording command counts, verified steps and per-phase latency spans
+/// into `registry`. The outcome carries the registry's snapshot at the
+/// end of the run.
 ///
 /// The driver's service must be a fresh deployment of
 /// [`replay_config`]`(spec, trace)`; the replay re-derives that config to
@@ -321,27 +256,15 @@ pub fn replay_observed(
 ///
 /// Returns [`WorkloadError::Service`]/[`WorkloadError::Transport`] for
 /// rejected commands, [`WorkloadError::VerificationFailed`] for a
-/// bit-identity divergence, and [`WorkloadError::MissingSolveReport`] if
-/// a read absorbed a re-solve the driver has no report for.
+/// bit-identity divergence or a failed cross-check against the driver
+/// (dirty prediction, id mirror, availability pattern count), and
+/// [`WorkloadError::MissingSolveReport`] if a read absorbed a re-solve
+/// the driver has no report for.
 pub fn replay_with<D: CommandDriver>(
     spec: &WorkloadSpec,
     trace: &Trace,
     driver: &mut D,
-) -> Result<ReplayOutcome, WorkloadError> {
-    replay_with_recorder(spec, trace, driver, &NoopRecorder)
-}
-
-/// [`replay_with`], recording replay-loop metrics (command counts,
-/// verified steps, per-phase latency spans) into `recorder`.
-///
-/// # Errors
-///
-/// Same conditions as [`replay_with`].
-pub fn replay_with_recorder<D: CommandDriver, R: Recorder + ?Sized>(
-    spec: &WorkloadSpec,
-    trace: &Trace,
-    driver: &mut D,
-    recorder: &R,
+    registry: &Registry,
 ) -> Result<ReplayOutcome, WorkloadError> {
     let config = replay_config(spec, trace)?;
     let base_budget = config.budget;
@@ -349,15 +272,13 @@ pub fn replay_with_recorder<D: CommandDriver, R: Recorder + ?Sized>(
 
     let mut run = ReplayRun {
         driver,
-        recorder,
+        registry,
         base_budget,
         current_budget: base_budget,
         dirty: true,
         mirror: Vec::new(),
         next_id: 0,
         solves: Vec::new(),
-        reads: Vec::new(),
-        latency: PhasedHistograms::default(),
     };
     let mut verified_steps = 0usize;
 
@@ -370,13 +291,13 @@ pub fn replay_with_recorder<D: CommandDriver, R: Recorder + ?Sized>(
         }
         if spec.verify_every > 0 && step.step.is_multiple_of(spec.verify_every) {
             run.verify_step(&config, step.step)?;
-            recorder.add(Metric::WorkloadVerifiedSteps, 1);
+            registry.add(Metric::WorkloadVerifiedSteps, 1);
             verified_steps += 1;
         }
     }
 
     // Final untimed snapshot: the deterministic equilibrium checksum.
-    recorder.add(Metric::WorkloadCommands, 1);
+    registry.add(Metric::WorkloadCommands, 1);
     let snapshot = match run.driver.execute(Command::Snapshot)? {
         Response::Snapshot(snapshot) => snapshot,
         other => return Err(unexpected_reply("Snapshot", &other)),
@@ -387,38 +308,17 @@ pub fn replay_with_recorder<D: CommandDriver, R: Recorder + ?Sized>(
         base_budget,
         final_clients: run.mirror.len(),
         solves: run.solves,
-        reads: run.reads,
-        latency: run.latency.snapshot(),
         verified_steps,
         price_checksum,
         total_wall_seconds: started.elapsed().as_secs_f64(),
+        metrics: registry.snapshot(),
     })
 }
 
-/// The live (unsnapshotted) counterpart of [`LatencyHistograms`].
-#[derive(Default)]
-struct PhasedHistograms {
-    resolve_steady: Histogram,
-    resolve_flash: Histogram,
-    read_steady: Histogram,
-    read_flash: Histogram,
-}
-
-impl PhasedHistograms {
-    fn snapshot(&self) -> LatencyHistograms {
-        LatencyHistograms {
-            resolve_steady: self.resolve_steady.snapshot(),
-            resolve_flash: self.resolve_flash.snapshot(),
-            read_steady: self.read_steady.snapshot(),
-            read_flash: self.read_flash.snapshot(),
-        }
-    }
-}
-
 /// Mutable state of one replay pass over a trace.
-struct ReplayRun<'a, D: CommandDriver, R: Recorder + ?Sized> {
+struct ReplayRun<'a, D: CommandDriver> {
     driver: &'a mut D,
-    recorder: &'a R,
+    registry: &'a Registry,
     base_budget: f64,
     /// Mirror of the service's `config.budget` — bitwise, so the
     /// `UpdateBudget` no-op rule (`new == old` leaves the service clean)
@@ -431,15 +331,13 @@ struct ReplayRun<'a, D: CommandDriver, R: Recorder + ?Sized> {
     mirror: Vec<(ClientId, ClientParams)>,
     next_id: u64,
     solves: Vec<SolveSample>,
-    reads: Vec<ReadSample>,
-    latency: PhasedHistograms,
 }
 
-impl<D: CommandDriver, R: Recorder + ?Sized> ReplayRun<'_, D, R> {
+impl<D: CommandDriver> ReplayRun<'_, D> {
     fn run_op(&mut self, op: &TraceOp, phase: Phase, step: usize) -> Result<(), WorkloadError> {
         // Every trace op drives exactly one command; verify checkpoints
         // and the final snapshot are tallied at their own call sites.
-        self.recorder.add(Metric::WorkloadCommands, 1);
+        self.registry.add(Metric::WorkloadCommands, 1);
         match op {
             TraceOp::AddClients(batch) => {
                 let response = self.driver.execute(Command::AddClients(batch.clone()))?;
@@ -450,7 +348,15 @@ impl<D: CommandDriver, R: Recorder + ?Sized> ReplayRun<'_, D, R> {
                     self.dirty = true;
                 }
                 for (id, params) in ids.iter().zip(batch) {
-                    debug_assert_eq!(id.0, self.next_id, "generator id mirror out of sync");
+                    if id.0 != self.next_id {
+                        return Err(WorkloadError::VerificationFailed {
+                            step,
+                            detail: format!(
+                                "the service assigned id {id}, the generator's id mirror expected {}",
+                                self.next_id
+                            ),
+                        });
+                    }
                     self.next_id = id.0 + 1;
                     self.mirror.push((*id, *params));
                 }
@@ -485,7 +391,16 @@ impl<D: CommandDriver, R: Recorder + ?Sized> ReplayRun<'_, D, R> {
                 if changed {
                     self.dirty = true;
                 }
-                debug_assert_eq!(patterns.len(), self.mirror.len());
+                if patterns.len() != self.mirror.len() {
+                    return Err(WorkloadError::VerificationFailed {
+                        step,
+                        detail: format!(
+                            "availability update carries {} patterns for {} mirrored clients",
+                            patterns.len(),
+                            self.mirror.len()
+                        ),
+                    });
+                }
                 for ((_, params), pattern) in self.mirror.iter_mut().zip(patterns) {
                     params.availability = *pattern;
                 }
@@ -518,42 +433,25 @@ impl<D: CommandDriver, R: Recorder + ?Sized> ReplayRun<'_, D, R> {
     ) -> Result<(), WorkloadError> {
         let dirty = self.dirty;
         if let Some(observed) = self.driver.observed_dirty() {
-            debug_assert_eq!(
-                observed, dirty,
-                "step {step}: dirty prediction diverged from the service"
-            );
+            if observed != dirty {
+                return Err(WorkloadError::VerificationFailed {
+                    step,
+                    detail: format!(
+                        "dirty prediction {dirty} diverged from the service's flag {observed}"
+                    ),
+                });
+            }
         }
         let watch = Stopwatch::start();
         self.driver.execute(command)?;
-        let nanos = watch.elapsed_ns();
-        let millis = nanos as f64 / 1e6;
+        watch.record(self.registry, latency_metric(phase, dirty));
         self.dirty = false;
         if dirty {
-            let metric = match phase {
-                Phase::Steady => Metric::WorkloadResolveSteadyNs,
-                Phase::Flash => Metric::WorkloadResolveFlashNs,
-            };
-            self.recorder.observe(metric, nanos);
-            match phase {
-                Phase::Steady => self.latency.resolve_steady.record(nanos),
-                Phase::Flash => self.latency.resolve_flash.record(nanos),
-            }
             let report = self
                 .driver
                 .solve_report()?
                 .ok_or(WorkloadError::MissingSolveReport { step })?;
-            self.solves.push(solve_sample(&report, phase, millis));
-        } else {
-            let metric = match phase {
-                Phase::Steady => Metric::WorkloadReadSteadyNs,
-                Phase::Flash => Metric::WorkloadReadFlashNs,
-            };
-            self.recorder.observe(metric, nanos);
-            match phase {
-                Phase::Steady => self.latency.read_steady.record(nanos),
-                Phase::Flash => self.latency.read_flash.record(nanos),
-            }
-            self.reads.push(ReadSample { phase, millis });
+            self.solves.push(solve_sample(&report));
         }
         Ok(())
     }
@@ -561,7 +459,7 @@ impl<D: CommandDriver, R: Recorder + ?Sized> ReplayRun<'_, D, R> {
     /// Certify the served equilibrium bit-identical to a from-scratch
     /// solve over the mirrored population.
     fn verify_step(&mut self, config: &ServiceConfig, step: usize) -> Result<(), WorkloadError> {
-        self.recorder.add(Metric::WorkloadCommands, 1);
+        self.registry.add(Metric::WorkloadCommands, 1);
         let snapshot = match self.driver.execute(Command::Snapshot)? {
             Response::Snapshot(snapshot) => snapshot,
             other => return Err(unexpected_reply("Snapshot", &other)),
@@ -628,22 +526,14 @@ fn unexpected_reply(command: &str, response: &Response) -> WorkloadError {
     }
 }
 
-fn solve_sample(report: &RepriceReport, phase: Phase, millis: f64) -> SolveSample {
+fn solve_sample(report: &RepriceReport) -> SolveSample {
     SolveSample {
-        phase,
-        millis,
         warm: report.warm_started,
         iterations: report.bisect_iterations,
         dirty_shards: report.dirty_shards,
         shard_count: report.shard_count,
         rebuilt_columns: report.rebuilt_columns,
         clients: report.clients,
-        mode: report.solver_mode,
-        probe_evaluations: report.probe_evaluations,
-        index_rebuild_ns: report.index_rebuild_ns,
-        index_segments_rebuilt: report.index_segments_rebuilt,
-        index_segments_repaired: report.index_segments_repaired,
-        index_segments_reused: report.index_segments_reused,
     }
 }
 
@@ -740,11 +630,12 @@ pub fn bound() -> fedfl_core::bound::BoundParams {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::generator::generate;
 
-    fn tiny_spec() -> WorkloadSpec {
+    /// A 48-client, 6-step trace that still runs every traffic feature.
+    pub(crate) fn tiny_spec() -> WorkloadSpec {
         let mut spec = WorkloadSpec::reference_10k();
         spec.clients = 48;
         spec.steps = 6;
@@ -765,6 +656,19 @@ mod tests {
         spec
     }
 
+    /// Clean reads the run timed, from its read histograms.
+    fn reads(outcome: &ReplayOutcome) -> u64 {
+        [Phase::Steady, Phase::Flash]
+            .iter()
+            .filter_map(|&phase| {
+                outcome
+                    .metrics
+                    .histogram(latency_metric(phase, false).name())
+            })
+            .map(|hist| hist.count)
+            .sum()
+    }
+
     #[test]
     fn tiny_replay_verifies_bit_identity_every_other_step() {
         let spec = tiny_spec();
@@ -772,7 +676,7 @@ mod tests {
         let outcome = replay(&spec, &trace).expect("replay");
         assert_eq!(outcome.verified_steps, 3);
         assert!(outcome.solves.iter().any(|s| s.warm));
-        assert!(!outcome.reads.is_empty());
+        assert!(reads(&outcome) > 0);
         assert!(outcome.final_clients >= spec.min_population);
     }
 
@@ -792,32 +696,86 @@ mod tests {
         assert_eq!(iters_a, iters_b);
     }
 
+    /// An in-process driver that takes the index segment counters' delta
+    /// across every command that ran a solve: one
+    /// `[rebuilt, repaired, reused]` entry per reprice.
+    struct SegmentDeltas {
+        inner: InProcessDriver,
+        registry: Arc<Registry>,
+        per_reprice: Vec<[u64; 3]>,
+    }
+
+    impl SegmentDeltas {
+        fn counters(&self) -> [u64; 4] {
+            [
+                Metric::SolverSolves,
+                Metric::SolverIndexSegmentsRebuilt,
+                Metric::SolverIndexSegmentsRepaired,
+                Metric::SolverIndexSegmentsReused,
+            ]
+            .map(|metric| self.registry.counter(metric))
+        }
+    }
+
+    impl CommandDriver for SegmentDeltas {
+        fn execute(&mut self, command: Command) -> Result<Response, WorkloadError> {
+            let before = self.counters();
+            let response = self.inner.execute(command)?;
+            let after = self.counters();
+            if after[0] > before[0] {
+                assert_eq!(after[0], before[0] + 1, "one command ran one solve");
+                self.per_reprice.push([
+                    after[1] - before[1],
+                    after[2] - before[2],
+                    after[3] - before[3],
+                ]);
+            }
+            Ok(response)
+        }
+
+        fn observed_dirty(&self) -> Option<bool> {
+            self.inner.observed_dirty()
+        }
+
+        fn solve_report(&mut self) -> Result<Option<RepriceReport>, WorkloadError> {
+            self.inner.solve_report()
+        }
+    }
+
     #[test]
     fn fast_path_replay_verifies_within_tolerance_and_reuses_the_index() {
         let mut spec = tiny_spec();
         spec.fast_path = true;
         let trace = generate(&spec).expect("generate");
-        let outcome = replay(&spec, &trace).expect("fast-path replay");
+        let config = replay_config(&spec, &trace).expect("config");
+        let registry = Arc::new(Registry::new());
+        let mut driver = SegmentDeltas {
+            inner: InProcessDriver::with_recorder(config, Arc::clone(&registry)).expect("driver"),
+            registry: Arc::clone(&registry),
+            per_reprice: Vec::new(),
+        };
+        let outcome = replay_with(&spec, &trace, &mut driver, &registry).expect("fast-path replay");
         assert_eq!(outcome.verified_steps, 3);
         // Every solve went through the fast entry point (certified or
         // fallback — never silently the plain exact path).
-        assert!(outcome.solves.iter().all(|s| s.mode != SolverMode::Exact));
+        let counter = |metric: Metric| outcome.metrics.counter(metric.name());
+        assert_eq!(counter(Metric::SolverExactSolves), Some(0));
         // Every step of this trace churns availability, so each solve
         // builds or patches the index (reuse under budget-only churn is
         // pinned at the service level in `fedfl-service`'s sharding
         // tests).
-        assert!(outcome.solves.iter().all(|s| s.index_rebuild_ns > 0));
+        assert_eq!(counter(Metric::ServiceIndexReuses), Some(0));
         // The first solve builds every segment cold; every later solve is
         // an incremental patch whose per-segment accounting still covers
         // the whole index.
-        let segment_total = outcome.solves[0].index_segments_rebuilt;
+        let reprices = &driver.per_reprice;
+        assert_eq!(reprices.len(), outcome.solves.len());
+        let [segment_total, repaired, reused] = reprices[0];
         assert!(segment_total > 0, "cold build reported no segments");
-        assert_eq!(outcome.solves[0].index_segments_reused, 0);
-        for solve in &outcome.solves[1..] {
+        assert_eq!((repaired, reused), (0, 0));
+        for [rebuilt, repaired, reused] in &reprices[1..] {
             assert_eq!(
-                solve.index_segments_rebuilt
-                    + solve.index_segments_repaired
-                    + solve.index_segments_reused,
+                rebuilt + repaired + reused,
                 segment_total,
                 "patch accounting does not cover every segment"
             );
@@ -867,28 +825,66 @@ mod tests {
         let config = replay_config(&spec, &trace).expect("config");
         let service = PricingService::new(config).expect("service");
         let mut driver = ReportlessDriver { service };
-        let err = replay_with(&spec, &trace, &mut driver).unwrap_err();
+        let err = replay_with(&spec, &trace, &mut driver, &Registry::new()).unwrap_err();
         assert_eq!(err, WorkloadError::MissingSolveReport { step: 0 });
+    }
+
+    /// An in-process driver that reports the opposite of the service's
+    /// dirty flag.
+    struct LyingDriver(InProcessDriver);
+
+    impl CommandDriver for LyingDriver {
+        fn execute(&mut self, command: Command) -> Result<Response, WorkloadError> {
+            self.0.execute(command)
+        }
+
+        fn observed_dirty(&self) -> Option<bool> {
+            self.0.observed_dirty().map(|dirty| !dirty)
+        }
+
+        fn solve_report(&mut self) -> Result<Option<RepriceReport>, WorkloadError> {
+            self.0.solve_report()
+        }
+    }
+
+    #[test]
+    fn a_diverging_dirty_prediction_is_a_verification_error_not_a_panic() {
+        let spec = tiny_spec();
+        let trace = generate(&spec).expect("generate");
+        let config = replay_config(&spec, &trace).expect("config");
+        let mut driver = LyingDriver(InProcessDriver::new(config).expect("driver"));
+        match replay_with(&spec, &trace, &mut driver, &Registry::new()) {
+            Err(WorkloadError::VerificationFailed { detail, .. }) => {
+                assert!(detail.contains("dirty prediction"), "{detail}");
+            }
+            other => panic!("expected a verification error, got {other:?}"),
+        }
     }
 
     #[test]
     fn driver_generalisation_preserves_the_in_process_outcome() {
-        // replay() is replay_with() over InProcessDriver; pin that the
-        // classification prediction matches the service's real dirty flag
-        // (the debug_assert in timed_read fires otherwise) and that both
-        // entry points agree bit-for-bit.
+        // replay() is replay_with() over an instrumented InProcessDriver;
+        // pin that the classification prediction matches the service's
+        // real dirty flag (timed_read returns VerificationFailed
+        // otherwise) and that an uninstrumented driver serves the same
+        // bits with the same classification.
         let spec = tiny_spec();
         let trace = generate(&spec).expect("generate");
         let via_replay = replay(&spec, &trace).expect("replay");
         let config = replay_config(&spec, &trace).expect("config");
         let mut driver = InProcessDriver::new(config).expect("driver");
-        let via_driver = replay_with(&spec, &trace, &mut driver).expect("replay_with");
+        let via_driver =
+            replay_with(&spec, &trace, &mut driver, &Registry::new()).expect("replay_with");
         assert_eq!(via_replay.price_checksum, via_driver.price_checksum);
         assert_eq!(via_replay.final_clients, via_driver.final_clients);
         assert_eq!(via_replay.solves.len(), via_driver.solves.len());
-        assert_eq!(via_replay.reads.len(), via_driver.reads.len());
+        assert_eq!(reads(&via_replay), reads(&via_driver));
         let warm_a: Vec<bool> = via_replay.solves.iter().map(|s| s.warm).collect();
         let warm_b: Vec<bool> = via_driver.solves.iter().map(|s| s.warm).collect();
         assert_eq!(warm_a, warm_b);
+        // Only the instrumented run's service recorded its solves.
+        let solves = |outcome: &ReplayOutcome| outcome.metrics.counter("fedfl_solver_solves_total");
+        assert_eq!(solves(&via_replay), Some(via_replay.solves.len() as u64));
+        assert_eq!(solves(&via_driver), Some(0));
     }
 }

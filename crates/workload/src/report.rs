@@ -1,12 +1,16 @@
-//! The machine-readable workload record appended to `BENCH_scale.json`.
+//! The summary of a finished replay, read from the run's obs
+//! [`MetricsSnapshot`] and its per-solve samples: per-phase latency
+//! quantiles, warm/cold iteration means, dirty-shard fractions, the
+//! solver mode and the threshold-index work.
 
 use crate::generator::{Phase, Trace};
-use crate::replay::ReplayOutcome;
+use crate::replay::{latency_metric, ReplayOutcome};
 use crate::spec::WorkloadSpec;
-use serde::{Deserialize, Serialize};
+use fedfl_core::server::SolverMode;
+use fedfl_obs::{HistogramSnapshot, Metric, MetricsSnapshot};
 
 /// Latency stats for one traffic phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseStats {
     /// Phase name (`steady` or `flash`).
     pub phase: String,
@@ -24,35 +28,17 @@ pub struct PhaseStats {
     pub read_p99_ms: f64,
 }
 
-/// One JSONL record of a workload run.
+/// The summary of one workload run.
 ///
-/// Latency fields are wall-clock and vary run to run; every other field
-/// is deterministic for a given spec — [`WorkloadRecord::deterministic_key`]
-/// collects the subset that must match across runs and across
-/// `--shards`/thread settings.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Latency fields are wall-clock and vary run to run; quantiles are the
+/// upper bound of the obs histogram bucket holding the ranked sample, at
+/// most 1/32 above it. [`WorkloadRecord::deterministic_key`] collects the
+/// fields that must match across runs and across `--shards`/thread
+/// settings.
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadRecord {
-    /// Record discriminator, always `"workload"`.
-    pub bench: String,
-    /// Transport the commands travelled over: `"inproc"` (direct calls)
-    /// or `"tcp"` (framed JSON over loopback). Excluded from
-    /// [`WorkloadRecord::deterministic_key`] — the key is the contract
-    /// that the served bits do not depend on the transport.
-    pub transport: String,
     /// Initial population size.
     pub clients: usize,
-    /// Traffic steps replayed.
-    pub steps: usize,
-    /// Store shards.
-    pub shards: usize,
-    /// Solver threads (`0` = auto).
-    pub threads: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// Timezone cohorts.
-    pub cohorts: usize,
-    /// Diurnal period, steps.
-    pub period: usize,
     /// Clients registered at the end of the trace.
     pub final_clients: usize,
     /// Commands in the trace (setup + steps).
@@ -86,13 +72,12 @@ pub struct WorkloadRecord {
     /// certified, `"threshold_index_fallback"` if any fast solve was
     /// demoted to the exact path.
     pub solver_mode: String,
-    /// Fast-path solves that built the threshold index from scratch
-    /// (zero on exact runs). Excluded from
+    /// Cold threshold-index builds (zero on exact runs). Excluded from
     /// [`WorkloadRecord::deterministic_key`] together with the other
-    /// segment fields — they legitimately depend on the shard layout.
-    pub index_cold_builds: usize,
-    /// Fast-path solves that incrementally patched the cached index.
-    pub index_patches: usize,
+    /// index fields — they legitimately depend on the shard layout.
+    pub index_cold_builds: u64,
+    /// Incremental threshold-index patches.
+    pub index_patches: u64,
     /// Index segments re-sorted across all solves (cold builds count
     /// every segment).
     pub index_segments_rebuilt: u64,
@@ -106,6 +91,11 @@ pub struct WorkloadRecord {
     /// Mean wall-clock of incremental index patches, ms (`0.0` when none
     /// ran).
     pub mean_index_patch_ms: f64,
+    /// Mean re-solve latency across all phases, ms (the CI tripwire
+    /// metric).
+    pub mean_resolve_ms: f64,
+    /// 99th-percentile clean-read latency across all phases, ms.
+    pub read_p99_ms: f64,
     /// Total replay wall-clock, seconds.
     pub total_wall_seconds: f64,
     /// Per-phase latency buckets (`steady`, then `flash` when surges ran).
@@ -113,7 +103,7 @@ pub struct WorkloadRecord {
 }
 
 impl WorkloadRecord {
-    /// Assemble the record from a finished replay.
+    /// Summarise a finished replay.
     pub fn new(spec: &WorkloadSpec, trace: &Trace, outcome: &ReplayOutcome) -> Self {
         let warm: Vec<usize> = outcome
             .solves
@@ -137,54 +127,50 @@ impl WorkloadRecord {
             .iter()
             .map(|s| s.rebuilt_columns as f64 / s.clients.max(1) as f64)
             .collect();
-        // A solve that touched the index either built it cold (no segment
-        // survived) or patched it (repaired/reused segments account for
-        // the rest); solves with zero index time reused it outright.
-        let mut build_ms = Vec::new();
-        let mut patch_ms = Vec::new();
-        for s in &outcome.solves {
-            if s.index_rebuild_ns == 0 {
-                continue;
-            }
-            let ms = s.index_rebuild_ns as f64 / 1e6;
-            if s.index_segments_repaired + s.index_segments_reused > 0 {
-                patch_ms.push(ms);
-            } else {
-                build_ms.push(ms);
-            }
-        }
 
+        let metrics = &outcome.metrics;
+        let histogram = |metric: Metric| {
+            metrics
+                .histogram(metric.name())
+                .cloned()
+                .unwrap_or_default()
+        };
+        let count = |metric: Metric| metrics.counter(metric.name()).unwrap_or(0);
         let mut phases = Vec::new();
+        let mut all_resolves = HistogramSnapshot::default();
+        let mut all_reads = HistogramSnapshot::default();
         for phase in [Phase::Steady, Phase::Flash] {
-            // Counts and quantiles come from the replay's nanosecond
-            // histograms — the same clock reads as the sample vectors,
-            // bucketed with ≤ 1/32 relative error (exact under 64 ns).
-            let resolves = outcome.latency.resolve(phase);
-            let reads = outcome.latency.read(phase);
+            let resolves = histogram(latency_metric(phase, true));
+            let reads = histogram(latency_metric(phase, false));
+            all_resolves.merge(&resolves);
+            all_reads.merge(&reads);
             if resolves.is_empty() && reads.is_empty() {
                 continue;
             }
             phases.push(PhaseStats {
                 phase: phase.name().to_string(),
                 resolves: resolves.count as usize,
-                resolve_p50_ms: hist_ms(resolves, 0.50),
-                resolve_p99_ms: hist_ms(resolves, 0.99),
+                resolve_p50_ms: quantile_ms(&resolves, 0.50),
+                resolve_p99_ms: quantile_ms(&resolves, 0.99),
                 reads: reads.count as usize,
-                read_p50_ms: hist_ms(reads, 0.50),
-                read_p99_ms: hist_ms(reads, 0.99),
+                read_p50_ms: quantile_ms(&reads, 0.50),
+                read_p99_ms: quantile_ms(&reads, 0.99),
             });
         }
+        // Every solve adds one to exactly one of the three mode counters;
+        // the run's mode is the worst any solve reported.
+        let solver_mode = if count(Metric::SolverFallbackSolves) > 0 {
+            SolverMode::ThresholdIndexFallback
+        } else if count(Metric::SolverFastSolves) > 0 {
+            SolverMode::ThresholdIndex
+        } else {
+            SolverMode::Exact
+        };
+        let builds = histogram(Metric::SolverIndexBuildNs);
+        let patches = histogram(Metric::SolverIndexPatchNs);
 
         WorkloadRecord {
-            bench: "workload".to_string(),
-            transport: "inproc".to_string(),
             clients: spec.clients,
-            steps: spec.steps,
-            shards: spec.shards,
-            threads: spec.threads,
-            seed: spec.seed,
-            cohorts: spec.cohorts,
-            period: spec.diurnal.period,
             final_clients: outcome.final_clients,
             commands: trace.commands(),
             base_budget: outcome.base_budget,
@@ -198,22 +184,16 @@ impl WorkloadRecord {
             max_dirty_shard_fraction: dirty_fractions.iter().copied().fold(0.0, f64::max),
             mean_rebuilt_column_fraction: mean(&rebuilt_fractions),
             verified_steps: outcome.verified_steps,
-            solver_mode: run_solver_mode(outcome),
-            index_cold_builds: build_ms.len(),
-            index_patches: patch_ms.len(),
-            index_segments_rebuilt: outcome
-                .solves
-                .iter()
-                .map(|s| s.index_segments_rebuilt)
-                .sum(),
-            index_segments_repaired: outcome
-                .solves
-                .iter()
-                .map(|s| s.index_segments_repaired)
-                .sum(),
-            index_segments_reused: outcome.solves.iter().map(|s| s.index_segments_reused).sum(),
-            mean_index_build_ms: mean(&build_ms),
-            mean_index_patch_ms: mean(&patch_ms),
+            solver_mode: solver_mode.as_str().to_string(),
+            index_cold_builds: builds.count,
+            index_patches: patches.count,
+            index_segments_rebuilt: count(Metric::SolverIndexSegmentsRebuilt),
+            index_segments_repaired: count(Metric::SolverIndexSegmentsRepaired),
+            index_segments_reused: count(Metric::SolverIndexSegmentsReused),
+            mean_index_build_ms: mean_ms(&builds),
+            mean_index_patch_ms: mean_ms(&patches),
+            mean_resolve_ms: mean_ms(&all_resolves),
+            read_p99_ms: quantile_ms(&all_reads, 0.99),
             total_wall_seconds: outcome.total_wall_seconds,
             phases,
         }
@@ -241,47 +221,38 @@ impl WorkloadRecord {
             self.verified_steps,
         )
     }
-
-    /// Mean re-solve latency across all phases, ms (the CI tripwire
-    /// metric).
-    pub fn mean_resolve_ms(&self, outcome: &ReplayOutcome) -> f64 {
-        mean(&outcome.solves.iter().map(|s| s.millis).collect::<Vec<_>>())
-    }
 }
 
-/// The run-level solver mode: the worst mode any solve reported, so a
-/// single certification fallback is visible in the record.
-fn run_solver_mode(outcome: &ReplayOutcome) -> String {
-    use fedfl_core::server::SolverMode;
-    let mut mode = SolverMode::Exact;
-    for solve in &outcome.solves {
-        match solve.mode {
-            SolverMode::ThresholdIndexFallback => {
-                mode = SolverMode::ThresholdIndexFallback;
-                break;
-            }
-            SolverMode::ThresholdIndex => mode = SolverMode::ThresholdIndex,
-            SolverMode::Exact => {}
-        }
-    }
-    mode.as_str().to_string()
+/// The value of counter `name` in `metrics`. `name` may drop the
+/// `fedfl_` prefix and/or the `_total` suffix, so a gate can say
+/// `net_error_frames=0`.
+pub fn counter(metrics: &MetricsSnapshot, name: &str) -> Option<u64> {
+    metrics
+        .counters
+        .iter()
+        .find(|entry| {
+            let full = entry.name.as_str();
+            let stripped = full.strip_prefix("fedfl_").unwrap_or(full);
+            let bare = stripped.strip_suffix("_total").unwrap_or(stripped);
+            full == name || stripped == name || bare == name
+        })
+        .map(|entry| entry.value)
 }
 
-/// A histogram's nearest-rank quantile, converted from nanoseconds to
-/// milliseconds (`0.0` for an empty histogram).
-fn hist_ms(hist: &fedfl_obs::HistogramSnapshot, p: f64) -> f64 {
+/// A nanosecond histogram's nearest-rank quantile in milliseconds (`0.0`
+/// when empty).
+fn quantile_ms(hist: &HistogramSnapshot, p: f64) -> f64 {
     hist.quantile(p) as f64 / 1e6
 }
 
-/// Nearest-rank percentile of an unsorted sample (`0.0` for empty input).
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
+/// A nanosecond histogram's exact mean in milliseconds (`0.0` when
+/// empty).
+fn mean_ms(hist: &HistogramSnapshot) -> f64 {
+    if hist.is_empty() {
+        0.0
+    } else {
+        hist.sum as f64 / hist.count as f64 / 1e6
     }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 fn mean(xs: &[f64]) -> f64 {
@@ -303,128 +274,62 @@ fn mean_usize(xs: &[usize]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generator::generate;
+    use crate::replay::replay;
+    use crate::replay::tests::tiny_spec;
+    use fedfl_obs::{Recorder, Registry};
 
     #[test]
-    fn percentile_is_nearest_rank() {
-        let xs = [5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(percentile(&xs, 0.50), 3.0);
-        assert_eq!(percentile(&xs, 0.99), 5.0);
-        assert_eq!(percentile(&xs, 0.01), 1.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
+    fn counter_lookup_resolves_prefix_and_suffix_aliases() {
+        let registry = Registry::new();
+        registry.add(Metric::NetFramesDecoded, 7);
+        let snapshot = registry.snapshot();
+        assert_eq!(
+            counter(&snapshot, "fedfl_net_frames_decoded_total"),
+            Some(7)
+        );
+        assert_eq!(counter(&snapshot, "net_frames_decoded_total"), Some(7));
+        assert_eq!(counter(&snapshot, "net_frames_decoded"), Some(7));
+        assert_eq!(counter(&snapshot, "fedfl_net_error_frames_total"), Some(0));
+        assert_eq!(counter(&snapshot, "no_such_counter"), None);
     }
 
     #[test]
-    fn phase_stats_quantiles_match_the_sample_vectors() {
-        use crate::generator::generate;
-        use crate::replay::replay;
-        use crate::spec::WorkloadSpec;
+    fn summary_reads_counts_mode_and_index_work_from_the_snapshot() {
+        let mut spec = tiny_spec();
+        for fast_path in [false, true] {
+            spec.fast_path = fast_path;
+            let trace = generate(&spec).expect("generate");
+            let outcome = replay(&spec, &trace).expect("replay");
+            let record = WorkloadRecord::new(&spec, &trace, &outcome);
 
-        let mut spec = WorkloadSpec::reference_10k();
-        spec.clients = 48;
-        spec.steps = 6;
-        spec.cohorts = 3;
-        spec.arrivals_per_step = 4;
-        spec.departures_per_step = 4;
-        spec.surge_every = 3;
-        spec.surge_size = 12;
-        spec.surge_hold = 2;
-        spec.budget_every = 2;
-        spec.reads_per_step = 2;
-        spec.read_batch = 6;
-        spec.snapshot_every = 3;
-        spec.verify_every = 2;
-        spec.min_population = 8;
-        spec.shards = 4;
-        spec.threads = 1;
-        let trace = generate(&spec).expect("generate");
-        let outcome = replay(&spec, &trace).expect("replay");
-        let record = WorkloadRecord::new(&spec, &trace, &outcome);
-
-        // The histograms and the sample vectors are fed by the same clock
-        // reads, so the report's histogram-derived p50/p99 must agree with
-        // the old vector-derived percentiles to within one log2-32 bucket:
-        // never below the exact value, never more than 1/32 above it.
-        for stats in &record.phases {
-            let phase = match stats.phase.as_str() {
-                "steady" => Phase::Steady,
-                _ => Phase::Flash,
-            };
-            let resolve_ms: Vec<f64> = outcome
-                .solves
-                .iter()
-                .filter(|s| s.phase == phase)
-                .map(|s| s.millis)
-                .collect();
-            let read_ms: Vec<f64> = outcome
-                .reads
-                .iter()
-                .filter(|r| r.phase == phase)
-                .map(|r| r.millis)
-                .collect();
-            assert_eq!(stats.resolves, resolve_ms.len());
-            assert_eq!(stats.reads, read_ms.len());
-            let checks = [
-                (stats.resolve_p50_ms, percentile(&resolve_ms, 0.50)),
-                (stats.resolve_p99_ms, percentile(&resolve_ms, 0.99)),
-                (stats.read_p50_ms, percentile(&read_ms, 0.50)),
-                (stats.read_p99_ms, percentile(&read_ms, 0.99)),
-            ];
-            for (hist, exact) in checks {
-                assert!(
-                    hist >= exact && hist <= exact * (1.0 + 1.0 / 32.0) + 1e-9,
-                    "phase {}: histogram quantile {hist} ms vs exact {exact} ms",
-                    stats.phase
-                );
+            // The loop's latency histograms and the service's reports are
+            // two sources: every absorbed re-solve appears in both.
+            let resolves: usize = record.phases.iter().map(|p| p.resolves).sum();
+            assert_eq!(resolves, outcome.solves.len());
+            assert!(record.phases.iter().map(|p| p.reads).sum::<usize>() > 0);
+            assert!(record.mean_resolve_ms > 0.0 && record.read_p99_ms > 0.0);
+            for stats in &record.phases {
+                assert!(stats.resolve_p50_ms <= stats.resolve_p99_ms);
+                assert!(stats.read_p50_ms <= stats.read_p99_ms);
+            }
+            if fast_path {
+                // Every step churns availability: one cold build, then a
+                // patch per solve, each covering every segment.
+                assert_ne!(record.solver_mode, "exact");
+                assert_eq!(record.index_cold_builds, 1);
+                assert_eq!(record.index_patches, outcome.solves.len() as u64 - 1);
+                assert!(record.mean_index_build_ms > 0.0 && record.mean_index_patch_ms > 0.0);
+                let segments = record.index_segments_rebuilt
+                    + record.index_segments_repaired
+                    + record.index_segments_reused;
+                assert!(segments > 0);
+                assert_eq!(segments % outcome.solves.len() as u64, 0);
+            } else {
+                assert_eq!(record.solver_mode, "exact");
+                assert_eq!((record.index_cold_builds, record.index_patches), (0, 0));
+                assert_eq!(record.mean_index_build_ms, 0.0);
             }
         }
-    }
-
-    #[test]
-    fn record_roundtrips_through_json() {
-        let record = WorkloadRecord {
-            bench: "workload".into(),
-            transport: "tcp".into(),
-            clients: 100,
-            steps: 4,
-            shards: 2,
-            threads: 1,
-            seed: 7,
-            cohorts: 2,
-            period: 4,
-            final_clients: 90,
-            commands: 42,
-            base_budget: 1234.5,
-            trace_fingerprint: "00ff".into(),
-            price_checksum: "ff00".into(),
-            warm_solves: 3,
-            cold_solves: 1,
-            mean_warm_iterations: 12.5,
-            mean_cold_iterations: 40.0,
-            mean_dirty_shard_fraction: 0.5,
-            max_dirty_shard_fraction: 1.0,
-            mean_rebuilt_column_fraction: 0.25,
-            verified_steps: 2,
-            solver_mode: "exact".into(),
-            index_cold_builds: 1,
-            index_patches: 3,
-            index_segments_rebuilt: 280,
-            index_segments_repaired: 0,
-            index_segments_reused: 744,
-            mean_index_build_ms: 0.8,
-            mean_index_patch_ms: 0.05,
-            total_wall_seconds: 0.5,
-            phases: vec![PhaseStats {
-                phase: "steady".into(),
-                resolves: 4,
-                resolve_p50_ms: 1.0,
-                resolve_p99_ms: 2.0,
-                reads: 8,
-                read_p50_ms: 0.1,
-                read_p99_ms: 0.2,
-            }],
-        };
-        let json = serde_json::to_string(&record).expect("serialize");
-        let back: WorkloadRecord = serde_json::from_str(&json).expect("parse");
-        assert_eq!(record, back);
     }
 }
