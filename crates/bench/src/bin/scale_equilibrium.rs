@@ -192,7 +192,13 @@ fn main() {
             "  cold {fast_solve_seconds:.3}s / warm {fast_warm_solve_seconds:.3}s [{}]",
             cold_diag.solver_mode
         );
-        debug_assert_eq!(warm_diag.solver_mode, cold_diag.solver_mode);
+        if warm_diag.solver_mode != cold_diag.solver_mode {
+            eprintln!(
+                "FAILED: the warm fast solve ran in mode {}, the cold one in {}",
+                warm_diag.solver_mode, cold_diag.solver_mode
+            );
+            std::process::exit(1);
+        }
         let fast_rel_spend_error =
             (fast_cold.spent - solution.spent).abs() / solution.spent.abs().max(1.0);
 

@@ -155,6 +155,7 @@ mod tests {
             [
                 "fedfl_workload_read_steady_ns",
                 "fedfl_workload_read_flash_ns",
+                "fedfl_workload_snapshot_ns",
             ]
             .map(|name| outcome.metrics.histogram(name).map_or(0, |h| h.count))
         };

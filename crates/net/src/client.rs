@@ -92,6 +92,8 @@ impl PricingClient {
             read_frame(&mut self.reader, self.max_frame)?.ok_or_else(|| ClientError::Protocol {
                 detail: "server closed the connection before replying".to_string(),
             })?;
-        WireReply::decode(&reply).map_err(|detail| ClientError::Protocol { detail })
+        WireReply::decode(&reply).map_err(|e| ClientError::Protocol {
+            detail: e.to_string(),
+        })
     }
 }

@@ -17,7 +17,8 @@ pub enum CodecViolation {
     NullValue,
     /// A float parsed to a non-finite value.
     NonFinite,
-    /// The frame itself broke the protocol (oversized).
+    /// The frame itself broke the protocol: oversized, or a columnar
+    /// frame whose length disagrees with its declared counts.
     Frame,
 }
 
@@ -169,6 +170,7 @@ impl From<CodecError> for WireError {
             CodecError::Decode { .. } => CodecViolation::Decode,
             CodecError::NullValue { .. } => CodecViolation::NullValue,
             CodecError::NonFinite { .. } => CodecViolation::NonFinite,
+            CodecError::Length { .. } => CodecViolation::Frame,
         };
         WireError::Codec {
             violation,

@@ -1,5 +1,13 @@
 //! The reply frame: one tagged union per request frame.
+//!
+//! `Prices` and `Snapshot` replies travel as columnar binary frames (see
+//! [`crate::codec`] for the layout); every other reply, errors included,
+//! is JSON. [`WireReply::decode`] tells the two apart by the first byte.
 
+use crate::codec::{
+    decode_json, decode_prices, decode_snapshot, encode_prices, encode_snapshot, CodecError,
+    PRICES_TAG, SNAPSHOT_TAG,
+};
 use crate::error::WireError;
 use fedfl_service::Response;
 use serde::{Deserialize, Serialize};
@@ -17,20 +25,31 @@ pub enum WireReply {
 }
 
 impl WireReply {
-    /// Encode this reply as a frame payload.
+    /// Encode this reply as a frame payload: columnar for `Prices` and
+    /// `Snapshot`, JSON otherwise.
     pub fn encode(&self) -> Vec<u8> {
-        serde_json::to_string(self)
-            .expect("replies serialize infallibly")
-            .into_bytes()
+        match self {
+            WireReply::Ok(Response::Prices(quotes)) => encode_prices(quotes),
+            WireReply::Ok(Response::Snapshot(snapshot)) => encode_snapshot(snapshot),
+            json => serde_json::to_string(json)
+                .expect("replies serialize infallibly")
+                .into_bytes(),
+        }
     }
 
     /// Decode a reply frame payload.
     ///
     /// # Errors
     ///
-    /// Returns the decoder's message if the payload is not a reply.
-    pub fn decode(payload: &[u8]) -> Result<Self, String> {
-        let text = std::str::from_utf8(payload).map_err(|e| format!("invalid utf-8: {e}"))?;
-        serde_json::from_str(text).map_err(|e| e.to_string())
+    /// Returns a typed [`CodecError`] if the payload is not a well-formed
+    /// reply: a columnar frame whose counts disagree with its length or
+    /// that carries a non-finite float, or JSON that does not parse or
+    /// is not a reply.
+    pub fn decode(payload: &[u8]) -> Result<Self, CodecError> {
+        match payload.first() {
+            Some(&PRICES_TAG) => Ok(WireReply::Ok(Response::Prices(decode_prices(payload)?))),
+            Some(&SNAPSHOT_TAG) => Ok(WireReply::Ok(Response::Snapshot(decode_snapshot(payload)?))),
+            _ => decode_json(payload),
+        }
     }
 }

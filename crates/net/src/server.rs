@@ -10,7 +10,9 @@
 //! leaves the previous certified view in place (and the staleness flag
 //! down, so readers keep retrying the solve rather than serving it).
 
-use crate::codec::{decode_command, read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};
+use crate::codec::{
+    decode_command, encode_snapshot, read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME,
+};
 use crate::error::WireError;
 use crate::protocol::WireReply;
 use crate::recorder::WireRecorder;
@@ -61,6 +63,22 @@ fn quotes(snapshot: &ServiceSnapshot, ids: &[ClientId]) -> Result<Vec<PriceQuote
             q_eff: snapshot.q_eff[pos],
         })
         .collect())
+}
+
+/// A computed reply. A snapshot stays behind the published `Arc` until
+/// it is encoded, so serving one copies nothing.
+enum Reply {
+    Wire(WireReply),
+    Snapshot(Arc<ServiceSnapshot>),
+}
+
+impl Reply {
+    fn encode(&self) -> Vec<u8> {
+        match self {
+            Reply::Wire(reply) => reply.encode(),
+            Reply::Snapshot(view) => encode_snapshot(view),
+        }
+    }
 }
 
 /// Shared state between the writer and every reader connection.
@@ -129,9 +147,9 @@ impl Shared {
         Ok(view)
     }
 
-    /// Execute one decoded command, returning the reply frame payload.
-    fn handle(&self, command: Command) -> WireReply {
-        match command {
+    /// Execute one decoded command, returning its reply.
+    fn handle(&self, command: Command) -> Reply {
+        let reply = match command {
             Command::GetPrices(ids) => match self.read_view() {
                 Ok(view) => match quotes(&view, &ids) {
                     Ok(quotes) => WireReply::Ok(Response::Prices(quotes)),
@@ -140,7 +158,7 @@ impl Shared {
                 Err(e) => WireReply::Err(e),
             },
             Command::Snapshot => match self.read_view() {
-                Ok(view) => WireReply::Ok(Response::Snapshot((*view).clone())),
+                Ok(view) => return Reply::Snapshot(view),
                 Err(e) => WireReply::Err(e),
             },
             // Lock-free: scrapes must not queue behind the writer.
@@ -162,7 +180,8 @@ impl Shared {
                     Err(e) => WireReply::Err(WireError::from(&e)),
                 }
             }
-        }
+        };
+        Reply::Wire(reply)
     }
 }
 
@@ -315,10 +334,10 @@ fn serve_connection(shared: &Shared, stream: TcpStream, conn_id: u64) {
             Err(err @ FrameError::TooLarge { .. }) => {
                 // The unread payload cannot be skipped safely; report
                 // and close.
-                let reply = WireReply::Err(WireError::Codec {
+                let reply = Reply::Wire(WireReply::Err(WireError::Codec {
                     violation: crate::error::CodecViolation::Frame,
                     detail: err.to_string(),
-                });
+                }));
                 metrics.add(Metric::NetErrorFrames, 1);
                 if reply_to(shared, &mut writer, &reply).is_ok() {
                     metrics.add(Metric::NetRepliesSent, 1);
@@ -334,15 +353,17 @@ fn serve_connection(shared: &Shared, stream: TcpStream, conn_id: u64) {
         let (command, reply) = match decode_command(&payload) {
             Ok(command) => {
                 metrics.add(Metric::NetFramesDecoded, 1);
+                // Only a wire trace keeps the command after it executes.
+                let recorded = shared.recorder.is_some().then(|| command.clone());
                 let watch = Stopwatch::start();
-                let reply = shared.handle(command.clone());
+                let reply = shared.handle(command);
                 watch.record(metrics, Metric::NetRequestNs);
-                (Some(command), reply)
+                (recorded, reply)
             }
             // The framing was intact, so the connection stays usable.
-            Err(codec) => (None, WireReply::Err(WireError::from(codec))),
+            Err(codec) => (None, Reply::Wire(WireReply::Err(WireError::from(codec)))),
         };
-        if matches!(reply, WireReply::Err(_)) {
+        if matches!(reply, Reply::Wire(WireReply::Err(_))) {
             metrics.add(Metric::NetErrorFrames, 1);
         }
         record(shared, conn_id, command.as_ref(), &reply);
@@ -364,7 +385,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream, conn_id: u64) {
 fn reply_to(
     shared: &Shared,
     writer: &mut BufWriter<TcpStream>,
-    reply: &WireReply,
+    reply: &Reply,
 ) -> Result<(), FrameError> {
     let encoded = reply.encode();
     write_frame(writer, &encoded, shared.options.max_frame)?;
@@ -374,8 +395,18 @@ fn reply_to(
     Ok(())
 }
 
-fn record(shared: &Shared, conn_id: u64, command: Option<&Command>, reply: &WireReply) {
-    if let Some(recorder) = &shared.recorder {
-        recorder.record(conn_id, command, reply);
+fn record(shared: &Shared, conn_id: u64, command: Option<&Command>, reply: &Reply) {
+    let Some(recorder) = &shared.recorder else {
+        return;
+    };
+    match reply {
+        Reply::Wire(reply) => recorder.record(conn_id, command, reply),
+        // The trace holds replies by value: only a recording server
+        // copies a served snapshot.
+        Reply::Snapshot(view) => recorder.record(
+            conn_id,
+            command,
+            &WireReply::Ok(Response::Snapshot((**view).clone())),
+        ),
     }
 }

@@ -247,6 +247,45 @@ fn commands_round_trip_over_loopback_bit_identically() {
     handle.shutdown();
 }
 
+/// A columnar reply's exact content: ids and float bits in column order,
+/// then the snapshot's report as JSON (empty for quotes).
+fn column_bits(response: &Response) -> (Vec<u64>, String) {
+    match response {
+        Response::Prices(quotes) => (
+            quotes
+                .iter()
+                .flat_map(|q| [q.id.0, q.price.to_bits(), q.q_eff.to_bits()])
+                .collect(),
+            String::new(),
+        ),
+        Response::Snapshot(s) => (
+            std::iter::once(s.budget.to_bits())
+                .chain(s.ids.iter().map(|id| id.0))
+                .chain(s.prices.iter().map(|p| p.to_bits()))
+                .chain(s.q_eff.iter().map(|q| q.to_bits()))
+                .collect(),
+            serde_json::to_string(&s.report).unwrap(),
+        ),
+        other => panic!("not a columnar reply: {other:?}"),
+    }
+}
+
+#[test]
+fn columnar_replies_decode_bit_identical_to_the_in_process_response() {
+    let (service, ids) = seeded_service(40);
+    let (mut mirror, _) = seeded_service(40);
+    let mut handle = start_server(service, ServerOptions::default(), None);
+    let mut conn = PricingClient::connect(handle.addr()).unwrap();
+    // Request order is kept, a repeated id included.
+    let batch = vec![ids[7], ids[2], ids[7], ids[39], ids[0]];
+    for command in [Command::Snapshot, Command::GetPrices(batch)] {
+        let served = conn.call(&command).unwrap();
+        let local = mirror.execute(command).unwrap();
+        assert_eq!(column_bits(&served), column_bits(&local));
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn malformed_input_yields_typed_error_frames_and_the_connection_survives() {
     let (service, ids) = seeded_service(3);

@@ -175,6 +175,8 @@ metrics! {
         "Read (price-quote batch) latency during steady phases, nanoseconds."),
     WorkloadReadFlashNs => (Histogram, "fedfl_workload_read_flash_ns",
         "Read (price-quote batch) latency during flash-crowd phases, nanoseconds."),
+    WorkloadSnapshotNs => (Histogram, "fedfl_workload_snapshot_ns",
+        "Full-snapshot read latency (reads that absorbed no re-solve), nanoseconds."),
 }
 
 impl Metric {

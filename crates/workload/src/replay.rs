@@ -88,11 +88,6 @@ impl InProcessDriver {
             service: PricingService::with_recorder(config, registry)?,
         })
     }
-
-    /// The service this driver wraps.
-    pub fn service(&self) -> &PricingService {
-        &self.service
-    }
 }
 
 impl CommandDriver for InProcessDriver {
@@ -159,9 +154,10 @@ pub struct ReplayOutcome {
     pub metrics: MetricsSnapshot,
 }
 
-/// The histogram a timed command issued in `phase` records into: the
-/// re-solve span when the command absorbed a re-solve, else the
-/// clean-read span.
+/// The histogram a timed quote read issued in `phase` records into: the
+/// re-solve span when the read absorbed a re-solve, else the clean-read
+/// span. A clean `Snapshot` records into
+/// [`Metric::WorkloadSnapshotNs`] instead.
 pub(crate) fn latency_metric(phase: Phase, resolve: bool) -> Metric {
     match (resolve, phase) {
         (true, Phase::Steady) => Metric::WorkloadResolveSteadyNs,
@@ -424,7 +420,9 @@ impl<D: CommandDriver> ReplayRun<'_, D> {
     }
 
     /// Execute a read under the clock, classifying it as a clean read or
-    /// an absorbed re-solve by the client-side dirty prediction.
+    /// an absorbed re-solve by the client-side dirty prediction. Clean
+    /// snapshots get a histogram of their own, so that the read
+    /// histograms time quote batches only.
     fn timed_read(
         &mut self,
         command: Command,
@@ -432,6 +430,11 @@ impl<D: CommandDriver> ReplayRun<'_, D> {
         step: usize,
     ) -> Result<(), WorkloadError> {
         let dirty = self.dirty;
+        let metric = if !dirty && matches!(command, Command::Snapshot) {
+            Metric::WorkloadSnapshotNs
+        } else {
+            latency_metric(phase, dirty)
+        };
         if let Some(observed) = self.driver.observed_dirty() {
             if observed != dirty {
                 return Err(WorkloadError::VerificationFailed {
@@ -444,7 +447,7 @@ impl<D: CommandDriver> ReplayRun<'_, D> {
         }
         let watch = Stopwatch::start();
         self.driver.execute(command)?;
-        watch.record(self.registry, latency_metric(phase, dirty));
+        watch.record(self.registry, metric);
         self.dirty = false;
         if dirty {
             let report = self

@@ -20,11 +20,11 @@ pub struct PhaseStats {
     pub resolve_p50_ms: f64,
     /// 99th-percentile re-solve latency, ms.
     pub resolve_p99_ms: f64,
-    /// Clean reads in this phase.
+    /// Clean quote reads (`GetPrices` batches) in this phase.
     pub reads: usize,
-    /// Median clean-read latency, ms.
+    /// Median clean quote-read latency, ms.
     pub read_p50_ms: f64,
-    /// 99th-percentile clean-read latency, ms.
+    /// 99th-percentile clean quote-read latency, ms.
     pub read_p99_ms: f64,
 }
 
@@ -94,8 +94,16 @@ pub struct WorkloadRecord {
     /// Mean re-solve latency across all phases, ms (the CI tripwire
     /// metric).
     pub mean_resolve_ms: f64,
-    /// 99th-percentile clean-read latency across all phases, ms.
+    /// 99th-percentile clean quote-read latency across all phases, ms.
+    /// `GetPrices` batches only: clean snapshots are timed separately.
     pub read_p99_ms: f64,
+    /// Clean full-snapshot reads. A snapshot that absorbed a re-solve
+    /// is a re-solve sample instead.
+    pub snapshots: usize,
+    /// Median clean-snapshot latency, ms.
+    pub snapshot_p50_ms: f64,
+    /// 99th-percentile clean-snapshot latency, ms.
+    pub snapshot_p99_ms: f64,
     /// Total replay wall-clock, seconds.
     pub total_wall_seconds: f64,
     /// Per-phase latency buckets (`steady`, then `flash` when surges ran).
@@ -166,6 +174,7 @@ impl WorkloadRecord {
         } else {
             SolverMode::Exact
         };
+        let snapshots = histogram(Metric::WorkloadSnapshotNs);
         let builds = histogram(Metric::SolverIndexBuildNs);
         let patches = histogram(Metric::SolverIndexPatchNs);
 
@@ -194,6 +203,9 @@ impl WorkloadRecord {
             mean_index_patch_ms: mean_ms(&patches),
             mean_resolve_ms: mean_ms(&all_resolves),
             read_p99_ms: quantile_ms(&all_reads, 0.99),
+            snapshots: snapshots.count as usize,
+            snapshot_p50_ms: quantile_ms(&snapshots, 0.50),
+            snapshot_p99_ms: quantile_ms(&snapshots, 0.99),
             total_wall_seconds: outcome.total_wall_seconds,
             phases,
         }

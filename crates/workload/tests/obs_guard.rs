@@ -57,9 +57,10 @@ fn replay_plain(spec: &WorkloadSpec, trace: &Trace) -> ReplayOutcome {
     replay_with(spec, trace, &mut driver, &Registry::new()).expect("uninstrumented replay")
 }
 
-/// Re-solves and clean reads the replay loop timed.
-fn timed_counts(outcome: &ReplayOutcome) -> (u64, u64) {
-    let count = |metrics: [Metric; 2]| -> u64 {
+/// Re-solves, clean quote reads and clean snapshots the replay loop
+/// timed.
+fn timed_counts(outcome: &ReplayOutcome) -> (u64, u64, u64) {
+    let count = |metrics: &[Metric]| -> u64 {
         metrics
             .iter()
             .filter_map(|m| outcome.metrics.histogram(m.name()))
@@ -67,11 +68,12 @@ fn timed_counts(outcome: &ReplayOutcome) -> (u64, u64) {
             .sum()
     };
     (
-        count([
+        count(&[
             Metric::WorkloadResolveSteadyNs,
             Metric::WorkloadResolveFlashNs,
         ]),
-        count([Metric::WorkloadReadSteadyNs, Metric::WorkloadReadFlashNs]),
+        count(&[Metric::WorkloadReadSteadyNs, Metric::WorkloadReadFlashNs]),
+        count(&[Metric::WorkloadSnapshotNs]),
     )
 }
 
@@ -121,9 +123,9 @@ fn instrumented_replay_is_bit_identical_and_fully_counted() {
         Some((trace.commands() + observed.verified_steps + 1) as u64)
     );
     // Every absorbed re-solve has a latency sample.
-    let (resolves, reads) = timed_counts(&observed);
+    let (resolves, reads, snapshots) = timed_counts(&observed);
     assert_eq!(resolves, observed.solves.len() as u64);
-    assert!(reads > 0);
+    assert!(reads > 0 && snapshots > 0);
     // No fallbacks on the exact path, and every solve is accounted for.
     assert_eq!(
         snap.counter(Metric::SolverExactSolves.name()),
