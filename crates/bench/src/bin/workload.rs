@@ -3,9 +3,10 @@
 //! Generates the deterministic diurnal/flash-crowd trace described by a
 //! [`fedfl_workload::WorkloadSpec`], replays it through a live
 //! [`fedfl_service::PricingService`], and reports per-phase p50/p99
-//! re-solve and read latencies, warm-vs-cold bisection iterations, and
-//! dirty-shard fractions. With `--verify-every V`, every V-th step's
-//! served prices are certified bit-identical to a from-scratch solve.
+//! re-solve and read latencies, warm-vs-cold bisection iterations and
+//! spend evaluations, and dirty-shard fractions. With `--verify-every V`,
+//! every V-th step's served prices are certified bit-identical to a
+//! from-scratch solve.
 //!
 //! ```text
 //! workload [--clients N] [--steps S] [--seed S] [--shards K] [--threads T]
@@ -276,11 +277,13 @@ fn main() {
         record.trace_fingerprint, record.commands, record.price_checksum, record.base_budget
     ));
     report.push_str(&format!(
-        "  solves: {} warm ({:.1} iters) / {} cold ({:.1} iters); dirty shards mean {:.3} max {:.3}; rebuilt columns mean {:.3}\n",
+        "  solves: {} warm ({:.1} iters, {:.1} evals) / {} cold ({:.1} iters, {:.1} evals); dirty shards mean {:.3} max {:.3}; rebuilt columns mean {:.3}\n",
         record.warm_solves,
         record.mean_warm_iterations,
+        record.mean_warm_evaluations,
         record.cold_solves,
         record.mean_cold_iterations,
+        record.mean_cold_evaluations,
         record.mean_dirty_shard_fraction,
         record.max_dirty_shard_fraction,
         record.mean_rebuilt_column_fraction

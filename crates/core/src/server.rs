@@ -56,10 +56,10 @@ use crate::active_set::ActiveSetIndex;
 use crate::bound::BoundParams;
 use crate::error::GameError;
 use crate::population::{Population, PopulationColumns, Q_MIN};
-use fedfl_num::parallel::{chunked_fill, chunked_sum};
+use fedfl_num::parallel::{chunked_fill, chunked_reduce, chunked_sum};
 use fedfl_num::solve::{
     bisect_monotone_instrumented, penalty_minimize, BisectStats, BoxConstraints, ConstraintFn,
-    ConstraintKind, PgdConfig,
+    ConstraintKind, MonotoneFn, PgdConfig, WarmStart,
 };
 use fedfl_obs::{Metric, Recorder, Stopwatch};
 use serde::{Deserialize, Serialize};
@@ -83,9 +83,9 @@ pub struct SolverConfig {
     /// never on this cap. That matters for heavy-tailed populations, whose
     /// saturation parameter can sit 50+ decades above the budget root: a
     /// cap below the bracket's dyadic depth silently truncates the search
-    /// (and the warm-start containment chain with it). The cap remains a
-    /// backstop against non-terminating spend callbacks, not a precision
-    /// knob.
+    /// (a warm search's replay counts the same levels against it). The
+    /// cap remains a backstop against non-terminating spend callbacks, not
+    /// a precision knob.
     pub max_iters: usize,
 }
 
@@ -170,11 +170,19 @@ impl StageOneSolution {
 
 /// The path parameter `t` at which every client sits at its cap (plus a
 /// relative epsilon so the saturated profile is strictly inside).
-fn saturation_t(cols: &PopulationColumns, aor: f64) -> f64 {
-    (0..cols.len())
-        .map(|i| 4.0 / aor * cols.cost[i] * cols.q_max[i].powi(3) / cols.a2g2[i] + cols.value[i])
-        .fold(0.0f64, f64::max)
-        * (1.0 + 1e-12)
+///
+/// A chunked maximum: `f64::max` is exact and order-free, so the result
+/// is the serial fold's for any thread count.
+fn saturation_t(cols: &PopulationColumns, aor: f64, n_threads: usize) -> f64 {
+    let cap_t =
+        |i: usize| 4.0 / aor * cols.cost[i] * cols.q_max[i].powi(3) / cols.a2g2[i] + cols.value[i];
+    chunked_reduce(
+        cols.len(),
+        n_threads,
+        0.0f64,
+        |range| range.map(cap_t).fold(0.0f64, f64::max),
+        f64::max,
+    ) * (1.0 + 1e-12)
         + 1e-12
 }
 
@@ -195,16 +203,26 @@ pub fn path_budget(
 ) -> f64 {
     let cols = population.columns();
     let aor = bound.alpha_over_r();
-    let t = frac.clamp(0.0, 1.0) * saturation_t(&cols, aor);
-    path_spend(&cols, aor, options.q_min, t, options.config.n_threads)
+    let threads = options.config.n_threads;
+    let t = frac.clamp(0.0, 1.0) * saturation_t(&cols, aor, threads);
+    path_spend(&cols, aor, options.q_min, t, threads)
 }
 
-/// The per-client participation level on the KKT path at `t = 1/λ`:
-/// `clamp(((α/4R)·a²G²·(t − v)/c)^{1/3})`.
+/// Client `i`'s participation level on the KKT path at `t = 1/λ`:
+/// `clamp(((α/4R)·a²G²·(t − v)/c)^{1/3})`, with `coef = α/4R`.
 #[inline]
-fn path_q(coef: f64, a2g2: f64, cost: f64, value: f64, q_max: f64, q_min: f64, t: f64) -> f64 {
-    let slack = (t - value).max(0.0);
-    (coef * a2g2 * slack / cost).cbrt().clamp(q_min, q_max)
+fn path_q(cols: &PopulationColumns, coef: f64, q_min: f64, i: usize, t: f64) -> f64 {
+    let slack = (t - cols.value[i]).max(0.0);
+    (coef * cols.a2g2[i] * slack / cols.cost[i])
+        .cbrt()
+        .clamp(q_min, cols.q_max[i])
+}
+
+/// Client `i`'s payment `P(q)·q = 2cq² − K/q` at participation `q`, with
+/// `K = v·(α/R)·a²G²`: the per-client term of every spend sum.
+#[inline]
+fn payment(cols: &PopulationColumns, aor: f64, i: usize, q: f64) -> f64 {
+    2.0 * cols.cost[i] * q * q - cols.value[i] * aor * cols.a2g2[i] / q
 }
 
 /// Fused spend along the KKT path: `Σ P(q_n(t)) q_n(t)` evaluated without
@@ -215,20 +233,97 @@ fn path_spend(cols: &PopulationColumns, aor: f64, q_min: f64, t: f64, n_threads:
     chunked_sum(cols.len(), n_threads, |range| {
         let mut acc = 0.0;
         for i in range {
-            let q = path_q(
-                coef,
-                cols.a2g2[i],
-                cols.cost[i],
-                cols.value[i],
-                cols.q_max[i],
-                q_min,
-                t,
-            );
-            // P(q)·q = 2 c q² − K/q with K = v (α/R) a²G².
-            acc += 2.0 * cols.cost[i] * q * q - cols.value[i] * aor * cols.a2g2[i] / q;
+            acc += payment(cols, aor, i, path_q(cols, coef, q_min, i, t));
         }
         acc
     })
+}
+
+/// The path spend `S(t)` and its slope `S′(t)` in one chunked pass.
+///
+/// `S(t)` is accumulated exactly as [`path_spend`] accumulates it (the
+/// same per-client term over the same chunk tree), so it is bit for bit
+/// an exact probe. Strictly inside its clamps a client moves as
+/// `dq/dt = q / (3(t − v))`, so its payment moves as
+/// `(4cq² + K/q) / (3(t − v))`; clamped clients do not move.
+fn path_spend_and_slope(
+    cols: &PopulationColumns,
+    aor: f64,
+    q_min: f64,
+    t: f64,
+    n_threads: usize,
+) -> (f64, f64) {
+    let coef = aor / 4.0;
+    chunked_reduce(
+        cols.len(),
+        n_threads,
+        (0.0, 0.0),
+        |range| {
+            let (mut spend, mut slope) = (0.0, 0.0);
+            for i in range {
+                let q = path_q(cols, coef, q_min, i, t);
+                spend += payment(cols, aor, i, q);
+                if q > q_min && q < cols.q_max[i] {
+                    let gain = cols.value[i] * aor * cols.a2g2[i] / q;
+                    slope += (4.0 * cols.cost[i] * q * q + gain) / (3.0 * (t - cols.value[i]));
+                }
+            }
+            (spend, slope)
+        },
+        |(s0, d0), (s1, d1)| (s0 + s1, d0 + d1),
+    )
+}
+
+/// The exact path spend as the budget bisection's monotone function. Each
+/// evaluation is one O(N) chunked pass, kept with its result: the solver
+/// counts its passes by them and reuses the spend at the root when the
+/// search evaluated it there.
+struct ExactSpend<'a> {
+    cols: &'a PopulationColumns,
+    aor: f64,
+    q_min: f64,
+    threads: usize,
+    /// Every evaluated `(t, S(t))`, in evaluation order.
+    evaluated: Vec<(f64, f64)>,
+}
+
+impl<'a> ExactSpend<'a> {
+    fn new(cols: &'a PopulationColumns, aor: f64, q_min: f64, threads: usize) -> Self {
+        Self {
+            cols,
+            aor,
+            q_min,
+            threads,
+            evaluated: Vec::new(),
+        }
+    }
+
+    /// The exact spend at `t`.
+    fn at(&mut self, t: f64) -> f64 {
+        let spend = path_spend(self.cols, self.aor, self.q_min, t, self.threads);
+        self.evaluated.push((t, spend));
+        spend
+    }
+
+    /// The spend at `t` if a pass already evaluated it there.
+    fn evaluated_at(&self, t: f64) -> Option<f64> {
+        self.evaluated
+            .iter()
+            .find(|(x, _)| x.to_bits() == t.to_bits())
+            .map(|&(_, spend)| spend)
+    }
+}
+
+impl MonotoneFn for &mut ExactSpend<'_> {
+    fn value(&mut self, t: f64) -> f64 {
+        self.at(t)
+    }
+
+    fn value_and_slope(&mut self, t: f64) -> Option<(f64, f64)> {
+        let (spend, slope) = path_spend_and_slope(self.cols, self.aor, self.q_min, t, self.threads);
+        self.evaluated.push((t, spend));
+        Some((spend, slope))
+    }
 }
 
 /// Fill `out` with the KKT-path profile at `t` (parallel, allocation-free).
@@ -243,16 +338,7 @@ fn fill_path_profile(
     let coef = aor / 4.0;
     chunked_fill(out, n_threads, |start, slice| {
         for (k, q) in slice.iter_mut().enumerate() {
-            let i = start + k;
-            *q = path_q(
-                coef,
-                cols.a2g2[i],
-                cols.cost[i],
-                cols.value[i],
-                cols.q_max[i],
-                q_min,
-                t,
-            );
+            *q = path_q(cols, coef, q_min, start + k, t);
         }
     });
 }
@@ -262,8 +348,7 @@ fn profile_spend(cols: &PopulationColumns, aor: f64, q: &[f64], n_threads: usize
     chunked_sum(cols.len(), n_threads, |range| {
         let mut acc = 0.0;
         for i in range {
-            let qn = q[i];
-            acc += 2.0 * cols.cost[i] * qn * qn - cols.value[i] * aor * cols.a2g2[i] / qn;
+            acc += payment(cols, aor, i, q[i]);
         }
         acc
     })
@@ -450,17 +535,20 @@ pub struct KktDiagnostics {
     /// natural warm-start hint for the next solve of a perturbed
     /// population).
     pub t_star: f64,
-    /// Midpoint iterations of the budget bisection (0 for saturated or
-    /// endpoint-clamped solves).
+    /// Bisection midpoints that needed a spend evaluation (0 for
+    /// saturated or endpoint-clamped solves).
     pub bisect_iterations: usize,
-    /// Spend-curve probes, counted at the evaluation site: the saturation
-    /// screen, the bisection endpoints and midpoints, any warm-start
-    /// verification probes, and — on the fast path — the exact
-    /// certification probes. The fast path's materialised spend is one
+    /// Spend-curve passes, counted at the evaluation site. On the exact
+    /// path that is every O(N) pass: the saturation screen, the endpoint
+    /// probes, the Newton steps, the window probes and the evaluated
+    /// midpoints. On the fast path it is every model probe plus the exact
+    /// certification probes; the fast path's materialised spend is one
     /// side of its certificate (and its saturation screen) but not a
     /// probe: it is not counted.
     pub bisect_evaluations: usize,
-    /// Dyadic depth of the bracket the bisection started from (0 = cold).
+    /// Bisection levels an evaluated point decided without a pass (0 =
+    /// cold): with [`KktDiagnostics::bisect_iterations`], the levels the
+    /// cold bisection walks.
     pub warm_start_depth: usize,
     /// Which solver path produced the solution.
     pub solver_mode: SolverMode,
@@ -511,11 +599,16 @@ const CERT_BANDS: [f64; 3] = [1e-9, 1e-7, 1e-5];
 ///
 /// `hint` is a guess at the path parameter `t = 1/λ` — typically
 /// [`KktDiagnostics::t_star`] of the previous solve of a slightly
-/// different population. The budget bisection descends its dyadic
-/// bracket tree toward the hint and verifies containment before trusting
-/// it ([`fedfl_num::solve::bisect_monotone_instrumented`]), so the exact
-/// solution is **bit-identical** for any hint; a good hint only removes
-/// bisection iterations, a useless one falls back to the full bracket.
+/// different population. The exact path moves it to this budget and
+/// population with [`estimate_path_parameter`], takes Newton steps on the
+/// exact spend from there, and confirms a narrow bracket around the
+/// result with one exact probe per side. The budget bisection then
+/// replays the cold bisection, evaluating only the midpoints no
+/// evaluated point decides ([`fedfl_num::solve::bisect_monotone_instrumented`]),
+/// so the exact solution is **bit-identical** for any hint: a good hint
+/// leaves a handful of O(N) passes, a useless one costs a few extra. The
+/// fast path hands the hint to its model bisection as is. Without a hint,
+/// the exact path is the cold bisection, probe for probe.
 ///
 /// `index` selects the solver path:
 ///
@@ -598,32 +691,38 @@ fn solve_exact_unchecked(
     let aor = bound.alpha_over_r();
     let threads = options.config.n_threads;
     // t needed for every client to hit its cap.
-    let t_hi = saturation_t(cols, aor);
+    let t_hi = saturation_t(cols, aor, threads);
 
-    // The λ-evaluation: one chunked reduction, O(N / threads) per probe,
-    // materialising no per-client buffers. Probes are counted here, at
-    // the evaluation site, so the saturation screen and every bisection
-    // probe land in one counter (the
-    // bisection's own memo never calls back on a cache hit, so each count
-    // is a real O(N) sweep).
-    let probes = Cell::new(0u64);
-    let spend_at = |t: f64| {
-        probes.set(probes.get() + 1);
-        path_spend(cols, aor, options.q_min, t, threads)
-    };
-
-    let (t_used, lambda, saturated, stats) = if spend_at(t_hi) <= budget {
+    // The λ-evaluation: one chunked reduction, O(N / threads) per pass,
+    // materialising no per-client buffers. Every pass — the saturation
+    // screen, the endpoint probes, Newton steps, window probes and
+    // midpoints — is recorded in `spend.evaluated`.
+    let mut spend = ExactSpend::new(cols, aor, options.q_min, threads);
+    let spend_hi = spend.at(t_hi);
+    let (t_used, lambda, saturated, stats) = if spend_hi <= budget {
         // Whole population affordable at the caps: budget slack.
         (t_hi, None, true, BisectStats::default())
     } else {
+        // The closed-form spend model first moves a hint to this budget
+        // and population; the search's Newton steps on the exact spend
+        // start from that estimate, and restart from the raw hint if a
+        // step from it leaves the bracket (the model ignores the value
+        // term, so it can land far off where valued clients dominate).
+        // The screen's pass settles `f(t_hi)`.
+        let estimate = hint.and_then(|h| estimate_path_parameter(cols, bound, budget, h, threads));
+        let hints: Vec<f64> = estimate.into_iter().chain(hint).collect();
+        let known = [(t_hi, spend_hi)];
         let (t_star, stats) = bisect_monotone_instrumented(
-            spend_at,
+            &mut spend,
             budget,
             0.0,
             t_hi,
             options.config.tolerance,
             options.config.max_iters,
-            hint,
+            hint.map(|_| WarmStart {
+                hints: &hints,
+                known: &known,
+            }),
         )?;
         let lambda = if t_star > 0.0 {
             Some(1.0 / t_star)
@@ -644,7 +743,12 @@ fn solve_exact_unchecked(
             reason: format!("non-finite price for client {bad}"),
         });
     }
-    let spent = profile_spend(cols, aor, &q, threads);
+    // The realised spend of the profile at `t` is bit for bit the exact
+    // spend at `t`, so a pass that already evaluated it stands in.
+    let spent = spend
+        .evaluated_at(t_used)
+        .unwrap_or_else(|| profile_spend(cols, aor, &q, threads));
+    let passes = spend.evaluated.len();
     Ok((
         StageOneSolution {
             q,
@@ -656,10 +760,10 @@ fn solve_exact_unchecked(
         KktDiagnostics {
             t_star: t_used,
             bisect_iterations: stats.iterations,
-            bisect_evaluations: probes.get() as usize,
+            bisect_evaluations: passes,
             warm_start_depth: stats.start_depth,
             solver_mode: SolverMode::Exact,
-            probe_evaluations: probes.get() * n as u64,
+            probe_evaluations: (passes * n) as u64,
         },
     ))
 }
@@ -690,16 +794,12 @@ fn solve_fast<R: Recorder + ?Sized>(
         && !index.is_degenerate()
         && index.bracket_hi().is_finite();
     let model_probes = Cell::new(0u64);
-    let exact_probes = Cell::new(0u64);
+    let mut exact = ExactSpend::new(cols, aor, options.q_min, threads);
 
     let fast: Option<(StageOneSolution, BisectStats, f64)> = 'fast: {
         if !index_usable {
             break 'fast None;
         }
-        let exact_spend = |t: f64| {
-            exact_probes.set(exact_probes.get() + 1);
-            path_spend(cols, aor, options.q_min, t, threads)
-        };
         // Materialise exactly, as the exact solver does. The realised
         // spend is bit-identical to an exact probe at `t` (same
         // per-client term, same chunk tree), so it is one side of every
@@ -727,7 +827,10 @@ fn solve_fast<R: Recorder + ?Sized>(
                     t_hi,
                     options.config.tolerance,
                     options.config.max_iters,
-                    hint,
+                    hint.map(|_| WarmStart {
+                        hints: hint.as_slice(),
+                        known: &[],
+                    }),
                 ) else {
                     break 'fast None;
                 };
@@ -748,8 +851,8 @@ fn solve_fast<R: Recorder + ?Sized>(
                     for (band_no, &band) in CERT_BANDS.iter().enumerate() {
                         let eps = (band * t_hat).max(options.config.tolerance);
                         let closes = match spent.partial_cmp(&budget) {
-                            Some(Ordering::Greater) => exact_spend(t_hat - eps) <= budget,
-                            Some(_) => exact_spend(t_hat + eps) >= budget,
+                            Some(Ordering::Greater) => exact.at(t_hat - eps) <= budget,
+                            Some(_) => exact.at(t_hat + eps) >= budget,
                             None => false,
                         };
                         if closes {
@@ -799,15 +902,15 @@ fn solve_fast<R: Recorder + ?Sized>(
         Some((solution, stats, t_used))
     };
 
-    let fast_phase_evaluations =
-        model_probes.get() * index.probe_cost() + exact_probes.get() * n as u64;
+    let exact_probes = exact.evaluated.len() as u64;
+    let fast_phase_evaluations = model_probes.get() * index.probe_cost() + exact_probes * n as u64;
     match fast {
         Some((solution, stats, t_used)) => Ok((
             solution,
             KktDiagnostics {
                 t_star: t_used,
                 bisect_iterations: stats.iterations,
-                bisect_evaluations: (model_probes.get() + exact_probes.get()) as usize,
+                bisect_evaluations: (model_probes.get() + exact_probes) as usize,
                 warm_start_depth: stats.start_depth,
                 solver_mode: SolverMode::ThresholdIndex,
                 probe_evaluations: fast_phase_evaluations,
@@ -833,15 +936,15 @@ fn solve_fast<R: Recorder + ?Sized>(
 /// spend `C`; interior clients are modelled by the zero-value form of the
 /// path, whose spend is `K · t^(2/3)` (exact for `v = 0`, relatively off by
 /// `O(v/t)` otherwise). Solving `C + K·t^(2/3) = budget` in closed form and
-/// refining the split once at the estimate costs a few `O(N)` passes —
-/// cheap next to an exact bisection, whose every probe is `O(N)` too —
-/// and lands within a handful of dyadic levels of the true root under
-/// realistic churn. It does not pay off against the threshold-indexed
-/// fast path, whose sub-linear model probes cost far less than these
-/// passes; the pricing service refines its hint on the exact path only.
+/// refining the split at the estimate costs one `O(N)` pass per round
+/// (both sums in one pass) and, under realistic churn, lands close enough
+/// for Newton steps on the exact spend to converge in about two passes.
+/// The exact path of [`solve_kkt_columns`] runs it on every hinted solve;
+/// the fast path does not, since its sub-linear model probes cost far
+/// less than these passes.
 ///
-/// The result is *only a hint*: [`solve_kkt_columns`] verifies the
-/// bracket it implies before trusting it, so a misprediction costs a few
+/// The result is *only a hint*: [`solve_kkt_columns`] confirms the
+/// bracket around it before trusting it, so a misprediction costs a few
 /// probes, never correctness. The estimate is bit-identical for any
 /// thread count. Returns `None` when the model degenerates (no interior
 /// clients at the split, or no budget left after `C`).
@@ -860,18 +963,28 @@ pub fn estimate_path_parameter(
     let mut t = t_ref;
     let mut estimate = None;
     for _ in 0..8 {
-        let saturated_spend = chunked_sum(cols.len(), n_threads, |range| {
-            let mut acc = 0.0;
-            for i in range {
-                let t_sat =
-                    cols.cost[i] * cols.q_max[i].powi(3) / (coef * cols.a2g2[i]) + cols.value[i];
-                if t_sat <= t {
-                    let q = cols.q_max[i];
-                    acc += 2.0 * cols.cost[i] * q * q - cols.value[i] * aor * cols.a2g2[i] / q;
+        // Both sums in one pass, each over the chunk tree it would have
+        // alone, so the estimate's bits do not depend on the fusion.
+        let (saturated_spend, interior_coefficient) = chunked_reduce(
+            cols.len(),
+            n_threads,
+            (0.0, 0.0),
+            |range| {
+                let (mut saturated, mut interior) = (0.0, 0.0);
+                for i in range {
+                    let t_sat = cols.cost[i] * cols.q_max[i].powi(3) / (coef * cols.a2g2[i])
+                        + cols.value[i];
+                    if t_sat <= t {
+                        saturated += payment(cols, aor, i, cols.q_max[i]);
+                    } else if t_sat > t {
+                        let ka = coef * cols.a2g2[i];
+                        interior += 2.0 * cols.cost[i].cbrt() * (ka * ka).cbrt();
+                    }
                 }
-            }
-            acc
-        });
+                (saturated, interior)
+            },
+            |(s0, i0), (s1, i1)| (s0 + s1, i0 + i1),
+        );
         let remaining = budget - saturated_spend;
         if remaining <= 0.0 {
             // The split is too high: the clamped spend alone busts the
@@ -879,18 +992,6 @@ pub fn estimate_path_parameter(
             t *= 0.5;
             continue;
         }
-        let interior_coefficient = chunked_sum(cols.len(), n_threads, |range| {
-            let mut acc = 0.0;
-            for i in range {
-                let t_sat =
-                    cols.cost[i] * cols.q_max[i].powi(3) / (coef * cols.a2g2[i]) + cols.value[i];
-                if t_sat > t {
-                    let ka = coef * cols.a2g2[i];
-                    acc += 2.0 * cols.cost[i].cbrt() * (ka * ka).cbrt();
-                }
-            }
-            acc
-        });
         if interior_coefficient.is_nan() || interior_coefficient <= 0.0 {
             // Everyone saturated with budget to spare: the slack regime,
             // where the solver never bisects anyway.
@@ -1483,7 +1584,7 @@ mod tests {
         let p = Population::synthesize(n, &PopulationSpec::table1_like(), 31).unwrap();
         let cols = p.columns();
         let aor = bound().alpha_over_r();
-        let t_hi = saturation_t(&cols, aor);
+        let t_hi = saturation_t(&cols, aor, 1);
         let mut parts = [false; 3];
         for threads in [1usize, 2] {
             for frac in [0.0, 1e-3, 0.05, 0.5, 1.0] {
@@ -1510,6 +1611,43 @@ mod tests {
             }
         }
         assert_eq!(parts, [true; 3], "floored, interior and saturated covered");
+    }
+
+    #[test]
+    fn fused_spend_and_slope_pass_is_an_exact_probe_bit_for_bit() {
+        // The Newton steps' pass returns the spend as one more known point
+        // of the bisection, so it must be `path_spend`'s bits.
+        use crate::population::PopulationSpec;
+        let n = 4 * fedfl_num::parallel::DEFAULT_CHUNK + 531;
+        let p = Population::synthesize(n, &PopulationSpec::table1_like(), 17).unwrap();
+        let cols = p.columns();
+        let aor = bound().alpha_over_r();
+        let t_hi = saturation_t(&cols, aor, 1);
+        for threads in [1usize, 2, 3] {
+            assert_eq!(
+                saturation_t(&cols, aor, threads).to_bits(),
+                t_hi.to_bits(),
+                "threads {threads}"
+            );
+            for frac in [0.0, 1e-4, 0.02, 0.3, 0.7, 1.0] {
+                let t = frac * t_hi;
+                let (spend, slope) = path_spend_and_slope(&cols, aor, Q_MIN, t, threads);
+                let probed = path_spend(&cols, aor, Q_MIN, t, threads);
+                assert_eq!(spend.to_bits(), probed.to_bits(), "threads {threads} t {t}");
+                // Inside the path, the slope is the derivative of that
+                // spend (at the ends the secant is rounding noise).
+                if frac > 0.01 && frac < 1.0 {
+                    let h = 1e-6 * t;
+                    let secant = (path_spend(&cols, aor, Q_MIN, t + h, threads)
+                        - path_spend(&cols, aor, Q_MIN, t - h, threads))
+                        / (2.0 * h);
+                    assert!(
+                        (slope - secant).abs() <= 1e-3 * secant.abs(),
+                        "threads {threads} t {t}: slope {slope} vs secant {secant}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //! A thread sweep therefore needs at least four chunks before a second
 //! worker spawns.
 //!
-//! The Stage-I solver runs every per-client pass as one [`chunked_sum`]
-//! or [`chunked_fill`] over one set of population columns.
+//! The Stage-I solver runs every per-client pass as one [`chunked_sum`],
+//! [`chunked_reduce`] or [`chunked_fill`] over one set of population
+//! columns.
 
 use crossbeam::channel;
 
@@ -74,14 +75,30 @@ pub fn chunked_sum<F>(n: usize, n_threads: usize, f: F) -> f64
 where
     F: Fn(std::ops::Range<usize>) -> f64 + Sync,
 {
+    chunked_reduce(n, n_threads, 0.0, f, |total, partial| total + partial)
+}
+
+/// Reduce `f(start..end)` over fixed-width chunks of `0..n`,
+/// deterministically: [`chunked_sum`] for any `Copy` accumulator.
+///
+/// Each chunk's partial is folded into `init` with `combine` in ascending
+/// chunk order, exactly as the inline loop folds them, so the result is
+/// independent of `n_threads`. A pair accumulator reduces two sums in one
+/// pass, each in the order [`chunked_sum`] would sum it alone.
+pub fn chunked_reduce<T, F, C>(n: usize, n_threads: usize, init: T, f: F, combine: C) -> T
+where
+    T: Copy + Send,
+    F: Fn(std::ops::Range<usize>) -> T + Sync,
+    C: Fn(T, T) -> T,
+{
     let chunk = DEFAULT_CHUNK;
     let chunks = chunk_count(n, chunk);
     let workers = effective_workers(n_threads, chunks);
     if workers <= 1 {
-        let mut total = 0.0;
+        let mut total = init;
         for c in 0..chunks {
             let start = c * chunk;
-            total += f(start..(start + chunk).min(n));
+            total = combine(total, f(start..(start + chunk).min(n)));
         }
         return total;
     }
@@ -92,8 +109,8 @@ where
     }
     drop(job_tx);
 
-    let mut partials = vec![0.0f64; chunks];
-    let collected: Vec<Vec<(usize, f64)>> = std::thread::scope(|scope| {
+    let mut partials = vec![init; chunks];
+    let collected: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             let job_rx = job_rx.clone();
@@ -115,8 +132,8 @@ where
     for (c, partial) in collected.into_iter().flatten() {
         partials[c] = partial;
     }
-    // Combine in chunk order: the summation tree is fixed by `chunk` alone.
-    partials.into_iter().sum()
+    // Combine in chunk order: the reduction tree is fixed by `chunk` alone.
+    partials.into_iter().fold(init, combine)
 }
 
 /// Fill `out` in parallel by fixed-width chunks.
@@ -188,6 +205,35 @@ mod tests {
         for threads in [2, 3, 4, 8] {
             let parallel = chunked_sum(n, threads, |r| r.map(|i| xs[i]).sum());
             assert_eq!(parallel.to_bits(), reference.to_bits(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn chunked_reduce_pairs_match_two_chunked_sums_bitwise() {
+        let n = DEFAULT_CHUNK * 5 + 77;
+        let xs: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin() / 3.0).collect();
+        let ys: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 0.5)).collect();
+        let sum_x = chunked_sum(n, 1, |r| r.map(|i| xs[i]).sum());
+        let sum_y = chunked_sum(n, 1, |r| r.map(|i| ys[i]).sum());
+        let max_y = ys.iter().copied().fold(0.0f64, f64::max);
+        for threads in [1, 2, 3] {
+            let (px, py) = chunked_reduce(
+                n,
+                threads,
+                (0.0, 0.0),
+                |r| r.fold((0.0, 0.0), |(a, b), i| (a + xs[i], b + ys[i])),
+                |(a, b), (c, d)| (a + c, b + d),
+            );
+            assert_eq!(px.to_bits(), sum_x.to_bits(), "threads={threads}");
+            assert_eq!(py.to_bits(), sum_y.to_bits(), "threads={threads}");
+            let m = chunked_reduce(
+                n,
+                threads,
+                0.0f64,
+                |r| r.map(|i| ys[i]).fold(0.0, f64::max),
+                f64::max,
+            );
+            assert_eq!(m.to_bits(), max_y.to_bits(), "threads={threads}");
         }
     }
 

@@ -368,72 +368,200 @@ pub fn bisect_monotone_with<F: FnMut(f64) -> f64>(
     Ok(bisect_monotone_instrumented(f, target, lo, hi, tol, max_iters, None)?.0)
 }
 
+/// A nondecreasing function searched by [`bisect_monotone_instrumented`].
+///
+/// Every `FnMut(f64) -> f64` closure is one, without a slope. An evaluator
+/// that can also return the slope from the same evaluation overrides
+/// [`MonotoneFn::value_and_slope`], and a warm search then refines its
+/// hint with Newton steps.
+pub trait MonotoneFn {
+    /// `f(x)`.
+    fn value(&mut self, x: f64) -> f64;
+
+    /// `(f(x), f′(x))` from one evaluation, or `None` — without evaluating
+    /// anything — when the function supplies no slope (the default).
+    fn value_and_slope(&mut self, x: f64) -> Option<(f64, f64)> {
+        let _ = x;
+        None
+    }
+}
+
+impl<F: FnMut(f64) -> f64> MonotoneFn for F {
+    fn value(&mut self, x: f64) -> f64 {
+        self(x)
+    }
+}
+
 /// Statistics of one monotone-bisection run — what the warm-start contract
 /// of the pricing service is measured by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BisectStats {
-    /// Midpoint bisection steps performed (the classic iteration count).
+    /// Bisection midpoints that needed an evaluation of `f`.
     pub iterations: usize,
-    /// Distinct evaluations of `f`, including the two endpoint probes and
-    /// any warm-start verification probes.
+    /// Every evaluation of `f` the search made: the endpoint probes, the
+    /// Newton steps, the window probes and the evaluated midpoints. The
+    /// caller's [`WarmStart::known`] points are not counted.
     pub evaluations: usize,
-    /// Dyadic depth of the bracket the bisection started from: `0` for a
-    /// cold start, `d > 0` when a warm-start hint let the search skip the
-    /// first `d` halvings.
+    /// Bisection levels an already evaluated point decided without an
+    /// evaluation (`0` for a cold search). `iterations + start_depth` is
+    /// the number of levels the cold search walks.
     pub start_depth: usize,
 }
 
-/// Evaluate `f(x)` through a tiny bit-keyed memo so warm-start verification
-/// probes and the subsequent bisection never pay for the same point twice.
-fn memo_eval<F: FnMut(f64) -> f64>(
-    f: &mut F,
-    cache: &mut Vec<(u64, f64)>,
-    stats: &mut BisectStats,
-    x: f64,
-) -> f64 {
-    let bits = x.to_bits();
-    if let Some(&(_, v)) = cache.iter().find(|&&(b, _)| b == bits) {
-        return v;
+/// Where a warm [`bisect_monotone_instrumented`] search starts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WarmStart<'a> {
+    /// Guesses at the root, best first — e.g. a model's estimate, then
+    /// the root of a slightly different instance. Any values are safe:
+    /// those not strictly inside the bracket the endpoints and `known`
+    /// imply (NaN and infinities included) are skipped.
+    pub hints: &'a [f64],
+    /// Points the caller has already evaluated, as `(x, f(x))`.
+    pub known: &'a [(f64, f64)],
+}
+
+/// Newton passes a warm search spends on its hint at most.
+const NEWTON_PASSES: usize = 4;
+/// A Newton step shorter than this fraction of its point ends the steps.
+const NEWTON_STOP: f64 = 1e-11;
+/// Half-width of the first confirmation window, in units of `ε·|x̂|`.
+const WINDOW_ULPS: f64 = 64.0;
+/// Growth of the window half-width after a side fails to confirm.
+const WINDOW_GROWTH: f64 = 16.0;
+/// Windows tried before the replay starts from whatever bracket is known.
+/// One widening covers a Newton estimate that missed by up to ~1000 ulps;
+/// past that a failed probe rarely pays for itself (on the reference
+/// traces a third or fourth window saved no exact pass, and cost the
+/// fast path's slope-free model bisection a probe per solve).
+const WINDOW_TRIES: usize = 2;
+
+/// A search's function and the tightest bracket its evaluated points
+/// imply for a nondecreasing `f`: every `x <= below` has `f(x) < target`
+/// and every `x >= above` has `f(x) >= target`. A NaN value decides
+/// nothing.
+struct Search<F> {
+    f: F,
+    target: f64,
+    below: f64,
+    above: f64,
+    stats: BisectStats,
+}
+
+impl<F: MonotoneFn> Search<F> {
+    fn record(&mut self, x: f64, fx: f64) {
+        if fx < self.target {
+            self.below = self.below.max(x);
+        } else if fx >= self.target {
+            self.above = self.above.min(x);
+        }
     }
-    stats.evaluations += 1;
-    let v = f(x);
-    cache.push((bits, v));
-    v
+
+    fn contains(&self, x: f64) -> bool {
+        self.below < x && x < self.above
+    }
+
+    /// Evaluate `f(x)` and record it.
+    fn probe(&mut self, x: f64) -> f64 {
+        self.stats.evaluations += 1;
+        let fx = self.f.value(x);
+        self.record(x, fx);
+        fx
+    }
+
+    /// Safeguarded Newton steps, each evaluated with its slope, from the
+    /// first hint strictly inside the bracket. A step that would leave the
+    /// bracket restarts from the next such hint, or ends the steps.
+    /// Returns the last step (the starting hint when `f` supplies no
+    /// slope), or `None` when no hint is inside the bracket.
+    fn newton(&mut self, hints: &[f64]) -> Option<f64> {
+        let mut starts = hints.iter().copied();
+        let mut x = starts.find(|&h| self.contains(h))?;
+        let mut estimate = x;
+        for _ in 0..NEWTON_PASSES {
+            let Some((fx, slope)) = self.f.value_and_slope(x) else {
+                break;
+            };
+            self.stats.evaluations += 1;
+            self.record(x, fx);
+            let next = x + (self.target - fx) / slope;
+            if self.contains(next) {
+                estimate = next;
+                if (next - x).abs() < NEWTON_STOP * x.abs() {
+                    break;
+                }
+                x = next;
+            } else if let Some(restart) = starts.find(|&h| self.contains(h)) {
+                (x, estimate) = (restart, restart);
+            } else {
+                break;
+            }
+        }
+        Some(estimate)
+    }
+
+    /// Probe each side of a window `±delta` around `estimate` that no
+    /// point settles yet, widening the window while a side fails.
+    fn confirm_window(&mut self, estimate: f64) {
+        let mut delta = (WINDOW_ULPS * f64::EPSILON * estimate.abs()).max(f64::MIN_POSITIVE);
+        for _ in 0..WINDOW_TRIES {
+            for side in [estimate - delta, estimate + delta] {
+                if self.contains(side) {
+                    self.probe(side);
+                }
+            }
+            if self.below >= estimate - delta && self.above <= estimate + delta {
+                return;
+            }
+            delta *= WINDOW_GROWTH;
+        }
+    }
 }
 
 /// [`bisect_monotone_with`], instrumented and optionally warm-started.
 ///
-/// `hint` is a guess at the root — typically the previous solution of a
-/// perturbed instance (the pricing service passes the last solve's `1/λ*`).
-/// The search descends the dyadic bracket tree of `[lo, hi]` toward the
-/// hint *without evaluating `f`*, then binary-searches over depth for the
-/// deepest bracket that still contains the root (each containment test is
-/// at most two memoised evaluations of `f`), and runs the ordinary
-/// bisection from there.
+/// A cold search (`warm = None`) evaluates `f(lo)`, then `f(hi)`, then
+/// the midpoint `0.5 * (a + b)` of each bracket until the bracket is
+/// narrower than `tol`, the midpoint stops moving, or `max_iters` levels
+/// have run.
 ///
-/// **Bit-identity contract:** because every bracket reachable this way is a
-/// bracket the cold bisection itself would reach — the depth-`d` dyadic
-/// interval `[a, b]` with `f(a) < target ≤ f(b)` is unique for a monotone
-/// `f` — the returned root is bit-identical to the cold
-/// [`bisect_monotone_with`] result whenever the tolerance (rather than the
-/// iteration cap) terminates the search, for *any* hint. The cap is also
-/// mirrored: a warm start at depth `d` leaves `max_iters − d` iterations,
-/// so even cap-terminated runs agree. A useless hint costs at most
-/// `2·log₂(max_iters)` extra evaluations; a good one skips
-/// `start_depth` iterations.
+/// A warm search first gathers evaluated points:
+///
+/// 1. the caller's [`WarmStart::known`] points, which can also settle the
+///    endpoint tests without evaluating `f(lo)` or `f(hi)`;
+/// 2. when `f` supplies a slope ([`MonotoneFn::value_and_slope`]), up to
+///    four Newton steps from the first of [`WarmStart::hints`] strictly
+///    inside the bracket the points imply. A step that would leave the
+///    bracket restarts from the next such hint, or ends the steps; a step
+///    below `1e-11` of its point ends them;
+/// 3. one probe on each side of a window `±64·ε·|x̂|` around the estimate
+///    `x̂` (the last Newton step, or the first usable hint without a
+///    slope). A side already settled by a known point costs nothing; a
+///    failed side widens the window ×16 once and probes again.
+///
+/// Then it **replays** the cold search: the same midpoints, the same stop
+/// tests, and every level counted against `max_iters`. A midpoint at or
+/// below a point with `f < target`, or at or above a point with
+/// `f >= target`, is decided without evaluating `f`.
+///
+/// **Bit-identity contract:** for a nondecreasing `f`, each decided level
+/// takes the branch its evaluation would have taken, so the warm result
+/// is bit-identical to the cold result for *any* hint, known points and
+/// slope, including when `max_iters` ends the search. A good estimate
+/// leaves only the midpoints inside the confirmed window to evaluate; a
+/// useless hint costs at most the Newton and window probes.
 ///
 /// # Errors
 ///
 /// Returns [`NumError::InvalidParameter`] for an invalid interval or a zero
 /// iteration budget.
-pub fn bisect_monotone_instrumented<F: FnMut(f64) -> f64>(
-    mut f: F,
+pub fn bisect_monotone_instrumented<F: MonotoneFn>(
+    f: F,
     target: f64,
     lo: f64,
     hi: f64,
     tol: f64,
     max_iters: usize,
-    hint: Option<f64>,
+    warm: Option<WarmStart<'_>>,
 ) -> Result<(f64, BisectStats), NumError> {
     if !(lo.is_finite() && hi.is_finite()) || lo > hi {
         return Err(NumError::InvalidParameter {
@@ -447,103 +575,75 @@ pub fn bisect_monotone_instrumented<F: FnMut(f64) -> f64>(
             reason: "need at least one bisection iteration".into(),
         });
     }
-    let mut stats = BisectStats {
-        iterations: 0,
-        evaluations: 1,
-        start_depth: 0,
+    let known = warm.map_or(&[][..], |w| w.known);
+    let mut search = Search {
+        f,
+        target,
+        below: f64::NEG_INFINITY,
+        above: f64::INFINITY,
+        stats: BisectStats::default(),
     };
-    let flo = f(lo);
-    if flo >= target {
-        return Ok((lo, stats));
-    }
-    stats.evaluations += 1;
-    let fhi = f(hi);
-    if fhi <= target {
-        return Ok((hi, stats));
+    for &(x, fx) in known {
+        search.record(x, fx);
     }
 
-    let mut a = lo;
-    let mut b = hi;
-    let mut cache: Vec<(u64, f64)> = Vec::new();
-    let warm = hint.is_some_and(|h| h.is_finite() && h > lo && h < hi);
-    if warm {
-        let h = hint.expect("checked above");
-        cache.push((lo.to_bits(), flo));
-        cache.push((hi.to_bits(), fhi));
-        // The chain of dyadic brackets toward the hint; chain[d] is the
-        // depth-d bracket. Built with the exact arithmetic of the cold
-        // loop (`mid = 0.5 * (a + b)`), so its intervals are the cold
-        // bisection's own candidate brackets.
-        //
-        // The descent stops at the f64 resolution of the *hint*: a bracket
-        // narrower than one ulp of `h` is below the precision the hint was
-        // computed at, so verifying containment there spends probes
-        // without information — on heavy-tailed instances (bracket spans
-        // of 50+ decades) the descent toward a near-zero hint would
-        // otherwise stagnate, pushing `max_iters` sub-resolution brackets
-        // for the containment search to probe. Starting shallower is
-        // always safe: every chain prefix is cold-reachable.
-        let hint_resolution = f64::EPSILON * h.abs();
-        let mut chain: Vec<(f64, f64)> = vec![(lo, hi)];
-        let (mut ca, mut cb) = (lo, hi);
-        while chain.len() <= max_iters && (cb - ca) >= tol && (cb - ca) > hint_resolution {
-            let mid = 0.5 * (ca + cb);
-            if mid <= ca || mid >= cb {
-                break; // f64 resolution exhausted
-            }
-            if h < mid {
-                cb = mid;
-            } else {
-                ca = mid;
-            }
-            chain.push((ca, cb));
-        }
-        // Containment — f(a_d) < target && f(b_d) >= target — is a prefix
-        // property of the chain (endpoints move monotonically toward the
-        // hint and f is monotone), so the deepest valid start depth is
-        // found by binary search over depth. Depth 0 is known valid from
-        // the endpoint probes above.
-        let (mut lo_d, mut hi_d) = (0usize, chain.len() - 1);
-        while lo_d < hi_d {
-            let m = lo_d + (hi_d - lo_d).div_ceil(2);
-            let (am, bm) = chain[m];
-            let contains = memo_eval(&mut f, &mut cache, &mut stats, am) < target
-                && memo_eval(&mut f, &mut cache, &mut stats, bm) >= target;
-            if contains {
-                lo_d = m;
-            } else {
-                hi_d = m - 1;
-            }
-        }
-        stats.start_depth = lo_d;
-        (a, b) = chain[lo_d];
+    // The cold endpoint tests, `f(lo) >= target` and `f(hi) <= target`;
+    // a known point on the right side of an endpoint settles its test.
+    let settled = |holds: &dyn Fn(f64, f64) -> bool| known.iter().any(|&(x, fx)| holds(x, fx));
+    let lo_clamps = if settled(&|x, fx| x <= lo && fx >= target) {
+        true
+    } else if settled(&|x, fx| x >= lo && fx < target) {
+        false
+    } else {
+        search.probe(lo) >= target
+    };
+    if lo_clamps {
+        return Ok((lo, search.stats));
+    }
+    let hi_clamps = if settled(&|x, fx| x >= hi && fx <= target) {
+        true
+    } else if settled(&|x, fx| x <= hi && fx > target) {
+        false
+    } else {
+        search.probe(hi) <= target
+    };
+    if hi_clamps {
+        return Ok((hi, search.stats));
+    }
+    search.below = search.below.max(lo);
+    search.above = search.above.min(hi);
+
+    if let Some(estimate) = warm.and_then(|w| search.newton(w.hints)) {
+        search.confirm_window(estimate);
     }
 
-    // A warm start at depth d has d of the cap's halvings already behind
-    // it, so cap-terminated runs stop at the same depth as a cold run.
-    for _ in 0..(max_iters - stats.start_depth) {
+    // The replay: the cold loop, level for level. An evaluated midpoint
+    // never settles a later one (those lie strictly inside the halved
+    // bracket), so only the points gathered above skip evaluations.
+    let (mut a, mut b) = (lo, hi);
+    for _ in 0..max_iters {
         let mid = 0.5 * (a + b);
         if (b - a) < tol || mid <= a || mid >= b {
             // Tolerance reached — or f64 resolution exhausted, where the
             // midpoint stops moving and further iterations cannot change
             // the bracket (the monotone invariant pins the branch), so
             // returning now is bit-identical to running out the cap.
-            return Ok((mid, stats));
+            return Ok((mid, search.stats));
         }
-        stats.iterations += 1;
-        let fmid = if warm {
-            memo_eval(&mut f, &mut cache, &mut stats, mid)
+        let below = if search.contains(mid) {
+            search.stats.iterations += 1;
+            search.probe(mid) < target
         } else {
-            stats.evaluations += 1;
-            f(mid)
+            search.stats.start_depth += 1;
+            mid <= search.below
         };
-        if fmid < target {
+        if below {
             a = mid;
         } else {
             b = mid;
         }
     }
-    Ok((0.5 * (a + b), stats))
+    Ok((0.5 * (a + b), search.stats))
 }
 
 #[cfg(test)]
@@ -742,7 +842,10 @@ mod tests {
                         10.0,
                         1e-12,
                         200,
-                        Some(hint),
+                        Some(WarmStart {
+                            hints: &[hint],
+                            known: &[],
+                        }),
                     )
                     .unwrap();
                     assert_eq!(
@@ -765,12 +868,281 @@ mod tests {
         }
     }
 
+    /// A function of `x`: a test function or its slope.
+    type Curve = fn(f64) -> f64;
+
+    /// A nondecreasing test function and its slope: smooth (0, 1),
+    /// step-like with plateaus exactly at the targets 1.0, 2.0 and 4.5
+    /// (2, 3), and the f64-noisy staircase a large sum produces (4).
+    fn sloped_fn(k: usize) -> (Curve, Curve) {
+        match k {
+            0 => (|x| x * x * x, |x| 3.0 * x * x),
+            1 => (|x| x.exp_m1() + 0.25 * x, |x| x.exp() + 0.25),
+            2 => (|x| (2.0 * x).floor() * 0.5, |_| 0.0),
+            3 => (
+                |x| x.clamp(1.0, 2.0) + (x - 4.0).max(0.0),
+                |x| f64::from(u8::from((1.0..2.0).contains(&x) || x > 4.0)),
+            ),
+            _ => (
+                |x| (x + 1e8) - 1e8 + 1e-3 * x * x * x,
+                |x| 1.0 + 3e-3 * x * x,
+            ),
+        }
+    }
+
+    /// A test function with an optional supplied slope.
+    struct Sloped {
+        f: Curve,
+        slope: Option<Curve>,
+    }
+
+    impl MonotoneFn for Sloped {
+        fn value(&mut self, x: f64) -> f64 {
+            (self.f)(x)
+        }
+
+        fn value_and_slope(&mut self, x: f64) -> Option<(f64, f64)> {
+            self.slope.map(|slope| ((self.f)(x), slope(x)))
+        }
+    }
+
+    /// Slopes a warm search must survive: none, the exact one, and wrong
+    /// ones (zero, negative, NaN, huge).
+    fn slope_variants(exact: Curve) -> [Option<Curve>; 6] {
+        [
+            None,
+            Some(exact),
+            Some(|_| 0.0),
+            Some(|_| -1.0),
+            Some(|_| f64::NAN),
+            Some(|_| 1e300),
+        ]
+    }
+
+    /// One search over `[-3, 10]`: test function `k`, a target, and the
+    /// stop rule `(tol, max_iters)`.
+    #[derive(Debug, Clone, Copy)]
+    struct Case {
+        k: usize,
+        target: f64,
+        stop: (f64, usize),
+    }
+
+    impl Case {
+        fn run(&self, slope: Option<Curve>, warm: Option<WarmStart<'_>>) -> (f64, BisectStats) {
+            let f = sloped_fn(self.k).0;
+            let (tol, cap) = self.stop;
+            bisect_monotone_instrumented(
+                Sloped { f, slope },
+                self.target,
+                -3.0,
+                10.0,
+                tol,
+                cap,
+                warm,
+            )
+            .unwrap()
+        }
+
+        /// Check a warm search against the cold one: the same bits, and
+        /// the same bisection levels, some decided by known points.
+        fn assert_warm_matches_cold(
+            &self,
+            slope: Option<Curve>,
+            hints: &[f64],
+            known: &[(f64, f64)],
+        ) {
+            let (cold, cold_stats) = self.run(None, None);
+            let (warm, stats) = self.run(slope, Some(WarmStart { hints, known }));
+            let case = format!(
+                "{self:?} slope(1.5)={:?} hints={hints:?} known={known:?}",
+                slope.map(|s| s(1.5))
+            );
+            assert_eq!(warm.to_bits(), cold.to_bits(), "{case}: {warm} vs {cold}");
+            assert_eq!(
+                stats.iterations + stats.start_depth,
+                cold_stats.iterations,
+                "{case}: a different level count"
+            );
+        }
+    }
+
+    #[test]
+    fn warm_search_is_bit_identical_for_any_hint_known_points_and_slope() {
+        let stops = [(1e-12, 200), (1e-30, 17), (1e-30, 5), (0.0, 2_200)];
+        for k in 0..5 {
+            let (f, exact_slope) = sloped_fn(k);
+            for &target in &[0.1, 1.0, 2.0, 4.5, 7.99] {
+                for stop in stops {
+                    let case = Case { k, target, stop };
+                    let cold = case.run(None, None).0;
+                    let eval =
+                        |xs: &[f64]| -> Vec<(f64, f64)> { xs.iter().map(|&x| (x, f(x))).collect() };
+                    let known_sets = [
+                        vec![],
+                        eval(&[cold]),
+                        eval(&[cold - 1e-3, cold + 1e-3]),
+                        eval(&[cold - 1e-9, cold + 0.25, cold + 1e-9]),
+                        eval(&[-3.0, 10.0]),
+                        eval(&[-5.0, 20.0]),
+                    ];
+                    let hints = [
+                        f64::NAN,
+                        f64::INFINITY,
+                        f64::NEG_INFINITY,
+                        -3.0,
+                        10.0,
+                        -2.999,
+                        9.999,
+                        cold,
+                        cold * 1e20,
+                        cold * 1e-20,
+                        cold + 1e-9,
+                        cold + 0.25,
+                        cold - 0.5,
+                        cold + 2.0,
+                        0.0,
+                    ];
+                    for known in &known_sets {
+                        for slope in slope_variants(exact_slope) {
+                            for &hint in &hints {
+                                case.assert_warm_matches_cold(slope, &[hint], known);
+                            }
+                            // A far first hint whose Newton step leaves
+                            // the bracket restarts from the second.
+                            case.assert_warm_matches_cold(slope, &[cold * 1e6, cold], known);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn warm_search_matches_cold_on_random_hints_and_points(
+            k in 0usize..5,
+            target in -1.0f64..9.0,
+            decades in -25.0f64..25.0,
+            offset in -1.0f64..1.0,
+            xs in proptest::collection::vec(-6.0f64..13.0, 0..4),
+            slope_choice in 0usize..6,
+            stop_choice in 0usize..3,
+        ) {
+            let (f, exact_slope) = sloped_fn(k);
+            let stop = [(1e-12, 200), (1e-30, 9), (0.0, 2_200)][stop_choice];
+            let case = Case { k, target, stop };
+            let cold = case.run(None, None).0;
+            let known: Vec<(f64, f64)> = xs.iter().map(|&x| (x, f(x))).collect();
+            // Hints from the exact root out to twenty-five decades away.
+            let far = cold * 10f64.powf(decades);
+            let near = cold + offset * 10f64.powf(-decades.abs());
+            let slope = slope_variants(exact_slope)[slope_choice];
+            for hints in [[far, near], [near, far]] {
+                case.assert_warm_matches_cold(slope, &hints, &known);
+            }
+        }
+    }
+
+    #[test]
+    fn newton_steps_leave_few_midpoints_to_evaluate() {
+        // With an exact slope, a hint 1e-3 off converges in a few Newton
+        // passes and confirms a window whose midpoints are all that is
+        // left to evaluate; without a slope the same hint confirms no
+        // window and the replay evaluates almost every level.
+        let (f, slope) = sloped_fn(1);
+        let (cold, cold_stats) =
+            bisect_monotone_instrumented(f, 4.7, -3.0, 10.0, 1e-12, 200, None).unwrap();
+        let hint = cold * (1.0 + 1e-3);
+        let warm = |slope| {
+            bisect_monotone_instrumented(
+                Sloped { f, slope },
+                4.7,
+                -3.0,
+                10.0,
+                1e-12,
+                200,
+                Some(WarmStart {
+                    hints: &[hint],
+                    known: &[],
+                }),
+            )
+            .unwrap()
+        };
+        let (newton, newton_stats) = warm(Some(slope));
+        let (plain, plain_stats) = warm(None);
+        assert_eq!(newton.to_bits(), cold.to_bits());
+        assert_eq!(plain.to_bits(), cold.to_bits());
+        assert!(
+            newton_stats.evaluations <= 10,
+            "newton {newton_stats:?} vs cold {cold_stats:?}"
+        );
+        assert!(
+            plain_stats.evaluations > cold_stats.evaluations / 2,
+            "plain {plain_stats:?} vs cold {cold_stats:?}"
+        );
+    }
+
+    #[test]
+    fn known_points_settle_the_endpoint_tests() {
+        let f = |x: f64| x;
+        // A known point above the root settles `f(hi) > target`: only
+        // `f(lo)` is evaluated before the window probes.
+        let (x, stats) = bisect_monotone_instrumented(
+            f,
+            0.5,
+            0.0,
+            1.0,
+            1e-12,
+            200,
+            Some(WarmStart {
+                hints: &[f64::NAN],
+                known: &[(0.75, 0.75)],
+            }),
+        )
+        .unwrap();
+        let cold = bisect_monotone_with(f, 0.5, 0.0, 1.0, 1e-12, 200).unwrap();
+        assert_eq!(x.to_bits(), cold.to_bits());
+        assert_eq!(stats.evaluations, 1 + stats.iterations);
+        // Known points past either endpoint clamp without any evaluation.
+        for (target, known, clamp) in [(-5.0, (-1.0, -1.0), 0.0), (5.0, (2.0, 2.0), 1.0)] {
+            let (x, stats) = bisect_monotone_instrumented(
+                f,
+                target,
+                0.0,
+                1.0,
+                1e-12,
+                200,
+                Some(WarmStart {
+                    hints: &[0.5],
+                    known: &[known],
+                }),
+            )
+            .unwrap();
+            assert_eq!(x, clamp);
+            assert_eq!(stats, BisectStats::default());
+        }
+    }
+
     #[test]
     fn good_hints_skip_deep_into_the_bracket_tree() {
         let f = |x: f64| x * x * x;
         let cold = bisect_monotone_with(f, 8.0, 0.0, 10.0, 1e-12, 200).unwrap();
-        let (warm, stats) =
-            bisect_monotone_instrumented(f, 8.0, 0.0, 10.0, 1e-12, 200, Some(cold)).unwrap();
+        let (warm, stats) = bisect_monotone_instrumented(
+            f,
+            8.0,
+            0.0,
+            10.0,
+            1e-12,
+            200,
+            Some(WarmStart {
+                hints: &[cold],
+                known: &[],
+            }),
+        )
+        .unwrap();
         assert_eq!(warm.to_bits(), cold.to_bits());
         assert!(
             stats.start_depth > 20,
@@ -786,12 +1158,34 @@ mod tests {
     #[test]
     fn hinted_bisection_respects_endpoint_clamps() {
         // Clamping at the endpoints ignores the hint entirely.
-        let (x, s) =
-            bisect_monotone_instrumented(|x| x, -5.0, 0.0, 1.0, 1e-12, 200, Some(0.5)).unwrap();
+        let (x, s) = bisect_monotone_instrumented(
+            |x| x,
+            -5.0,
+            0.0,
+            1.0,
+            1e-12,
+            200,
+            Some(WarmStart {
+                hints: &[0.5],
+                known: &[],
+            }),
+        )
+        .unwrap();
         assert_eq!(x, 0.0);
         assert_eq!(s.evaluations, 1);
-        let (x, _) =
-            bisect_monotone_instrumented(|x| x, 5.0, 0.0, 1.0, 1e-12, 200, Some(0.5)).unwrap();
+        let (x, _) = bisect_monotone_instrumented(
+            |x| x,
+            5.0,
+            0.0,
+            1.0,
+            1e-12,
+            200,
+            Some(WarmStart {
+                hints: &[0.5],
+                known: &[],
+            }),
+        )
+        .unwrap();
         assert_eq!(x, 1.0);
     }
 
@@ -802,8 +1196,19 @@ mod tests {
         let f = |x: f64| x * x * x;
         let cold = bisect_monotone_with(f, 8.0, 0.0, 10.0, 1e-30, 17).unwrap();
         for &hint in &[1.9, 2.0, 2.2, 7.5] {
-            let (warm, _) =
-                bisect_monotone_instrumented(f, 8.0, 0.0, 10.0, 1e-30, 17, Some(hint)).unwrap();
+            let (warm, _) = bisect_monotone_instrumented(
+                f,
+                8.0,
+                0.0,
+                10.0,
+                1e-30,
+                17,
+                Some(WarmStart {
+                    hints: &[hint],
+                    known: &[],
+                }),
+            )
+            .unwrap();
             assert_eq!(warm.to_bits(), cold.to_bits(), "hint {hint}");
         }
     }

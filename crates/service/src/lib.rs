@@ -28,12 +28,14 @@
 //! * **Incremental re-solve** — population deltas shift the spend curve of
 //!   the KKT path, but the λ\*-bisection can be *warm-started* from the
 //!   previous solve's path parameter: the service passes `t* = 1/λ*` as a
-//!   hint (rescaled across weight renormalisation, budget and bound
-//!   updates), and the bisection verifies a deep dyadic bracket around it
-//!   before trusting it. Prices are therefore **bit-identical** to a
-//!   from-scratch [`fedfl_core::server::solve_kkt`] over the same clients
-//!   at every step, while warm-started re-solves run measurably fewer
-//!   bisection iterations ([`RepriceReport`] records both).
+//!   hint (rescaled across weight renormalisation and bound updates). The
+//!   exact solver refines it with its spend model and Newton steps,
+//!   confirms a narrow bracket around the result, and replays the cold
+//!   bisection, evaluating only the midpoints inside that bracket. Prices
+//!   are therefore **bit-identical** to a from-scratch
+//!   [`fedfl_core::server::solve_kkt`] over the same clients at every
+//!   step, while warm-started re-solves make far fewer O(N) spend passes
+//!   ([`RepriceReport`] records both).
 //! * **Availability-aware pricing** — with
 //!   [`ServiceConfig::availability_aware`] set, each client is priced
 //!   against its *effective* participation `q_eff = q · rate`, where

@@ -5,9 +5,7 @@ use crate::store::{ShardedClientStore, INDEX_SEGMENTS};
 use crate::{AvailabilityModel, ClientId, ClientParams};
 use fedfl_core::active_set::{ActiveSetIndex, PatchStats};
 use fedfl_core::bound::BoundParams;
-use fedfl_core::server::{
-    estimate_path_parameter, solve_kkt_columns, theorem2_max_residual, SolverMode, SolverOptions,
-};
+use fedfl_core::server::{solve_kkt_columns, theorem2_max_residual, SolverMode, SolverOptions};
 use fedfl_obs::{Metric, MetricsReport, NoopRecorder, Recorder, Registry, Stopwatch};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -49,11 +47,12 @@ pub struct ServiceConfig {
     /// (within the certification bands), not bit-identical to them; every
     /// fast solve is certified — its materialised spend and one exact
     /// probe per band bracket the budget — plus the Theorem-2 residual,
-    /// and falls back to the exact solver on violation. The warm-start
-    /// hint follows the mode: the fast path hands the rescaled previous
-    /// `t*` straight to the model bisection, skipping the O(N)
-    /// `estimate_path_parameter` refinement the exact path runs. `false`
-    /// (the default) preserves the exact solver's bit-for-bit contract.
+    /// and falls back to the exact solver on violation. Both paths get the
+    /// rescaled previous `t*` as their hint: the fast path hands it
+    /// straight to the model bisection, while the exact path (and a
+    /// fallback) refines it with O(N) passes that only pay off against
+    /// O(N) probes. `false` (the default) preserves the exact solver's
+    /// bit-for-bit contract.
     pub fast_path: bool,
 }
 
@@ -131,13 +130,13 @@ pub enum Command {
     UpdateAvailability(AvailabilityModel),
     /// Replace the deployment budget `B`. No store shard is dirtied — the
     /// columns are budget-independent — but the equilibrium re-solves
-    /// (warm-started from the previous `t*`, refined through
-    /// `estimate_path_parameter` at the new budget on the exact path) at
-    /// the next read or `Reprice`.
+    /// (warm-started from the previous `t*`, which the exact solver moves
+    /// to the new budget with its spend model and Newton steps) at the
+    /// next read or `Reprice`.
     UpdateBudget(f64),
     /// Replace the Theorem 1 bound constants `(α, β, R)`. Like
     /// `UpdateBudget`, this dirties no shard; the warm-start hint is
-    /// rescaled by the `α/R` ratio before the verified descent.
+    /// rescaled by the `α/R` ratio before the solver refines it.
     UpdateBound(BoundParams),
     /// Re-solve the equilibrium now (deltas otherwise re-solve lazily at
     /// the next read).
@@ -216,11 +215,14 @@ pub struct RepriceReport {
     pub theorem2_residual: Option<f64>,
     /// Whether a warm-start hint from a previous solve was available.
     pub warm_started: bool,
-    /// Dyadic depth the λ-bisection started from (0 = cold).
+    /// λ-bisection levels an evaluated point decided without a spend pass
+    /// (0 = cold).
     pub warm_start_depth: usize,
-    /// Midpoint iterations the λ-bisection ran.
+    /// λ-bisection midpoints that needed a spend pass.
     pub bisect_iterations: usize,
-    /// Distinct spend evaluations, including warm-start verification.
+    /// Spend evaluations of the solve: on the exact path every O(N)
+    /// pass, Newton steps and window probes included (see
+    /// [`fedfl_core::server::KktDiagnostics::bisect_evaluations`]).
     pub bisect_evaluations: usize,
     /// Number of store shards, the denominator of a per-solve dirty
     /// fraction.
@@ -285,9 +287,9 @@ struct PricedState {
 /// A churn delta rescales every normalised weight by `W_old / W_new`,
 /// shifting the KKT path roughly like `t ↦ t · (W_new / W_old)²`; a bound
 /// update scales it like `t ↦ t · (α/R)_old / (α/R)_new` (the path levels
-/// depend on the product `(α/R)·t`). The rescaled value is refined by the
-/// closed-form spend model and handed to the bisection as a *hint* — the
-/// bisection verifies the bracket before trusting it.
+/// depend on the product `(α/R)·t`). The rescaled value is handed to the
+/// solver as a *hint*; the solver confirms a bracket around it before
+/// trusting it.
 #[derive(Debug, Clone, Copy)]
 struct WarmHint {
     t_star: f64,
@@ -537,7 +539,7 @@ impl PricingService {
 
     /// Replace the Theorem 1 bound constants `(α, β, R)`. Dirties no
     /// store shard; the warm-start hint is rescaled by the `α/R` ratio
-    /// before the next solve's verified descent.
+    /// before the next solve refines it.
     ///
     /// # Errors
     ///
@@ -600,26 +602,12 @@ impl PricingService {
 
         // Warm-start hint: rescale the previous path parameter for the
         // weight renormalisation (and any bound update) since the last
-        // solve. The exact path then refines it with the closed-form
-        // spend model on the new columns: a few O(N) passes that save
-        // O(N) bisection probes. The fast path skips the refinement —
-        // its model probes are sub-linear, so the passes would cost more
-        // than the steps they save. Both hints are heuristics; the
-        // bisection verifies the implied bracket before trusting it.
+        // solve. The exact solver refines it further itself; the hint is
+        // a heuristic either way, and the solver confirms a bracket
+        // around it before trusting it.
         let hint = self.warm_hint.map(|warm| {
             let ratio = assembled.total_raw_weight / warm.total_weight;
-            let t_scaled = warm.t_star * ratio * ratio * (warm.aor / aor);
-            if self.config.fast_path {
-                return t_scaled;
-            }
-            estimate_path_parameter(
-                &assembled.population,
-                &self.config.bound,
-                self.config.budget,
-                t_scaled,
-                self.config.solver.config.n_threads,
-            )
-            .unwrap_or(t_scaled)
+            warm.t_star * ratio * ratio * (warm.aor / aor)
         });
         let mut index_rebuild_ns = 0u64;
         let mut segments = PatchStats::default();

@@ -264,3 +264,39 @@ fn long_always_on_history_accumulates_savings() {
 fn long_availability_aware_history_accumulates_savings() {
     run_churn(7, 64, 24, 2, 1);
 }
+
+/// A warm exact re-solve after one churn batch makes at most 16 O(N)
+/// spend passes: the saturation screen, the floor probe, about two Newton
+/// steps, one or two window probes and the few midpoints inside the
+/// window. The population spans five solver chunks, so the passes run on
+/// spawned workers; the count is deterministic all the same, since it
+/// depends on the spend bits alone.
+#[test]
+fn warm_exact_resolve_after_one_churn_batch_makes_at_most_16_spend_passes() {
+    let mut rng = substream(7, 0xC0DE);
+    let n = 4 * fedfl_num::parallel::DEFAULT_CHUNK + 531;
+    let clients: Vec<ClientParams> = (0..n).map(|_| draw_client(&mut rng, 0)).collect();
+    let mut config = ServiceConfig::new(bound(), 1.0);
+    config.solver = SolverOptions::with_threads(2);
+    let budget_pop =
+        Population::from_raw(clients.iter().map(ClientParams::raw_profile).collect()).unwrap();
+    config.budget = path_budget(&budget_pop, &bound(), &config.solver, 0.45);
+    let (mut service, ids) = PricingService::with_clients(config, clients).expect("service");
+    let cold = service.reprice().expect("cold solve");
+    assert!(!cold.warm_started);
+
+    let batch: Vec<ClientParams> = (0..40).map(|_| draw_client(&mut rng, 0)).collect();
+    service.add_clients(batch).expect("add");
+    let departed: Vec<ClientId> = ids.iter().step_by(1_000).copied().collect();
+    service.remove_clients(&departed).expect("remove");
+    let warm = service.reprice().expect("warm solve");
+    assert!(warm.warm_started);
+    assert!(
+        warm.bisect_evaluations <= 16,
+        "warm re-solve made {} spend passes ({} midpoints, {} levels settled); cold made {}",
+        warm.bisect_evaluations,
+        warm.bisect_iterations,
+        warm.warm_start_depth,
+        cold.bisect_evaluations
+    );
+}

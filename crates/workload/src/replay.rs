@@ -117,8 +117,11 @@ const FAST_VERIFY_TOLERANCE: f64 = 1e-5;
 pub struct SolveSample {
     /// Whether the λ-bisection started from a warm hint.
     pub warm: bool,
-    /// Midpoint iterations the bisection ran.
+    /// Bisection midpoints that needed a spend pass.
     pub iterations: usize,
+    /// Spend evaluations of the solve: every O(N) pass on the exact
+    /// path, Newton steps and window probes included.
+    pub evaluations: usize,
     /// Shards whose column caches were rebuilt.
     pub dirty_shards: usize,
     /// Total store shards.
@@ -533,6 +536,7 @@ fn solve_sample(report: &RepriceReport) -> SolveSample {
     SolveSample {
         warm: report.warm_started,
         iterations: report.bisect_iterations,
+        evaluations: report.bisect_evaluations,
         dirty_shards: report.dirty_shards,
         shard_count: report.shard_count,
         rebuilt_columns: report.rebuilt_columns,

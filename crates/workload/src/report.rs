@@ -4,7 +4,7 @@
 //! solver mode and the threshold-index work.
 
 use crate::generator::{Phase, Trace};
-use crate::replay::{latency_metric, ReplayOutcome};
+use crate::replay::{latency_metric, ReplayOutcome, SolveSample};
 use crate::spec::WorkloadSpec;
 use fedfl_core::server::SolverMode;
 use fedfl_obs::{HistogramSnapshot, Metric, MetricsSnapshot};
@@ -53,10 +53,16 @@ pub struct WorkloadRecord {
     pub warm_solves: usize,
     /// Re-solves that started cold.
     pub cold_solves: usize,
-    /// Mean bisection iterations over warm solves.
+    /// Mean bisection iterations (midpoints that needed a spend pass)
+    /// over warm solves.
     pub mean_warm_iterations: f64,
     /// Mean bisection iterations over cold solves.
     pub mean_cold_iterations: f64,
+    /// Mean spend evaluations over warm solves: every pass of the solve,
+    /// Newton steps and window probes included.
+    pub mean_warm_evaluations: f64,
+    /// Mean spend evaluations over cold solves.
+    pub mean_cold_evaluations: f64,
     /// Mean fraction of shards rebuilt per solve.
     pub mean_dirty_shard_fraction: f64,
     /// Worst-case fraction of shards rebuilt in one solve.
@@ -113,18 +119,16 @@ pub struct WorkloadRecord {
 impl WorkloadRecord {
     /// Summarise a finished replay.
     pub fn new(spec: &WorkloadSpec, trace: &Trace, outcome: &ReplayOutcome) -> Self {
-        let warm: Vec<usize> = outcome
-            .solves
-            .iter()
-            .filter(|s| s.warm)
-            .map(|s| s.iterations)
-            .collect();
-        let cold: Vec<usize> = outcome
-            .solves
-            .iter()
-            .filter(|s| !s.warm)
-            .map(|s| s.iterations)
-            .collect();
+        let per_solve = |warm: bool, count: fn(&SolveSample) -> usize| -> Vec<usize> {
+            outcome
+                .solves
+                .iter()
+                .filter(|s| s.warm == warm)
+                .map(count)
+                .collect()
+        };
+        let warm = per_solve(true, |s| s.iterations);
+        let cold = per_solve(false, |s| s.iterations);
         let dirty_fractions: Vec<f64> = outcome
             .solves
             .iter()
@@ -189,6 +193,8 @@ impl WorkloadRecord {
             cold_solves: cold.len(),
             mean_warm_iterations: mean_usize(&warm),
             mean_cold_iterations: mean_usize(&cold),
+            mean_warm_evaluations: mean_usize(&per_solve(true, |s| s.evaluations)),
+            mean_cold_evaluations: mean_usize(&per_solve(false, |s| s.evaluations)),
             mean_dirty_shard_fraction: mean(&dirty_fractions),
             max_dirty_shard_fraction: dirty_fractions.iter().copied().fold(0.0, f64::max),
             mean_rebuilt_column_fraction: mean(&rebuilt_fractions),
@@ -213,13 +219,15 @@ impl WorkloadRecord {
 
     /// The fields that must be identical across runs of the same spec and
     /// across `--shards`/thread settings: the trace identity, the served
-    /// equilibrium bits, and the solver's iteration trajectory. Latency
-    /// and shard-layout fields (dirty fractions) are excluded — the
-    /// former are wall-clock, the latter legitimately depend on `shards`.
+    /// equilibrium bits, and the solver's iteration and evaluation
+    /// trajectory. Latency and shard-layout fields (dirty fractions) are
+    /// excluded — the former are wall-clock, the latter legitimately
+    /// depend on `shards`.
     pub fn deterministic_key(&self) -> String {
         format!(
             "trace={} prices={} clients={} final={} commands={} budget={:016x} \
-             warm={} cold={} warm_iters={:016x} cold_iters={:016x} verified={}",
+             warm={} cold={} warm_iters={:016x} cold_iters={:016x} warm_evals={:016x} \
+             cold_evals={:016x} verified={}",
             self.trace_fingerprint,
             self.price_checksum,
             self.clients,
@@ -230,6 +238,8 @@ impl WorkloadRecord {
             self.cold_solves,
             self.mean_warm_iterations.to_bits(),
             self.mean_cold_iterations.to_bits(),
+            self.mean_warm_evaluations.to_bits(),
+            self.mean_cold_evaluations.to_bits(),
             self.verified_steps,
         )
     }
