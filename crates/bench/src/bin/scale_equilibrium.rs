@@ -24,7 +24,7 @@
 //! re-solve (`solve_kkt`) then asserts it bit-identical — unless
 //! `--skip-sequential` suppresses that check.
 
-use fedfl_core::active_set::{ActiveSetIndex, IndexColumns, GRID_SEGMENT};
+use fedfl_core::active_set::{grid_segments, ActiveSetIndex, IndexColumns};
 use fedfl_core::bound::BoundParams;
 use fedfl_core::equilibrium::StackelbergEquilibrium;
 use fedfl_core::population::{Population, PopulationSpec};
@@ -33,8 +33,9 @@ use fedfl_obs::NoopRecorder;
 use std::io::Write as _;
 use std::time::Instant;
 
-/// Keyed-index layout of the patch micro-bench: the service's segment
-/// count and routing-block width (`store::INDEX_SEGMENTS`, `ROUTE_BLOCK`).
+/// Segment layout of the patch micro-bench: the service's segment count
+/// and route-block width (`store::INDEX_SEGMENTS`, `ROUTE_BLOCK`); block
+/// `b` lands in segment `b % PATCH_SEGMENTS`.
 const PATCH_SEGMENTS: usize = 256;
 const PATCH_ROUTE_BLOCK: usize = 32;
 /// How many segments the micro-bench marks dirty — a small churn batch.
@@ -158,11 +159,10 @@ fn main() {
         let index_cols = IndexColumns::from_population(&cols);
         println!("building the threshold index ...");
         let t0 = Instant::now();
-        let grid_keys: Vec<u32> = (0..cols.len()).map(|i| (i / GRID_SEGMENT) as u32).collect();
-        let index = ActiveSetIndex::build_keyed(
+        let (index, _) = ActiveSetIndex::build(
             &index_cols,
-            &grid_keys,
-            cols.len().div_ceil(GRID_SEGMENT),
+            &grid_segments(cols.len()),
+            None,
             bound.alpha_over_r(),
             options.q_min,
             1.0,
@@ -202,8 +202,8 @@ fn main() {
         let fast_rel_spend_error =
             (fast_cold.spent - solution.spent).abs() / solution.spent.abs().max(1.0);
 
-        // Incremental-patch micro-bench on the service's keyed layout:
-        // cold keyed build vs a patch with a small dirty batch. The rows
+        // Incremental-patch micro-bench on the service's route-block
+        // layout: cold build vs a patch with a small dirty batch. The rows
         // themselves are unchanged, so the patch's cost is pure re-sort
         // work on the dirty segments plus O(n) validation of the rest —
         // the O(S + dirty·(N/S)·log(N/S)) bound made measurable.
@@ -211,32 +211,31 @@ fn main() {
             "keyed-index patch micro-bench ({PATCH_SEGMENTS} segments, \
              {PATCH_DIRTY_SEGMENTS} dirty) ..."
         );
-        let seg_keys: Vec<u32> = (0..cols.len())
-            .map(|i| ((i / PATCH_ROUTE_BLOCK) % PATCH_SEGMENTS) as u32)
-            .collect();
+        let mut route_segments = vec![Vec::new(); PATCH_SEGMENTS];
+        for (b, start) in (0..cols.len()).step_by(PATCH_ROUTE_BLOCK).enumerate() {
+            let end = cols.len().min(start + PATCH_ROUTE_BLOCK);
+            route_segments[b % PATCH_SEGMENTS].push(start..end);
+        }
+        let keyed_build = |previous| {
+            ActiveSetIndex::build(
+                &index_cols,
+                &route_segments,
+                previous,
+                bound.alpha_over_r(),
+                options.q_min,
+                1.0,
+                options.config.n_threads,
+            )
+        };
         let t0 = Instant::now();
-        let keyed = ActiveSetIndex::build_keyed(
-            &index_cols,
-            &seg_keys,
-            PATCH_SEGMENTS,
-            bound.alpha_over_r(),
-            options.q_min,
-            1.0,
-            options.config.n_threads,
-        );
+        let (keyed, _) = keyed_build(None);
         let index_keyed_build_seconds = t0.elapsed().as_secs_f64();
         let mut dirty = vec![false; PATCH_SEGMENTS];
         for flag in dirty.iter_mut().take(PATCH_DIRTY_SEGMENTS) {
             *flag = true;
         }
         let t0 = Instant::now();
-        let (patched, patch_stats) = keyed.patch(
-            &index_cols,
-            &seg_keys,
-            &dirty,
-            1.0,
-            options.config.n_threads,
-        );
+        let (patched, patch_stats) = keyed_build(Some((&keyed, &dirty)));
         let index_patch_seconds = t0.elapsed().as_secs_f64();
         assert_eq!(patched, keyed, "patched keyed index diverged from cold");
         println!(

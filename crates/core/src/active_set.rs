@@ -45,17 +45,18 @@
 //! segments), an in-segment binary search otherwise, and one closed-form
 //! interior evaluation over the accumulated moments at the end.
 //!
-//! [`ActiveSetIndex::build_keyed`] buckets clients by a caller-chosen
-//! stable key, preserving global insertion order within each bucket, so
-//! the segment list depends only on the keys — never on how the caller
-//! shards or threads. The pricing service keys on id blocks, aligned with
-//! its store shards; a standalone solve keys row `i` on
-//! `i / GRID_SEGMENT`, fixed positional segments. A churn batch that only
-//! touches some buckets re-sorts **only those segments**:
-//! [`ActiveSetIndex::patch`] rebuilds dirty segments in
-//! O(dirty·(N/S)·log(N/S)) sort work and revalidates clean ones in O(N/S)
-//! each, producing an index **bit-identical** to a cold
-//! [`ActiveSetIndex::build_keyed`] over the same rows.
+//! [`ActiveSetIndex::build`] takes each segment's rows as ascending row
+//! ranges of the caller's columns, keeping them in that order, so the
+//! segment list depends only on the row partition — never on how the
+//! caller shards or threads. The pricing service passes its store's
+//! route-block directory (segment `k` holds the live rows of every 32-id
+//! block `b` with `b mod 256 = k`, one range per block); a standalone
+//! solve passes one range per [`GRID_SEGMENT`] chunk ([`grid_segments`]).
+//! Handed the previous index and a dirty flag per segment, the same
+//! constructor re-sorts **only the dirty segments**, in
+//! O(dirty·(N/S)·log(N/S)) sort work, and revalidates clean ones in
+//! O(N/S) each, producing an index **bit-identical** to a cold build over
+//! the same rows.
 //!
 //! # Memory layout
 //!
@@ -100,7 +101,7 @@
 //! with ties in ascending insertion order characterise the stable
 //! argsort uniquely) and rebuilds the rare violators ("repaired"), so
 //! reuse never costs bit-identity. A repair re-derives the segment's
-//! rows from the columns the patch receives; the patch contract
+//! rows from the columns the constructor receives; the patch contract
 //! guarantees a clean segment's rows are the ones it was built from.
 //!
 //! The evaluation is a **model**, not the exact chunked reduction: its
@@ -116,6 +117,7 @@ use crate::population::PopulationColumns;
 use fedfl_num::parallel::{resolve_threads, DEFAULT_CHUNK};
 use fedfl_num::prefix::sort_permutation;
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
@@ -123,11 +125,20 @@ use std::sync::Arc;
 /// `Dv³`.
 const MOMENTS: usize = 8;
 
-/// Segment length of the positional layout (row `i` keyed
-/// `i / GRID_SEGMENT`) standalone solves build. Equal to the chunked
-/// reductions' [`DEFAULT_CHUNK`], so each segment covers one chunk of the
-/// solver's summation grid.
+/// Segment length of the positional layout standalone solves build
+/// ([`grid_segments`]). Equal to the chunked reductions'
+/// [`DEFAULT_CHUNK`], so each segment covers one chunk of the solver's
+/// summation grid.
 pub const GRID_SEGMENT: usize = DEFAULT_CHUNK;
+
+/// The positional layout over `len` rows: segment `k` is the one range
+/// `k·GRID_SEGMENT .. (k + 1)·GRID_SEGMENT` (clipped to `len`), and no
+/// rows still make one empty segment.
+pub fn grid_segments(len: usize) -> Vec<Vec<Range<usize>>> {
+    (0..len.div_ceil(GRID_SEGMENT).max(1))
+        .map(|k| std::iter::once(k * GRID_SEGMENT..len.min((k + 1) * GRID_SEGMENT)).collect())
+        .collect()
+}
 
 /// Borrowed scale-free index inputs: the `w²G²` column (raw
 /// `w_raw²·G²` when probing at `scale = W²`, the normalised `a²G²`
@@ -166,11 +177,12 @@ impl<'a> IndexColumns<'a> {
     }
 }
 
-/// Accounting of one [`ActiveSetIndex::patch`]: how each segment was
+/// Accounting of one [`ActiveSetIndex::build`]: how each segment was
 /// produced.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PatchStats {
-    /// Segments re-sorted because their rows were dirty.
+    /// Segments sorted from their rows: every segment of a cold build,
+    /// the dirty ones of a patch.
     pub rebuilt: usize,
     /// Clean segments rebuilt from the caller's columns because the
     /// scale drift reordered their thresholds (the order-validation scan
@@ -360,21 +372,22 @@ pub struct IndexSegment {
 }
 
 impl IndexSegment {
-    /// Derive `rows` (ascending positions in `cols` — a stable
-    /// subsequence of the global client order) and sort both views at
-    /// `scale`.
+    /// Derive the rows of `ranges` (ascending positions in `cols` — a
+    /// stable subsequence of the global client order) and sort both views
+    /// at `scale`.
     fn build(
         cols: &IndexColumns<'_>,
-        rows: impl ExactSizeIterator<Item = usize>,
+        ranges: &[Range<usize>],
         aor: f64,
         q_min: f64,
         scale: f64,
     ) -> Self {
-        let mut units = Vec::with_capacity(rows.len());
-        let mut entry_keys = Vec::with_capacity(rows.len());
-        let mut sat_keys = Vec::with_capacity(rows.len());
+        let len = ranges.iter().map(ExactSizeIterator::len).sum();
+        let mut units = Vec::with_capacity(len);
+        let mut entry_keys = Vec::with_capacity(len);
+        let mut sat_keys = Vec::with_capacity(len);
         let mut finite = true;
-        for i in rows {
+        for i in ranges.iter().cloned().flatten() {
             let unit = UnitRow::derive(cols, i, aor, q_min);
             let ek = entry_key(&unit.key, scale);
             let sk = sat_key(&unit.key, scale);
@@ -446,108 +459,81 @@ impl ActiveSetIndex {
         }
     }
 
-    /// Build an index: row `i` lands in segment
-    /// `seg_keys[i] % segment_count`, keeping ascending row order within
-    /// each segment. The partition depends only on the keys — never on
-    /// how the caller shards or threads — and [`Self::patch`] can later
-    /// rebuild any key subset incrementally. Segment builds run on
-    /// `n_threads` workers (`0` = one per core) in a fixed segment order,
-    /// so the result is thread-count independent.
+    /// Build the index whose segment `k` holds the rows of
+    /// `segments[k]`'s ranges, in order. The ranges must be ascending and
+    /// disjoint and cover every row of `cols` once; the index then
+    /// depends only on that partition. Segment builds run on `n_threads`
+    /// workers (`0` = one per core) in a fixed segment order, so the
+    /// result is thread-count independent.
     ///
     /// `scale` is the σ thresholds are evaluated at (pass the squared
     /// raw-weight total with a raw `w²G²` column, or `1.0` with
-    /// normalised columns). A standalone solve over normalised columns
-    /// keys row `i` on `i / GRID_SEGMENT` with
-    /// `segment_count = len.div_ceil(GRID_SEGMENT).max(1)`.
+    /// normalised columns and [`grid_segments`]).
+    ///
+    /// `previous = None` sorts every segment cold. `Some((index, dirty))`
+    /// patches `index` after churn: segments flagged in `dirty` are
+    /// re-sorted from the current rows; clean segments are revalidated at
+    /// the new `scale` and reused (or rebuilt from `cols` when scale drift
+    /// reordered their thresholds). Either way the result is
+    /// **bit-identical** to a cold build over the same inputs.
+    ///
+    /// Patch contract (the caller's dirty tracking must guarantee it): a
+    /// clean segment's member rows — values, order, and membership — are
+    /// unchanged since `index` was built. The service derives this from
+    /// its per-segment store stamps; flagging a segment dirty is always
+    /// safe, missing one is not. A patch's sort work is
+    /// O(Σ_dirty len·log len) instead of the cold build's O(N log N);
+    /// clean segments cost one O(len) validation scan each.
     ///
     /// # Panics
     ///
-    /// Panics if `seg_keys.len()` differs from the column length or
-    /// `segment_count` is zero.
-    pub fn build_keyed(
+    /// Panics if the ranges do not add up to the column length, or if the
+    /// previous index has another segment count or solver knobs, or
+    /// `dirty` another length.
+    pub fn build(
         cols: &IndexColumns<'_>,
-        seg_keys: &[u32],
-        segment_count: usize,
+        segments: &[Vec<Range<usize>>],
+        previous: Option<(&ActiveSetIndex, &[bool])>,
         aor: f64,
         q_min: f64,
         scale: f64,
         n_threads: usize,
-    ) -> Self {
-        assert_eq!(seg_keys.len(), cols.len(), "one segment key per row");
-        assert!(segment_count > 0, "segment_count must be positive");
-        let members = bucket_members(seg_keys, segment_count);
-        let segments = run_tasks(segment_count, n_threads, |k| {
-            Arc::new(IndexSegment::build(
-                cols,
-                members[k].iter().map(|&i| i as usize),
-                aor,
-                q_min,
-                scale,
-            ))
-        });
-        Self::assemble(segments, aor, q_min, scale)
-    }
-
-    /// Incrementally rebuild the index after churn: segments flagged
-    /// in `dirty` are re-sorted from the current rows; clean segments
-    /// are revalidated at the new `scale` and reused (or rebuilt from
-    /// `cols` when scale drift reordered their thresholds). The result
-    /// is **bit-identical** to [`Self::build_keyed`] over the same
-    /// inputs.
-    ///
-    /// Contract (the caller's dirty tracking must guarantee it): a clean
-    /// segment's member rows — values, order, and membership — are
-    /// unchanged since this index was built. The service derives this
-    /// from its per-shard store version counters; flagging a segment
-    /// dirty is always safe, missing one is not.
-    ///
-    /// Sort work is O(Σ_dirty len·log len) instead of the cold build's
-    /// O(N log N); clean segments cost one O(len) validation scan over
-    /// their stored key inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seg_keys.len()` differs from the column length or
-    /// `dirty.len()` from the segment count.
-    pub fn patch(
-        &self,
-        cols: &IndexColumns<'_>,
-        seg_keys: &[u32],
-        dirty: &[bool],
-        scale: f64,
-        n_threads: usize,
     ) -> (Self, PatchStats) {
-        assert_eq!(seg_keys.len(), cols.len(), "one segment key per row");
-        assert_eq!(
-            dirty.len(),
-            self.segments.len(),
-            "one dirty flag per segment"
-        );
-        let segment_count = dirty.len();
-        let members = bucket_members(seg_keys, segment_count);
+        let rows: usize = segments.iter().flatten().map(ExactSizeIterator::len).sum();
+        assert_eq!(rows, cols.len(), "segments cover every row once");
+        if let Some((index, dirty)) = previous {
+            assert_eq!(index.segments.len(), segments.len(), "same segment count");
+            assert_eq!(dirty.len(), segments.len(), "one dirty flag per segment");
+            assert!(
+                index.aor.to_bits() == aor.to_bits() && index.q_min.to_bits() == q_min.to_bits(),
+                "a patch keeps the solver knobs"
+            );
+        }
         // 0 = reused, 1 = repaired, 2 = rebuilt — per-segment outcome.
         // A repair re-derives the clean segment's rows from `cols`: the
         // contract guarantees they are the rows it was built from, so
         // the result is the cold build at the new scale.
-        let outcomes: Vec<(Arc<IndexSegment>, u8)> = run_tasks(segment_count, n_threads, |k| {
-            if !dirty[k] && self.segments[k].is_sorted_at(scale) {
-                return (Arc::clone(&self.segments[k]), 0);
+        let outcomes: Vec<(Arc<IndexSegment>, u8)> = run_tasks(segments.len(), n_threads, |k| {
+            let clean = previous
+                .filter(|(_, dirty)| !dirty[k])
+                .map(|(index, _)| &index.segments[k]);
+            if let Some(segment) = clean.filter(|segment| segment.is_sorted_at(scale)) {
+                return (Arc::clone(segment), 0);
             }
-            let rows = members[k].iter().map(|&i| i as usize);
-            let segment = IndexSegment::build(cols, rows, self.aor, self.q_min, scale);
-            (Arc::new(segment), if dirty[k] { 2 } else { 1 })
+            let segment = IndexSegment::build(cols, &segments[k], aor, q_min, scale);
+            (Arc::new(segment), if clean.is_some() { 1 } else { 2 })
         });
         let mut stats = PatchStats::default();
-        let mut segments = Vec::with_capacity(segment_count);
+        let mut built = Vec::with_capacity(segments.len());
         for (segment, outcome) in outcomes {
             match outcome {
                 0 => stats.reused += 1,
                 1 => stats.repaired += 1,
                 _ => stats.rebuilt += 1,
             }
-            segments.push(segment);
+            built.push(segment);
         }
-        (Self::assemble(segments, self.aor, self.q_min, scale), stats)
+        (Self::assemble(built, aor, q_min, scale), stats)
     }
 
     /// Number of indexed clients.
@@ -703,17 +689,6 @@ impl ActiveSetIndex {
     }
 }
 
-/// Bucket rows by `key % segment_count`, preserving ascending row order
-/// within each bucket (the stable-subsequence contract segments rely
-/// on).
-fn bucket_members(seg_keys: &[u32], segment_count: usize) -> Vec<Vec<u32>> {
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); segment_count];
-    for (i, &key) in seg_keys.iter().enumerate() {
-        members[key as usize % segment_count].push(i as u32);
-    }
-    members
-}
-
 /// Deterministic parallel task fill: `build(i)` for `i in 0..count`,
 /// results in task order, workers pulling from an atomic counter (the
 /// same crew pattern as `fedfl_num::parallel` — output is independent of
@@ -769,13 +744,21 @@ mod tests {
             .alpha_over_r()
     }
 
-    /// The positional layout over normalised columns: row `i` keyed
-    /// `i / GRID_SEGMENT`.
+    /// The positional layout over normalised columns.
     fn positional(cols: &PopulationColumns) -> ActiveSetIndex {
-        let keys: Vec<u32> = (0..cols.len()).map(|i| (i / GRID_SEGMENT) as u32).collect();
-        let segments = cols.len().div_ceil(GRID_SEGMENT).max(1);
         let unit = IndexColumns::from_population(cols);
-        ActiveSetIndex::build_keyed(&unit, &keys, segments, aor(), Q_MIN, 1.0, 1)
+        let segments = grid_segments(cols.len());
+        ActiveSetIndex::build(&unit, &segments, None, aor(), Q_MIN, 1.0, 1).0
+    }
+
+    /// Segment `k` holds the rows whose key is `k`, one range per row, in
+    /// row order.
+    fn keyed(keys: impl Iterator<Item = usize>, count: usize) -> Vec<Vec<Range<usize>>> {
+        let mut segments = vec![Vec::new(); count];
+        for (i, key) in keys.enumerate() {
+            segments[key].push(i..i + 1);
+        }
+        segments
     }
 
     /// The exact per-client path spend the index models.
@@ -899,16 +882,16 @@ mod tests {
         let total_w = 137.5f64;
         let scale = total_w * total_w;
         let w2g2: Vec<f64> = cols.a2g2.iter().map(|&a2g2| a2g2 * scale).collect();
-        let keys: Vec<u32> = (0..cols.len() as u32).map(|i| (i / 32) % 7).collect();
-        let index = ActiveSetIndex::build_keyed(
+        let segments = keyed((0..cols.len()).map(|i| (i / 32) % 7), 7);
+        let (index, _) = ActiveSetIndex::build(
             &IndexColumns {
                 w2g2: &w2g2,
                 cost: &cols.cost,
                 value: &cols.value,
                 q_max: &cols.q_max,
             },
-            &keys,
-            7,
+            &segments,
+            None,
             aor(),
             Q_MIN,
             scale,
@@ -931,16 +914,26 @@ mod tests {
     fn patch_rebuilds_dirty_segments_and_reuses_clean_ones() {
         let p = Population::synthesize(600, &PopulationSpec::table1_like(), 23).unwrap();
         let cols = p.columns();
-        let keys: Vec<u32> = (0..cols.len() as u32).map(|i| i % 8).collect();
+        let segments = keyed((0..cols.len()).map(|i| i % 8), 8);
         let unit = IndexColumns::from_population(&cols);
-        let index = ActiveSetIndex::build_keyed(&unit, &keys, 8, aor(), Q_MIN, 1.0, 1);
+        let cold_at =
+            |scale| ActiveSetIndex::build(&unit, &segments, None, aor(), Q_MIN, scale, 1).0;
+        let index = cold_at(1.0);
 
         // Same rows, same scale, two dirty segments: those rebuild, the
         // other six reuse, and the result matches a cold build exactly.
         let mut dirty = vec![false; 8];
         dirty[1] = true;
         dirty[5] = true;
-        let (patched, stats) = index.patch(&unit, &keys, &dirty, 1.0, 1);
+        let (patched, stats) = ActiveSetIndex::build(
+            &unit,
+            &segments,
+            Some((&index, &dirty)),
+            aor(),
+            Q_MIN,
+            1.0,
+            1,
+        );
         assert_eq!(
             stats,
             PatchStats {
@@ -949,18 +942,26 @@ mod tests {
                 reused: 6
             }
         );
-        let cold = ActiveSetIndex::build_keyed(&unit, &keys, 8, aor(), Q_MIN, 1.0, 1);
+        let cold = cold_at(1.0);
         assert_eq!(patched, cold, "patched index diverged from cold build");
 
         // A scale change alone (no dirty rows) revalidates every
         // segment; the patched index must equal a cold build at the new
         // scale whether segments were reused or repaired — and σ×4
         // reorders some, so the re-derive-from-columns repair runs.
-        let (rescaled, restats) = index.patch(&unit, &keys, &[false; 8], 4.0, 1);
+        let (rescaled, restats) = ActiveSetIndex::build(
+            &unit,
+            &segments,
+            Some((&index, &[false; 8])),
+            aor(),
+            Q_MIN,
+            4.0,
+            1,
+        );
         assert_eq!(restats.rebuilt, 0);
         assert!(restats.repaired > 0, "σ×4 repaired nothing: {restats:?}");
         assert_eq!(restats.reused + restats.repaired, 8);
-        let cold_rescaled = ActiveSetIndex::build_keyed(&unit, &keys, 8, aor(), Q_MIN, 4.0, 1);
+        let cold_rescaled = cold_at(4.0);
         assert_eq!(rescaled, cold_rescaled);
     }
 }

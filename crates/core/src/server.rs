@@ -160,12 +160,6 @@ impl StageOneSolution {
     pub fn variance_term(&self, population: &Population, bound: &BoundParams) -> f64 {
         bound.variance_term(population, &self.q)
     }
-
-    /// Number of clients the server charges (negative price — Theorem 3's
-    /// bi-directional payments).
-    pub fn negative_price_count(&self) -> usize {
-        self.prices.iter().filter(|&&p| p < 0.0).count()
-    }
 }
 
 /// The path parameter `t` at which every client sits at its cap (plus a
@@ -618,7 +612,7 @@ const CERT_BANDS: [f64; 3] = [1e-9, 1e-7, 1e-5];
 /// * `Some(index)` runs the threshold-indexed fast path
 ///   ([`SolverMode::ThresholdIndex`]). The caller builds the index over
 ///   exactly this population at this `α/R` and `q_min`
-///   ([`ActiveSetIndex::build_keyed`]); a stale or mismatched index is
+///   ([`ActiveSetIndex::build`]); a stale or mismatched index is
 ///   detected (length, parameter bits, degeneracy) and demoted to the
 ///   exact fallback rather than trusted. The budget bisection probes the
 ///   index's O(log N) spend *model* instead of the O(N) exact sweep, and

@@ -16,7 +16,7 @@
 //! workers, the proptest population variants of `scale_properties`, and
 //! the heavy-tail Pareto spreads of `heavy_tail`.
 
-use fedfl_core::active_set::{ActiveSetIndex, IndexColumns, GRID_SEGMENT};
+use fedfl_core::active_set::{grid_segments, ActiveSetIndex, IndexColumns};
 use fedfl_core::bound::BoundParams;
 use fedfl_core::population::{ParamDist, Population, PopulationColumns, PopulationSpec};
 use fedfl_core::server::{
@@ -26,24 +26,35 @@ use fedfl_core::server::{
 use fedfl_obs::{NoopRecorder, Registry};
 use proptest::prelude::*;
 use std::cmp::Ordering;
+use std::ops::Range;
 
 fn bound() -> BoundParams {
     BoundParams::new(4_000.0, 100.0, 1_000).unwrap()
 }
 
 /// The index a standalone fast solve builds: normalised columns at
-/// `scale = 1`, row `i` keyed `i / GRID_SEGMENT`.
+/// `scale = 1`, in positional segments.
 fn positional_index(cols: &PopulationColumns, options: &SolverOptions) -> ActiveSetIndex {
-    let keys: Vec<u32> = (0..cols.len()).map(|i| (i / GRID_SEGMENT) as u32).collect();
-    ActiveSetIndex::build_keyed(
+    ActiveSetIndex::build(
         &IndexColumns::from_population(cols),
-        &keys,
-        cols.len().div_ceil(GRID_SEGMENT).max(1),
+        &grid_segments(cols.len()),
+        None,
         bound().alpha_over_r(),
         options.q_min,
         1.0,
         options.config.n_threads,
     )
+    .0
+}
+
+/// Segment `k` holds the rows whose key is `k` modulo `count`, one range
+/// per row, in row order.
+fn keyed_segments(keys: &[u32], count: usize) -> Vec<Vec<Range<usize>>> {
+    let mut segments = vec![Vec::new(); count];
+    for (i, &key) in keys.iter().enumerate() {
+        segments[key as usize % count].push(i..i + 1);
+    }
+    segments
 }
 
 /// The exact solve (`index: None`) or the fast one (`Some`).
@@ -233,15 +244,16 @@ fn same_length_stale_index_fails_the_certificate_and_falls_back_exactly() {
     let budget = path_budget(&p, &b, &options, 0.01);
     let (exact, exact_diag) = solve(&cols, budget, &options, None, None);
     let keys: Vec<u32> = (0..n as u32).map(|i| (i / 32) % 16).collect();
+    let segments = keyed_segments(&keys, 16);
     // Model spend at the exact root below the budget puts the model
     // root above the exact root, and vice versa.
     for (cost_factor, model_at_exact_root) in [(0.9, Ordering::Less), (1.1, Ordering::Greater)] {
         let mut stale = cols.clone();
         stale.cost.iter_mut().for_each(|c| *c *= cost_factor);
-        let index = ActiveSetIndex::build_keyed(
+        let (index, _) = ActiveSetIndex::build(
             &IndexColumns::from_population(&stale),
-            &keys,
-            16,
+            &segments,
+            None,
             b.alpha_over_r(),
             options.q_min,
             1.0,
@@ -478,8 +490,9 @@ proptest! {
             })
             .collect();
         let cols = ChurnCols::from_rows(&rows);
-        let mut index = ActiveSetIndex::build_keyed(
-            &cols.view(), &cols.keys, segment_count, aor, q_min, cols.scale, threads,
+        let segments = keyed_segments(&cols.keys, segment_count);
+        let (mut index, _) = ActiveSetIndex::build(
+            &cols.view(), &segments, None, aor, q_min, cols.scale, threads,
         );
         for step in 0..6u32 {
             let mut dirty = vec![false; segment_count];
@@ -525,11 +538,13 @@ proptest! {
                 }
             }
             let cols = ChurnCols::from_rows(&rows);
-            let cold = ActiveSetIndex::build_keyed(
-                &cols.view(), &cols.keys, segment_count, aor, q_min, cols.scale, threads,
+            let segments = keyed_segments(&cols.keys, segment_count);
+            let (cold, _) = ActiveSetIndex::build(
+                &cols.view(), &segments, None, aor, q_min, cols.scale, threads,
             );
-            let (patched, stats) =
-                index.patch(&cols.view(), &cols.keys, &dirty, cols.scale, threads);
+            let (patched, stats) = ActiveSetIndex::build(
+                &cols.view(), &segments, Some((&index, &dirty)), aor, q_min, cols.scale, threads,
+            );
             let dirty_count = dirty.iter().filter(|&&d| d).count();
             // Patch re-sorts exactly the dirty segments and accounts for
             // every segment, and the result matches the cold build

@@ -16,7 +16,7 @@
 //! `cargo test --release -- --ignored` job; each asserts a wall-clock
 //! budget so a performance regression fails the build.
 
-use fedfl_core::active_set::{ActiveSetIndex, IndexColumns, GRID_SEGMENT};
+use fedfl_core::active_set::{grid_segments, ActiveSetIndex, IndexColumns};
 use fedfl_core::bound::BoundParams;
 use fedfl_core::game::CplGame;
 use fedfl_core::population::{ParamDist, Population, PopulationSpec, Q_MIN};
@@ -317,13 +317,12 @@ fn million_client_fast_path_cross_check() {
     let (exact, exact_diag) = solve(None).expect("exact solve");
 
     let started = Instant::now();
-    // The positional layout: row `i` keyed `i / GRID_SEGMENT`.
+    // The positional layout.
     let cols = &population;
-    let keys: Vec<u32> = (0..cols.len()).map(|i| (i / GRID_SEGMENT) as u32).collect();
-    let index = ActiveSetIndex::build_keyed(
+    let (index, _) = ActiveSetIndex::build(
         &IndexColumns::from_population(cols),
-        &keys,
-        cols.len().div_ceil(GRID_SEGMENT),
+        &grid_segments(cols.len()),
+        None,
         b.alpha_over_r(),
         options.q_min,
         1.0,

@@ -9,9 +9,8 @@
 //! * [`dist`] — samplers for the Normal, Exponential, LogNormal,
 //!   bounded-Pareto (power-law) and Bernoulli distributions used by the
 //!   dataset generators and the system-heterogeneity model.
-//! * [`roots`] — scalar root finding (bisection, safeguarded Newton) and an
-//!   analytic/iterative cubic solver for the client best-response equation
-//!   (13) of the paper.
+//! * [`roots`] — scalar root finding (bisection) and an analytic/iterative
+//!   cubic solver for the client best-response equation (13) of the paper.
 //! * [`search`] — golden-section and grid line search, used for the paper's
 //!   one-dimensional search over the auxiliary variable `M` in Problem P1''.
 //! * [`solve`] — a projected-gradient solver for smooth convex problems on a

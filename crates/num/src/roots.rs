@@ -4,15 +4,14 @@
 //! the unique positive root of the cubic
 //! `2 c q^3 − P q^2 − K = 0` with `K = v (α/R) a² G² ≥ 0`; the server-side
 //! budget-tightening steps need a robust monotone bisection. Both are
-//! provided here, together with a safeguarded Newton iteration used when a
-//! good derivative is available.
+//! provided here.
 
 use crate::error::NumError;
 
 /// Default tolerance on the root location.
 pub const DEFAULT_TOL: f64 = 1e-12;
 
-/// Default iteration budget for the bracketing methods.
+/// Default iteration budget of [`bisect`].
 pub const DEFAULT_MAX_ITER: usize = 200;
 
 /// Find a root of `f` in `[lo, hi]` by bisection.
@@ -59,71 +58,6 @@ pub fn bisect<F: FnMut(f64) -> f64>(mut f: F, lo: f64, hi: f64, tol: f64) -> Res
         }
     }
     Ok(0.5 * (a + b))
-}
-
-/// Safeguarded Newton iteration: Newton steps that stay within a bracketing
-/// interval, falling back to bisection when a step leaves the bracket or the
-/// derivative is too small.
-///
-/// # Errors
-///
-/// Same conditions as [`bisect`].
-pub fn newton_bracketed<F, G>(
-    mut f: F,
-    mut df: G,
-    lo: f64,
-    hi: f64,
-    tol: f64,
-) -> Result<f64, NumError>
-where
-    F: FnMut(f64) -> f64,
-    G: FnMut(f64) -> f64,
-{
-    if !(lo.is_finite() && hi.is_finite()) || lo > hi {
-        return Err(NumError::InvalidParameter {
-            name: "interval",
-            reason: format!("need finite lo <= hi, got [{lo}, {hi}]"),
-        });
-    }
-    let mut a = lo;
-    let mut b = hi;
-    let fa = f(a);
-    let fb = f(b);
-    if fa == 0.0 {
-        return Ok(a);
-    }
-    if fb == 0.0 {
-        return Ok(b);
-    }
-    if fa.signum() == fb.signum() {
-        return Err(NumError::NoBracket { lo, hi });
-    }
-    let sign_a = fa.signum();
-    let mut x = 0.5 * (a + b);
-    for _ in 0..DEFAULT_MAX_ITER {
-        let fx = f(x);
-        if fx == 0.0 || (b - a) < tol {
-            return Ok(x);
-        }
-        // Maintain the bracket.
-        if fx.signum() == sign_a {
-            a = x;
-        } else {
-            b = x;
-        }
-        let d = df(x);
-        let newton = if d.abs() > 1e-300 {
-            x - fx / d
-        } else {
-            f64::NAN
-        };
-        x = if newton.is_finite() && newton > a && newton < b {
-            newton
-        } else {
-            0.5 * (a + b)
-        };
-    }
-    Ok(x)
 }
 
 /// All real roots of the cubic `a3 x^3 + a2 x^2 + a1 x + a0 = 0`, computed
@@ -300,23 +234,6 @@ mod tests {
     fn bisect_rejects_bad_interval() {
         assert!(bisect(|x| x, 1.0, 0.0, 1e-12).is_err());
         assert!(bisect(|x| x, f64::NAN, 1.0, 1e-12).is_err());
-    }
-
-    #[test]
-    fn newton_matches_bisect() {
-        let f = |x: f64| x.exp() - 3.0;
-        let df = |x: f64| x.exp();
-        let r = newton_bracketed(f, df, 0.0, 2.0, 1e-13).unwrap();
-        assert_close(r, 3.0_f64.ln(), 1e-10);
-    }
-
-    #[test]
-    fn newton_survives_flat_derivative() {
-        // df ~ 0 near x=0 forces the bisection fallback.
-        let f = |x: f64| x * x * x - 0.001;
-        let df = |x: f64| 3.0 * x * x;
-        let r = newton_bracketed(f, df, -1.0, 1.0, 1e-13).unwrap();
-        assert_close(r, 0.1, 1e-8);
     }
 
     #[test]

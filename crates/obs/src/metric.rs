@@ -93,8 +93,6 @@ metrics! {
         "Fast-path candidates rejected by every certification band."),
     SolverResidualRejects => (Counter, "fedfl_solver_residual_rejects_total",
         "Fast-path candidates rejected by the sampled residual gate."),
-    SolverIndexBuilds => (Counter, "fedfl_solver_index_builds_total",
-        "Threshold-index (re)builds."),
     SolverIndexBuildNs => (Histogram, "fedfl_solver_index_build_ns",
         "Wall time of threshold-index builds, nanoseconds."),
     SolverIndexSegmentsRebuilt => (Counter, "fedfl_solver_index_segments_rebuilt_total",

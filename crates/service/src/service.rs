@@ -1,14 +1,20 @@
 //! The pricing service: command processing and the incremental re-solve.
 
 use crate::error::ServiceError;
-use crate::store::{ShardedClientStore, INDEX_SEGMENTS};
+use crate::store::ShardedClientStore;
 use crate::{AvailabilityModel, ClientId, ClientParams};
-use fedfl_core::active_set::{ActiveSetIndex, PatchStats};
+use fedfl_core::active_set::ActiveSetIndex;
 use fedfl_core::bound::BoundParams;
 use fedfl_core::server::{solve_kkt_columns, theorem2_max_residual, SolverMode, SolverOptions};
 use fedfl_obs::{Metric, MetricsReport, NoopRecorder, Recorder, Registry, Stopwatch};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
+
+/// Clients the Theorem 2 check samples per re-solve.
+const RESIDUAL_SAMPLE: usize = 1024;
+
+/// Seed of the deterministic Theorem 2 residual sampler.
+const RESIDUAL_SEED: u64 = 0x5EED;
 
 /// Static configuration of a [`PricingService`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -26,19 +32,15 @@ pub struct ServiceConfig {
     pub availability_aware: bool,
     /// Number of store shards — the granularity of dirty tracking under
     /// churn (a delta rebuilds only the shards it touches). Ids route to
-    /// shards by 32-id block, and when the count divides the fast path's
-    /// 256 index segments, each segment nests in one shard, so churn
-    /// patches only the dirty shards' segments. The solver always sees
-    /// one set of columns: prices are **bit-identical for any shard
-    /// count**; the knob only trades rebuild granularity against per-shard
-    /// overhead. Must be at least 1.
+    /// shards by 32-id block. The fast path's index segments group the
+    /// same blocks and the store stamps them per block, so for any shard
+    /// count churn patches only the segments it touched. The solver
+    /// always sees one set of columns: prices are **bit-identical for any
+    /// shard count**; the knob only trades rebuild granularity against
+    /// per-shard overhead. Must be at least 1.
     pub shards: usize,
     /// Maximum sampled Theorem 2 residual accepted after a re-solve.
     pub residual_tolerance: f64,
-    /// Number of invariant samples drawn per re-solve.
-    pub residual_sample: usize,
-    /// Seed of the deterministic residual sampler.
-    pub residual_seed: u64,
     /// Route re-solves through the threshold-indexed active-set fast path
     /// (`SolverMode::ThresholdIndex`): λ-probes drop from O(N) to
     /// O(log N) against an index the service maintains across solves —
@@ -68,8 +70,6 @@ impl ServiceConfig {
             availability_aware: false,
             shards: 8,
             residual_tolerance: 1e-6,
-            residual_sample: 1024,
-            residual_seed: 0x5EED,
             fast_path: false,
         }
     }
@@ -104,14 +104,6 @@ impl ServiceConfig {
                     "must be finite and positive, got {}",
                     self.residual_tolerance
                 ),
-            });
-        }
-        if self.residual_sample == 0 {
-            return Err(ServiceError::InvalidConfig {
-                field: "residual_sample",
-                reason: "sampling zero clients would silently disable the Theorem 2 \
-                         certification"
-                    .into(),
             });
         }
         Ok(())
@@ -297,26 +289,20 @@ struct WarmHint {
     aor: f64,
 }
 
-/// The fast path's cached threshold index plus the stamps it was built
-/// at. The index is a pure function of the assembled population and the
-/// solver parameters `(α/R, q_min)`; the assembled population is a pure
-/// function of the store contents (its mutation `version`) and the
-/// availability flag. A matching global stamp therefore proves the
-/// cached index still describes the current population — budget and
-/// bound-`β` updates reuse it with zero rebuild work. When only the
-/// global stamp moved, the per-shard stamps say *which* store shards
-/// churned, and the keyed index is incrementally patched: only the
-/// segments nested in those shards re-sort, everything else is reused.
+/// The fast path's cached threshold index plus the store version it was
+/// built at. The index is a pure function of the assembled population and
+/// the solver parameters `(α/R, q_min)` it records; the assembled
+/// population is a pure function of the store contents (its mutation
+/// `version`), since the availability flag is fixed at construction. A
+/// matching version and `α/R` therefore prove the cached index still
+/// describes the current population — budget and bound-`β` updates reuse
+/// it with zero rebuild work. When only the version moved, the store's
+/// per-segment stamps say *which* index segments churned since, and the
+/// index is patched: only those re-sort, everything else is reused.
 #[derive(Debug, Clone)]
 struct FastIndexState {
     index: ActiveSetIndex,
     store_version: u64,
-    /// Per-shard store stamps at build time; diffed against the store's
-    /// current stamps to flag dirty index segments.
-    shard_versions: Vec<u64>,
-    aor_bits: u64,
-    q_min_bits: u64,
-    availability_aware: bool,
 }
 
 /// A long-running pricing service owning a churning, sharded client
@@ -610,95 +596,64 @@ impl PricingService {
             warm.t_star * ratio * ratio * (warm.aor / aor)
         });
         let mut index_rebuild_ns = 0u64;
-        let mut segments = PatchStats::default();
         let index = if self.config.fast_path {
-            // Reuse the cached threshold index when the global stamp
-            // proves the assembled population and the index parameters
-            // are unchanged (budget/bound-β-only churn). When only some
-            // store shards churned under unchanged solver knobs,
-            // incrementally patch it — O(dirty · (N/S) · log(N/S)) sort
-            // work, bit-identical to a cold keyed build. Otherwise
-            // rebuild it once — O(N log N) — and cache it under the new
-            // stamps.
+            // Reuse the cached threshold index when the store has not
+            // changed since it was built and the solver knobs match
+            // (budget/bound-β-only churn). When some index segments
+            // churned under the same knobs, patch it: the store's
+            // per-segment stamps flag exactly the segments a mutation
+            // touched, and only those re-sort — bit-identical to a cold
+            // build. Otherwise (the first solve, or an α/R change that
+            // moves every threshold) build it cold, O(N log N).
             let store_version = self.store.version();
-            let q_min_bits = self.config.solver.q_min.to_bits();
-            let params_match = |cached: &FastIndexState| {
-                cached.aor_bits == aor.to_bits()
-                    && cached.q_min_bits == q_min_bits
-                    && cached.availability_aware == self.config.availability_aware
-            };
-            let stamp_matches = self.fast_index.as_ref().is_some_and(|cached| {
-                cached.store_version == store_version && params_match(cached)
+            let q_min = self.config.solver.q_min;
+            let cached = self.fast_index.take().filter(|cached| {
+                cached.index.aor().to_bits() == aor.to_bits()
+                    && cached.index.q_min().to_bits() == q_min.to_bits()
             });
-            if stamp_matches {
-                recorder.add(Metric::ServiceIndexReuses, 1);
-            } else {
-                let shard_count = self.store.shard_count();
-                let current_versions = self.store.shard_versions().to_vec();
-                // Patching needs the same solver knobs (a knob change
-                // moves every threshold) and the segment-in-shard
-                // nesting: segments and shards key on the same id
-                // blocks, so whenever the shard count divides the
-                // segment count, segment `k` lives entirely inside
-                // store shard `k % shard_count`.
-                let previous = self.fast_index.take().filter(|cached| {
-                    params_match(cached)
-                        && cached.shard_versions.len() == shard_count
-                        && INDEX_SEGMENTS.is_multiple_of(shard_count)
-                });
-                let index = if let Some(cached) = previous {
-                    let mut dirty = vec![false; INDEX_SEGMENTS];
-                    for (k, flag) in dirty.iter_mut().enumerate() {
-                        *flag = current_versions[k % shard_count]
-                            != cached.shard_versions[k % shard_count];
-                    }
-                    let patch_watch = Stopwatch::start();
-                    let (index, stats) = cached.index.patch(
+            let state = match cached {
+                Some(cached) if cached.store_version == store_version => {
+                    recorder.add(Metric::ServiceIndexReuses, 1);
+                    cached
+                }
+                cached => {
+                    let dirty: Option<Vec<bool>> = cached.as_ref().map(|cached| {
+                        let versions = self.store.segment_versions();
+                        versions.iter().map(|&v| v > cached.store_version).collect()
+                    });
+                    let previous = cached.as_ref().map(|c| &c.index).zip(dirty.as_deref());
+                    let build_watch = Stopwatch::start();
+                    let (index, segments) = ActiveSetIndex::build(
                         &assembled.index_columns(),
-                        &assembled.index.seg_keys,
-                        &dirty,
+                        &assembled.index.segments,
+                        previous,
+                        aor,
+                        q_min,
                         assembled.index.scale,
                         self.config.solver.config.n_threads,
                     );
                     // One measurement feeds both the histogram and the
                     // report's `index_rebuild_ns` field below.
-                    index_rebuild_ns = patch_watch.record(recorder, Metric::SolverIndexPatchNs);
-                    recorder.add(Metric::ServiceIndexPatches, 1);
-                    segments = stats;
-                    index
-                } else {
-                    recorder.add(Metric::ServiceIndexRebuilds, 1);
-                    let build_watch = Stopwatch::start();
-                    let index = ActiveSetIndex::build_keyed(
-                        &assembled.index_columns(),
-                        &assembled.index.seg_keys,
-                        INDEX_SEGMENTS,
-                        aor,
-                        self.config.solver.q_min,
-                        assembled.index.scale,
-                        self.config.solver.config.n_threads,
+                    let (span, count) = if previous.is_some() {
+                        (Metric::SolverIndexPatchNs, Metric::ServiceIndexPatches)
+                    } else {
+                        (Metric::SolverIndexBuildNs, Metric::ServiceIndexRebuilds)
+                    };
+                    index_rebuild_ns = build_watch.record(recorder, span);
+                    recorder.add(count, 1);
+                    recorder.add(Metric::SolverIndexSegmentsRebuilt, segments.rebuilt as u64);
+                    recorder.add(
+                        Metric::SolverIndexSegmentsRepaired,
+                        segments.repaired as u64,
                     );
-                    index_rebuild_ns = build_watch.record(recorder, Metric::SolverIndexBuildNs);
-                    recorder.add(Metric::SolverIndexBuilds, 1);
-                    segments.rebuilt = index.segment_count();
-                    index
-                };
-                recorder.add(Metric::SolverIndexSegmentsRebuilt, segments.rebuilt as u64);
-                recorder.add(
-                    Metric::SolverIndexSegmentsRepaired,
-                    segments.repaired as u64,
-                );
-                recorder.add(Metric::SolverIndexSegmentsReused, segments.reused as u64);
-                self.fast_index = Some(FastIndexState {
-                    index,
-                    store_version,
-                    shard_versions: current_versions,
-                    aor_bits: aor.to_bits(),
-                    q_min_bits,
-                    availability_aware: self.config.availability_aware,
-                });
-            }
-            Some(&self.fast_index.as_ref().expect("cached above").index)
+                    recorder.add(Metric::SolverIndexSegmentsReused, segments.reused as u64);
+                    FastIndexState {
+                        index,
+                        store_version,
+                    }
+                }
+            };
+            Some(&self.fast_index.insert(state).index)
         } else {
             None
         };
@@ -718,8 +673,8 @@ impl PricingService {
             &self.config.bound,
             &solution,
             self.config.solver.q_min,
-            self.config.residual_sample,
-            self.config.residual_seed,
+            RESIDUAL_SAMPLE,
+            RESIDUAL_SEED,
         );
         if let Some(r) = residual {
             if r > self.config.residual_tolerance {
@@ -857,6 +812,7 @@ impl PricingService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::INDEX_SEGMENTS;
     use crate::AvailabilityPattern;
 
     fn bound() -> BoundParams {
@@ -1012,14 +968,11 @@ mod tests {
                     build_ns_total += report.index_rebuild_ns;
                 }
                 2 => {
-                    // Incremental patch: only the churned shard's
-                    // nested segments (INDEX_SEGMENTS / shards of them
-                    // per dirty shard) re-sort; everything else is
+                    // Incremental patch: only the segment of the added
+                    // client's route block re-sorts; everything else is
                     // reused or (at most, under weight drift) repaired.
                     assert!(report.index_rebuild_ns > 0);
-                    assert!(rebuilt >= 1);
-                    let per_shard = (INDEX_SEGMENTS / report.shard_count) as u64;
-                    assert!(rebuilt <= report.dirty_shards as u64 * per_shard);
+                    assert_eq!(rebuilt, 1);
                     assert_eq!(rebuilt + repaired + reused, INDEX_SEGMENTS as u64);
                     patch_ns_total += report.index_rebuild_ns;
                 }
@@ -1052,7 +1005,6 @@ mod tests {
             "index-patch span and report ns disagree"
         );
         assert_eq!(patch_hist.count, 1);
-        assert_eq!(registry.counter(Metric::SolverIndexBuilds), 1);
         assert_eq!(registry.counter(Metric::ServiceIndexRebuilds), 1);
         assert_eq!(registry.counter(Metric::ServiceIndexPatches), 1);
         assert_eq!(registry.counter(Metric::ServiceIndexReuses), 2);

@@ -13,6 +13,12 @@
 //! in order with one cursor per shard, copying each block's run as a
 //! slice.
 //!
+//! The same directory is the fast path's segment map: index segment `k`
+//! holds the blocks `b` with `b % INDEX_SEGMENTS = k`. The assembly pass
+//! records each segment's rows as one range per block, and every mutation
+//! stamps the segments of the blocks it touches, so the dirty index
+//! segments are exact for any shard count.
+//!
 //! Each shard caches the per-client solver inputs that are expensive to
 //! recompute under churn (inclusion masks, the effective-cost transform
 //! `c/rate²` and cap `q_max·rate`); a delta dirties only the shards it
@@ -45,15 +51,16 @@ use std::ops::Range;
 /// the departing ids.
 const ROUTE_BLOCK: u64 = 32;
 
-/// Segment count of the service's keyed threshold index. Clients key on
-/// the same id blocks the store routes by (`(id / ROUTE_BLOCK) %
-/// INDEX_SEGMENTS`), so whenever the store's shard count divides this,
-/// every index segment nests inside exactly one store shard — the mapping
-/// that turns per-shard dirty bits into dirty index segments. 256 keeps
-/// segments fine-grained (a one-shard churn re-sorts 1/256th of the
-/// population at the reference shard count) without bloating the segment
-/// directory walk.
+/// Segment count of the service's threshold index: route block `b`'s
+/// clients sit in segment `b % INDEX_SEGMENTS`. 256 keeps segments
+/// fine-grained (a churn batch confined to one block re-sorts 1/256th of
+/// the population) without bloating the segment directory walk.
 pub(crate) const INDEX_SEGMENTS: usize = 256;
+
+/// The index segment of the route block `id` belongs to.
+fn segment_of(id: ClientId) -> usize {
+    (id.0 / ROUTE_BLOCK) as usize % INDEX_SEGMENTS
+}
 
 /// One registered client.
 #[derive(Debug, Clone, PartialEq)]
@@ -165,7 +172,8 @@ pub(crate) struct ShardStats {
 }
 
 /// Scale-free threshold-index inputs of the included clients, in
-/// insertion order — the raw-weight twin of the normalised `a²G²` column.
+/// insertion order — the raw-weight twin of the normalised `a²G²` column
+/// — plus the index's segment map.
 ///
 /// The normalised `a²G² = (w/W)²G²` column moves with every change of the
 /// raw-weight total `W`, so an index over it could never reuse segments
@@ -178,10 +186,11 @@ pub(crate) struct ShardStats {
 pub(crate) struct IndexInputs {
     /// `w_raw²·G²` per included client.
     pub w2g2: Vec<f64>,
-    /// Index segment key per included client:
-    /// `(id / ROUTE_BLOCK) % INDEX_SEGMENTS` — a pure function of the id,
-    /// so the segment partition never depends on shard or thread counts.
-    pub seg_keys: Vec<u32>,
+    /// The rows of each of the [`INDEX_SEGMENTS`] index segments: one
+    /// range of included rows per route block `b` with
+    /// `b % INDEX_SEGMENTS = k`, in global order. A pure function of the
+    /// live ids, so the partition never depends on shard or thread counts.
+    pub segments: Vec<Vec<Range<usize>>>,
     /// The probe scale `σ = W²` (squared raw-weight total).
     pub scale: f64,
 }
@@ -231,12 +240,12 @@ pub(crate) struct ShardedClientStore {
     /// availability changes). Caches derived from an assembled view — the
     /// fast path's threshold index — key on this stamp to detect reuse.
     version: u64,
-    /// Per-shard mutation stamps: `shard_versions[s]` is the global
-    /// [`Self::version`] of the last delta that touched shard `s` (0 =
-    /// never touched). A cache stamped at global version `v` can tell
-    /// exactly which shards changed since: `{s | shard_versions[s] > v}`
-    /// — the dirty set the fast path's incremental index patch rebuilds.
-    shard_versions: Vec<u64>,
+    /// Per-segment mutation stamps: `segment_versions[k]` is the global
+    /// [`Self::version`] of the last delta that touched a route block of
+    /// index segment `k` (0 = never touched). An index built at global
+    /// version `v` can tell exactly which segments changed since:
+    /// `{k | segment_versions[k] > v}` — the dirty set its patch rebuilds.
+    segment_versions: Vec<u64>,
 }
 
 impl ShardedClientStore {
@@ -248,7 +257,7 @@ impl ShardedClientStore {
             blocks: Vec::new(),
             next_id: 0,
             version: 0,
-            shard_versions: vec![0; shard_count.max(1)],
+            segment_versions: vec![0; INDEX_SEGMENTS],
         }
     }
 
@@ -257,10 +266,11 @@ impl ShardedClientStore {
         self.version
     }
 
-    /// Per-shard mutation stamps (see the `shard_versions` field): the
-    /// global version of the last delta that touched each shard.
-    pub fn shard_versions(&self) -> &[u64] {
-        &self.shard_versions
+    /// Per-segment mutation stamps (see the `segment_versions` field):
+    /// the global version of the last delta that touched each index
+    /// segment.
+    pub fn segment_versions(&self) -> &[u64] {
+        &self.segment_versions
     }
 
     /// Number of registered clients.
@@ -334,8 +344,8 @@ impl ShardedClientStore {
             block.live |= 1 << (id.0 % ROUTE_BLOCK);
             let shard = self.route(id.0);
             self.shards[shard].cache = None;
-            self.shard_versions[shard] = self.version;
             self.shards[shard].records.push(ClientRecord { id, params });
+            self.segment_versions[segment_of(id)] = self.version;
             self.order.push(id);
             ids.push(id);
         }
@@ -382,7 +392,9 @@ impl ShardedClientStore {
             let shard = &mut self.shards[s];
             shard.cache = None;
             shard.records.retain(|r| is_live(r.id));
-            self.shard_versions[s] = self.version;
+        }
+        for &id in ids {
+            self.segment_versions[segment_of(id)] = self.version;
         }
         // Compact the global order: the removed ids' positions, ascending,
         // split it into surviving runs that each move once.
@@ -424,32 +436,30 @@ impl ShardedClientStore {
                 patterns: model.len(),
             });
         }
-        let mut changed = false;
-        let mut touched = vec![false; self.shards.len()];
+        let mut touched = Vec::new();
         for run in block_runs(&self.blocks, self.shards.len()) {
             let records = &mut self.shards[run.shard].records[run.local.clone()];
             let patterns = &model.patterns()[run.global..run.global + records.len()];
+            let mut hit = false;
             for (record, &pattern) in records.iter_mut().zip(patterns) {
-                if record.params.availability != pattern {
-                    record.params.availability = pattern;
-                    changed = true;
-                    touched[run.shard] = true;
-                }
+                hit |= record.params.availability != pattern;
+                record.params.availability = pattern;
+            }
+            if hit {
+                touched.push(run);
             }
         }
         // An availability-blind service's assembled view never reads the
         // patterns, so only tracked changes dirty caches and advance the
         // stamps.
-        if changed && track_dirty {
+        if !touched.is_empty() && track_dirty {
             self.version += 1;
-            for (s, &hit) in touched.iter().enumerate() {
-                if hit {
-                    self.shards[s].cache = None;
-                    self.shard_versions[s] = self.version;
-                }
+            for run in &touched {
+                self.shards[run.shard].cache = None;
+                self.segment_versions[run.block % INDEX_SEGMENTS] = self.version;
             }
         }
-        Ok(changed)
+        Ok(!touched.is_empty())
     }
 
     /// Rebuild the caches of dirty shards only, returning how much work
@@ -503,8 +513,8 @@ impl ShardedClientStore {
     /// the included clients).
     ///
     /// The gather walks the route blocks in order and copies each block's
-    /// run out of its shard's cache as slices; a block's segment key is
-    /// its number modulo [`INDEX_SEGMENTS`].
+    /// run out of its shard's cache as slices; block `b`'s included rows
+    /// join index segment `b % INDEX_SEGMENTS` as one range.
     ///
     /// Must run after [`ShardedClientStore::ensure_caches`].
     ///
@@ -522,7 +532,7 @@ impl ShardedClientStore {
         let mut cost = Vec::with_capacity(n);
         let mut value = Vec::with_capacity(n);
         let mut q_max = Vec::with_capacity(n);
-        let mut seg_keys = Vec::with_capacity(n);
+        let mut segments = vec![Vec::new(); INDEX_SEGMENTS];
         for run in block_runs(&self.blocks, self.shards.len()) {
             let cache = self.shards[run.shard]
                 .cache
@@ -530,13 +540,16 @@ impl ShardedClientStore {
                 .expect("ensure_caches runs before assemble");
             let inc = &cache.included[run.local.clone()];
             let all = inc.iter().all(|&i| i);
+            let from = w_raw.len();
             included.extend_from_slice(inc);
             extend_included(&mut w_raw, &cache.w_raw[run.local.clone()], inc, all);
             extend_included(&mut g2, &cache.g2[run.local.clone()], inc, all);
             extend_included(&mut cost, &cache.cost_eff[run.local.clone()], inc, all);
             extend_included(&mut value, &cache.value[run.local.clone()], inc, all);
             extend_included(&mut q_max, &cache.q_max_eff[run.local], inc, all);
-            seg_keys.resize(w_raw.len(), (run.block % INDEX_SEGMENTS) as u32);
+            if w_raw.len() > from {
+                segments[run.block % INDEX_SEGMENTS].push(from..w_raw.len());
+            }
         }
         let included_count = w_raw.len();
         if included_count == 0 {
@@ -582,7 +595,7 @@ impl ShardedClientStore {
             total_raw_weight,
             index: IndexInputs {
                 w2g2,
-                seg_keys,
+                segments,
                 scale: total_raw_weight * total_raw_weight,
             },
         })
@@ -703,49 +716,67 @@ mod tests {
     }
 
     #[test]
-    fn shard_versions_stamp_only_touched_shards() {
-        let mut store = ShardedClientStore::new(4);
-        assert_eq!(store.shard_versions(), &[0, 0, 0, 0]);
-        // One route block of adds stamps exactly shard 0 at the new
+    fn segment_versions_stamp_only_touched_segments() {
+        // 3 shards do not divide the 256 segments: blocks 0 and 3 share
+        // shard 0 but not a segment, and the stamps stay per segment.
+        let mut store = ShardedClientStore::new(3);
+        let stamps = |store: &ShardedClientStore| {
+            let versions = store.segment_versions();
+            assert_eq!(versions.len(), INDEX_SEGMENTS);
+            assert!(versions[4..].iter().all(|&v| v == 0));
+            versions[..4].to_vec()
+        };
+        assert_eq!(stamps(&store), [0, 0, 0, 0]);
+        // One route block of adds stamps exactly segment 0 at the new
         // global version.
         let ids = store
             .add((0..ROUTE_BLOCK).map(|_| params(1.0)).collect())
             .unwrap();
         assert_eq!(store.version(), 1);
-        assert_eq!(store.shard_versions(), &[1, 0, 0, 0]);
-        // The next block routes to shard 1; shard 0's stamp is left
-        // alone, so a cache stamped at version 1 sees exactly shard 1
-        // as newer.
+        assert_eq!(stamps(&store), [1, 0, 0, 0]);
+        // The next block is segment 1; segment 0's stamp is left alone,
+        // so an index stamped at version 1 sees exactly segment 1 as
+        // newer.
         store
             .add((0..ROUTE_BLOCK).map(|_| params(2.0)).collect())
             .unwrap();
         assert_eq!(store.version(), 2);
-        assert_eq!(store.shard_versions(), &[1, 2, 0, 0]);
+        assert_eq!(stamps(&store), [1, 2, 0, 0]);
         let stamped = 1u64;
         let dirty: Vec<usize> = store
-            .shard_versions()
+            .segment_versions()
             .iter()
             .enumerate()
             .filter(|(_, &v)| v > stamped)
-            .map(|(s, _)| s)
+            .map(|(k, _)| k)
             .collect();
         assert_eq!(dirty, vec![1]);
-        // Removing from shard 0 stamps shard 0 only.
+        // Removing from block 0 stamps segment 0 only.
         store.remove(&[ids[0]]).unwrap();
         assert_eq!(store.version(), 3);
-        assert_eq!(store.shard_versions(), &[3, 2, 0, 0]);
-        // An availability change to one client stamps its shard only —
+        assert_eq!(stamps(&store), [3, 2, 0, 0]);
+        // An availability change to one client stamps its segment only —
         // and only when the service tracks availability.
         let n = store.len();
         let mut patterns = vec![AvailabilityPattern::AlwaysOn; n];
         patterns[n - 1] = AvailabilityPattern::Random { probability: 0.5 };
         let model = AvailabilityModel::new(patterns).unwrap();
         assert!(store.set_availability(&model, false).unwrap());
-        assert_eq!(store.shard_versions(), &[3, 2, 0, 0], "untracked change");
+        assert_eq!(stamps(&store), [3, 2, 0, 0], "untracked change");
         let model = AvailabilityModel::always_on(n);
         assert!(store.set_availability(&model, true).unwrap());
         assert_eq!(store.version(), 4);
-        assert_eq!(store.shard_versions(), &[3, 4, 0, 0]);
+        assert_eq!(stamps(&store), [3, 4, 0, 0]);
+        // Blocks 2 and 3, then a removal from block 3: shard 0 churns
+        // again, segment 0 does not.
+        store
+            .add((0..2 * ROUTE_BLOCK).map(|_| params(3.0)).collect())
+            .unwrap();
+        assert_eq!(stamps(&store), [3, 4, 5, 5]);
+        store.ensure_caches(false, Q_MIN);
+        store.remove(&[ClientId(3 * ROUTE_BLOCK + 7)]).unwrap();
+        assert_eq!(store.dirty_shards(), vec![0]);
+        assert_eq!(stamps(&store), [3, 4, 5, 6]);
     }
 
     #[test]
@@ -760,15 +791,17 @@ mod tests {
         let assembled = store.assemble().unwrap();
         let inputs = &assembled.index;
         assert_eq!(inputs.w2g2.len(), assembled.included_count);
-        assert_eq!(inputs.seg_keys.len(), assembled.included_count);
+        assert_eq!(inputs.segments.len(), INDEX_SEGMENTS);
         // w²G² is raw-weight squared times G², in insertion order over
         // the included clients; the scale is the squared raw total.
         let expected: Vec<f64> = [1.5f64, 3.0, 4.0].iter().map(|w| w * w * 4.0).collect();
         assert_eq!(inputs.w2g2, expected);
         let total: f64 = 1.5 + 3.0 + 4.0;
         assert_eq!(inputs.scale.to_bits(), (total * total).to_bits());
-        // All four ids share route block 0, so every segment key is 0.
-        assert_eq!(inputs.seg_keys, vec![0, 0, 0]);
+        // All four ids share route block 0, so segment 0 holds the three
+        // included rows as one range and every other segment is empty.
+        assert_eq!(inputs.segments[0], vec![0..3]);
+        assert!(inputs.segments[1..].iter().all(Vec::is_empty));
         // The scaled index columns describe the same clients the solver
         // columns do: (w/W)²G² == w²G² / scale up to one rounding.
         for (i, &a2g2) in assembled.population.a2g2.iter().enumerate() {
@@ -901,7 +934,7 @@ mod tests {
         removed: Vec<ClientId>,
         next_id: u64,
         version: u64,
-        shard_versions: Vec<u64>,
+        segment_versions: Vec<u64>,
         dirty: Vec<bool>,
     }
 
@@ -914,7 +947,7 @@ mod tests {
                 removed: Vec::new(),
                 next_id: 0,
                 version: 0,
-                shard_versions: vec![0; shards],
+                segment_versions: vec![0; INDEX_SEGMENTS],
                 dirty: vec![true; shards],
             }
         }
@@ -923,8 +956,10 @@ mod tests {
             ((id.0 / ROUTE_BLOCK) % self.dirty.len() as u64) as usize
         }
 
-        fn touch(&mut self, shard: usize) {
-            self.shard_versions[shard] = self.version;
+        /// Stamp `id`'s segment and dirty its shard.
+        fn touch(&mut self, id: ClientId) {
+            self.segment_versions[segment_of(id)] = self.version;
+            let shard = self.route(id);
             self.dirty[shard] = true;
         }
 
@@ -939,7 +974,7 @@ mod tests {
                 self.version += 1;
             }
             for (id, params) in ids.into_iter().zip(batch) {
-                self.touch(self.route(id));
+                self.touch(id);
                 self.clients.push((id, params));
             }
             self.check();
@@ -968,7 +1003,7 @@ mod tests {
                         self.version += 1;
                     }
                     for &id in ids {
-                        self.touch(self.route(id));
+                        self.touch(id);
                     }
                     self.clients.retain(|(live, _)| !ids.contains(live));
                     self.removed.extend_from_slice(ids);
@@ -980,18 +1015,18 @@ mod tests {
         fn set_availability(&mut self, patterns: Vec<AvailabilityPattern>) {
             let model = AvailabilityModel::new(patterns.clone()).unwrap();
             let changed = self.store.set_availability(&model, self.aware).unwrap();
-            let hits: Vec<usize> = self
+            let hits: Vec<ClientId> = self
                 .clients
                 .iter()
                 .zip(&patterns)
                 .filter(|((_, params), &p)| params.availability != p)
-                .map(|((id, _), _)| self.route(*id))
+                .map(|((id, _), _)| *id)
                 .collect();
             assert_eq!(changed, !hits.is_empty());
             if self.aware && changed {
                 self.version += 1;
-                for s in hits {
-                    self.touch(s);
+                for id in hits {
+                    self.touch(id);
                 }
             }
             for ((_, params), p) in self.clients.iter_mut().zip(patterns) {
@@ -1018,7 +1053,10 @@ mod tests {
                 assert_eq!(self.store.position(id), None, "position of dead {id}");
             }
             assert_eq!(self.store.version(), self.version);
-            assert_eq!(self.store.shard_versions(), self.shard_versions.as_slice());
+            assert_eq!(
+                self.store.segment_versions(),
+                self.segment_versions.as_slice()
+            );
             let dirty: Vec<usize> = (0..self.dirty.len()).filter(|&s| self.dirty[s]).collect();
             assert_eq!(self.store.dirty_shards(), dirty);
         }
@@ -1108,11 +1146,19 @@ mod tests {
             assert_eq!(bits(index_cols.cost), bits(&expected.cost));
             assert_eq!(bits(index_cols.value), bits(&expected.value));
             assert_eq!(bits(index_cols.q_max), bits(&expected.q_max));
-            let keys: Vec<u32> = survivors
+            // Each segment holds its blocks' included rows in global
+            // order, as non-empty ranges.
+            let mut rows = vec![Vec::new(); INDEX_SEGMENTS];
+            for (row, &i) in survivors.iter().enumerate() {
+                rows[segment_of(self.clients[i].0)].push(row);
+            }
+            let got: Vec<Vec<usize>> = index
+                .segments
                 .iter()
-                .map(|&i| ((self.clients[i].0 .0 / ROUTE_BLOCK) % INDEX_SEGMENTS as u64) as u32)
+                .map(|ranges| ranges.iter().cloned().flatten().collect())
                 .collect();
-            assert_eq!(index.seg_keys, keys);
+            assert_eq!(got, rows);
+            assert!(index.segments.iter().flatten().all(|r| !r.is_empty()));
             assert_eq!(index.scale.to_bits(), (total * total).to_bits());
         }
 

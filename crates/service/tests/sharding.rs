@@ -4,8 +4,8 @@
 //!    services configured with 1, 2, 7 and 32 store shards (and 1 or 3
 //!    worker threads) produces **bit-identical** snapshots at every step:
 //!    sharding changes which columns are rebuilt, never the prices.
-//!    A 33k-client service repeats the check with spawned solver workers
-//!    on the exact and the fast path.
+//!    A 33k-client service repeats the check at 1, 7 and 256 shards with
+//!    spawned solver workers on the exact and the fast path.
 //! 2. **Dirty-shard accounting** — a delta rebuilds only the shards it
 //!    touches; with enough shards a small churn batch rebuilds a strict
 //!    subset of the columns.
@@ -235,7 +235,7 @@ fn spawned_solver_workers_keep_snapshots_bit_identical() {
     for fast_path in [false, true] {
         let mut reference = None;
         for threads in [1usize, 2] {
-            for shards in [1usize, 256] {
+            for shards in [1usize, 7, 256] {
                 let mut config = ServiceConfig::new(bound(), budget);
                 config.solver = SolverOptions::with_threads(threads);
                 config.availability_aware = true;
@@ -424,9 +424,9 @@ fn fast_path_service_stays_certified_under_churn_and_reuses_the_index() {
         }
     };
 
-    // The service's 256 index segments nest in 8 store shards, so churn
-    // patches the index; at 7 shards they do not, and churn rebuilds it.
-    for (shards, patches) in [(8usize, true), (7, false)] {
+    // The store stamps index segments per route block, so churn patches
+    // the index whether or not the shard count divides the 256 segments.
+    for shards in [8usize, 7] {
         let mut rng = substream(19, 0xFA57);
         let clients: Vec<ClientParams> = (0..512).map(|_| draw_client(&mut rng, 0)).collect();
         let budget_pop =
@@ -486,7 +486,7 @@ fn fast_path_service_stays_certified_under_churn_and_reuses_the_index() {
             budget_only.solver_mode,
         );
 
-        // Client churn changes the assembled population: rebuild.
+        // Client churn changes the assembled population: patch.
         let adds = vec![
             ClientParams::always_on(1.0, 4.0, 30.0, 2.0, 1.0),
             ClientParams::always_on(2.0, 9.0, 40.0, 0.0, 1.0),
@@ -500,20 +500,20 @@ fn fast_path_service_stays_certified_under_churn_and_reuses_the_index() {
             churned.index_rebuild_ns > 0,
             "churn must invalidate the cached index"
         );
-        if patches {
-            // Partial churn patches instead of rebuilding: only the segments
-            // nested in the dirty shards re-sort, the rest are reused (or at
-            // most repaired for threshold-order drift from the new weight
-            // total) — and the sum accounts for every segment.
-            let per_shard = segment_total / churned.shard_count as u64;
-            assert!(rebuilt >= 1);
-            assert!(rebuilt <= churned.dirty_shards as u64 * per_shard);
-            assert!(reused > 0, "clean segments reused");
-            assert_eq!(rebuilt + repaired + reused, segment_total);
-        } else {
-            // Segments do not nest in store shards: churn rebuilds them all.
-            assert_eq!([rebuilt, repaired, reused], [segment_total, 0, 0]);
-        }
+        // Partial churn patches instead of rebuilding: the removal
+        // touched route block 0 and the adds block 16, so exactly their
+        // two segments re-sort; the rest are reused (or at most repaired
+        // for threshold-order drift from the new weight total) — and the
+        // sum accounts for every segment.
+        assert_eq!(
+            registry.counter(Metric::ServiceIndexRebuilds),
+            1,
+            "only the cold solve built the whole index"
+        );
+        assert_eq!(registry.counter(Metric::ServiceIndexPatches), 1);
+        assert_eq!(rebuilt, 2);
+        assert!(reused > 0, "clean segments reused");
+        assert_eq!(rebuilt + repaired + reused, segment_total);
         assert_agrees(
             &service.snapshot().unwrap().prices,
             &exact.snapshot().unwrap().prices,

@@ -7,8 +7,9 @@
 //! The replay loop records its own spans and counts on both sides.
 //!
 //! The cheap test runs everywhere. The `#[ignore]`d test replays the
-//! full 10k-client reference workload in alternating plain/instrumented
-//! pairs and is run in release mode by CI:
+//! full 10k-client reference workload in plain/instrumented pairs, the
+//! side that runs first alternating from pair to pair, and is run in
+//! release mode by CI:
 //!
 //! ```sh
 //! cargo test --release -p fedfl-workload --test obs_guard -- --ignored
@@ -24,10 +25,11 @@ use fedfl_workload::{
 /// equilibrium — the same constant the CI workload job asserts.
 const REFERENCE_10K_CHECKSUM: u64 = 0xe3ac_8f3c_4683_fe7c;
 
-/// Alternating plain/instrumented pairs the overhead guard compares.
-/// The host's speed drifts within seconds, so single back-to-back runs
-/// mostly measure the drift; medians over interleaved pairs do not.
-const PAIRS: usize = 5;
+/// Plain/instrumented pairs the overhead guard compares. The host's speed
+/// drifts within seconds, so single back-to-back runs mostly measure the
+/// drift; medians over interleaved pairs whose first side alternates do
+/// not.
+const PAIRS: usize = 9;
 
 fn tiny_spec() -> WorkloadSpec {
     let mut spec = WorkloadSpec::reference_10k();
@@ -141,16 +143,15 @@ fn reference_10k_instrumented_replay_keeps_the_checksum_and_latency() {
     let mean_resolve_ms =
         |outcome: &ReplayOutcome| WorkloadRecord::new(&spec, &trace, outcome).mean_resolve_ms;
 
-    let mut plain_ms = Vec::new();
-    let mut instrumented_ms = Vec::new();
-    for _ in 0..PAIRS {
+    let plain_run = || {
         let plain = replay_plain(&spec, &trace);
         assert_eq!(
             plain.price_checksum, REFERENCE_10K_CHECKSUM,
             "uninstrumented checksum drifted"
         );
-        plain_ms.push(mean_resolve_ms(&plain));
-
+        mean_resolve_ms(&plain)
+    };
+    let instrumented_run = || {
         let observed = replay(&spec, &trace).expect("instrumented replay");
         assert_eq!(
             observed.price_checksum, REFERENCE_10K_CHECKSUM,
@@ -162,7 +163,24 @@ fn reference_10k_instrumented_replay_keeps_the_checksum_and_latency() {
             Some(observed.solves.len() as u64)
         );
         assert!(snap.counter("fedfl_workload_commands_total").unwrap() > 0);
-        instrumented_ms.push(mean_resolve_ms(&observed));
+        mean_resolve_ms(&observed)
+    };
+
+    // One untimed warm-up replay per side, then pairs whose first side
+    // alternates, so neither side always runs on the host state the
+    // other left behind.
+    plain_run();
+    instrumented_run();
+    let mut plain_ms = Vec::new();
+    let mut instrumented_ms = Vec::new();
+    for pair in 0..PAIRS {
+        if pair % 2 == 0 {
+            plain_ms.push(plain_run());
+            instrumented_ms.push(instrumented_run());
+        } else {
+            instrumented_ms.push(instrumented_run());
+            plain_ms.push(plain_run());
+        }
     }
 
     // Overhead: the median instrumented mean re-solve latency within 5%
