@@ -48,8 +48,8 @@
 //! `--assert-counter NAME=V` and `--assert-counter-min NAME=V` gate on
 //! the snapshot's counters, and `--assert-counter-le A=B` gates counter A
 //! at or below counter B (CI uses
-//! `solver_index_segments_rebuilt=service_dirty_shards` to prove churn
-//! batches patch only the affected shard segments). Names are accepted
+//! `solver_index_segments_rebuilt=service_dirty_segments` to prove churn
+//! batches patch only the index segments they touched). Names are accepted
 //! with or without the `fedfl_` prefix and `_total` suffix.
 //! `--assert-mean-resolve-ms` reads the exact mean of the re-solve
 //! histograms, `--assert-p99-read-ms` the p99 of the quote-read

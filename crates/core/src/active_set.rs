@@ -35,6 +35,12 @@
 //!   from eight moment prefix sums (`A`, `Av`, `Av²`, `Av³`, `D`, `Dv`,
 //!   `Dv²`, `Dv³`) held in *both* threshold orders.
 //!
+//! The same walk yields the model's slope in `t`
+//! ([`ActiveSetIndex::spend_and_slope`]): floored and saturated clients
+//! are flat, and the interior series differentiates term by term over the
+//! same eight moments. A warm model bisection takes Newton steps with it,
+//! as the exact solver does with its exact slope, at no extra walk.
+//!
 //! # Two-level segmented layout
 //!
 //! The index is a list of [`IndexSegment`]s — each one sorted threshold
@@ -612,7 +618,14 @@ impl ActiveSetIndex {
         f0 - f1 * self.inv_scale
     }
 
-    /// The modelled path spend at `t` — the sub-linear λ-probe.
+    /// The modelled path spend at `t` — the sub-linear λ-probe: the first
+    /// half of [`ActiveSetIndex::spend_and_slope`].
+    pub fn spend(&self, t: f64) -> f64 {
+        self.spend_and_slope(t).0
+    }
+
+    /// The modelled path spend at `t` and its slope in `t`, from one
+    /// directory walk.
     ///
     /// Walks the segment directory in fixed order; per segment the
     /// boundary checks classify all-floored/all-saturated segments with
@@ -622,7 +635,12 @@ impl ActiveSetIndex {
     /// (deterministic — the segment partition never depends on shard or
     /// thread counts), and the closed-form interior series plus the σ
     /// corrections apply once at the end.
-    pub fn spend(&self, t: f64) -> f64 {
+    ///
+    /// The slope is the term-by-term derivative of that interior series
+    /// over the same moments; floored and saturated clients are flat. It
+    /// lets a warm model bisection take Newton steps, and computing it
+    /// leaves the spend's bits untouched.
+    pub fn spend_and_slope(&self, t: f64) -> (f64, f64) {
         let scale = self.scale;
         let mut floored0 = 0.0f64;
         let mut floored1 = 0.0f64;
@@ -652,7 +670,7 @@ impl ActiveSetIndex {
         }
         let floored = floored0 - floored1 * self.inv_scale;
         let saturated_spend = sat0 - sat1 * self.inv_scale;
-        let interior = if any_interior {
+        let (interior, slope) = if any_interior {
             // Interior clients exist only for t above some positive
             // entry threshold, so t > 0 and the series in v/t is sound.
             let u = t.cbrt();
@@ -666,11 +684,27 @@ impl ActiveSetIndex {
                 + inv
                     * (m[5] * (1.0 / 3.0)
                         + inv * (m[6] * (2.0 / 9.0) + inv * m[7] * (14.0 / 81.0)));
-            ((u * u) * a_series - d_series / u) * self.inv_scale23
+            // d/dt of t^{2/3}·a_series − t^{−1/3}·d_series, term by term:
+            // t^{−1/3} times a series in 1/t with positive coefficients.
+            let slope_series = m[0] * (2.0 / 3.0)
+                + inv
+                    * (m[1] * (2.0 / 9.0)
+                        + m[4] * (1.0 / 3.0)
+                        + inv
+                            * (m[2] * (4.0 / 27.0)
+                                + m[5] * (4.0 / 9.0)
+                                + inv
+                                    * (m[3] * (28.0 / 243.0)
+                                        + m[6] * (14.0 / 27.0)
+                                        + inv * m[7] * (140.0 / 243.0))));
+            (
+                ((u * u) * a_series - d_series / u) * self.inv_scale23,
+                slope_series / u * self.inv_scale23,
+            )
         } else {
-            0.0
+            (0.0, 0.0)
         };
-        floored + saturated_spend + interior
+        (floored + saturated_spend + interior, slope)
     }
 
     /// Cost of one modelled probe in per-client spend-evaluation units:
@@ -691,36 +725,34 @@ impl ActiveSetIndex {
 
 /// Deterministic parallel task fill: `build(i)` for `i in 0..count`,
 /// results in task order, workers pulling from an atomic counter (the
-/// same crew pattern as `fedfl_num::parallel` — output is independent of
-/// the worker count).
+/// same crew pattern as `fedfl_num::parallel`, the caller one of the
+/// workers — output is independent of the worker count).
 fn run_tasks<T: Send>(count: usize, n_threads: usize, build: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let workers = resolve_threads(n_threads).min(count).max(1);
     if workers <= 1 {
         return (0..count).map(build).collect();
     }
     let next = AtomicUsize::new(0);
+    let drain = || {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, AtomicOrdering::Relaxed);
+            if i >= count {
+                break;
+            }
+            local.push((i, build(i)));
+        }
+        local
+    };
     let built: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let build = &build;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, AtomicOrdering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
-                        local.push((i, build(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("index task panicked"))
-            .collect()
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+        let mut built = vec![drain()];
+        built.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("index task panicked")),
+        );
+        built
     });
     let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
     for (i, value) in built.into_iter().flatten() {
@@ -841,6 +873,37 @@ mod tests {
                 "model spend decreased at grid point {k}"
             );
             last = s;
+        }
+    }
+
+    #[test]
+    fn spend_and_slope_keeps_the_spend_bits_and_differentiates_it() {
+        for (n, seed) in [(2_000, 29), (5_000, 3)] {
+            let p = Population::synthesize(n, &PopulationSpec::table1_like(), seed).unwrap();
+            let index = positional(&p.columns());
+            let hi = index.bracket_hi();
+            let mut interior_checks = 0;
+            for k in 0..=400 {
+                let t = hi * f64::from(k) / 400.0;
+                let (spend, slope) = index.spend_and_slope(t);
+                assert_eq!(spend.to_bits(), index.spend(t).to_bits(), "t {t}");
+                assert!(slope >= 0.0, "t {t}: slope {slope}");
+                // On the interior stretch of the path (clients moving, the
+                // ends' rounding noise left out) the slope is the central
+                // difference of the spend.
+                if (0.01..0.99).contains(&(t / hi)) && slope > 0.0 {
+                    let h = 1e-6 * t;
+                    let secant = (index.spend(t + h) - index.spend(t - h)) / (2.0 * h);
+                    assert!(
+                        (slope - secant).abs() <= 1e-3 * secant.abs(),
+                        "t {t}: slope {slope} vs secant {secant}"
+                    );
+                    interior_checks += 1;
+                }
+            }
+            assert!(interior_checks > 100, "{interior_checks} interior checks");
+            // Past every saturation threshold the model is flat.
+            assert_eq!(index.spend_and_slope(hi * 1.5).1, 0.0);
         }
     }
 

@@ -63,7 +63,6 @@ use fedfl_num::solve::{
 };
 use fedfl_obs::{Metric, Recorder, Stopwatch};
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
 use std::cmp::Ordering;
 
 /// Execution configuration shared by the Stage-I solvers: how hard to
@@ -202,14 +201,53 @@ pub fn path_budget(
     path_spend(&cols, aor, options.q_min, t, threads)
 }
 
+/// Relative margin `m = 2⁻⁴⁰` of [`clamp_screen`].
+const CLAMP_SCREEN_MARGIN: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// The bound `x.cbrt().clamp(q_min, q_max)` returns, decided without a
+/// cube root when `x` lies past it by a margin: `q_max` for
+/// `x >= q_max³·(1 + m)`, `q_min` for `x <= q_min³·(1 − m)`, and `None`
+/// in between.
+///
+/// The margin moves the cube root by ~2⁻⁴¹·⁶ relative (~1400 ulps or
+/// more). libm's `cbrt` errs by a few ulps (~2⁻⁵⁰) and the computed cube
+/// and margin product by about three more, so past the margin `cbrt(x)`
+/// lies on the clamped side of the bound and the clamp returns exactly
+/// that bound. Those rounding bounds hold for normal floats only, so a
+/// bound whose computed cube is subnormal, zero or infinite is never
+/// screened.
+#[inline]
+fn clamp_screen(x: f64, q_min: f64, q_max: f64) -> Option<f64> {
+    let cap_cube = q_max * q_max * q_max;
+    if cap_cube.is_normal() && x >= cap_cube * (1.0 + CLAMP_SCREEN_MARGIN) {
+        return Some(q_max);
+    }
+    let floor_cube = q_min * q_min * q_min;
+    (floor_cube.is_normal() && x <= floor_cube * (1.0 - CLAMP_SCREEN_MARGIN)).then_some(q_min)
+}
+
+/// `x.cbrt().clamp(q_min, q_max)`, bit for bit, with the cube root paid
+/// only where [`clamp_screen`] cannot decide the bound.
+#[inline]
+fn clamped_cbrt(x: f64, q_min: f64, q_max: f64) -> f64 {
+    clamp_screen(x, q_min, q_max).unwrap_or_else(|| x.cbrt().clamp(q_min, q_max))
+}
+
 /// Client `i`'s participation level on the KKT path at `t = 1/λ`:
 /// `clamp(((α/4R)·a²G²·(t − v)/c)^{1/3})`, with `coef = α/4R`.
+///
+/// The per-client kernel of every exact pass. At the benchmark budgets
+/// almost every client sits at its cap, and [`clamped_cbrt`] returns a
+/// clamped client's bound without a cube root; interior clients still
+/// get libm's `cbrt` bits.
 #[inline]
 fn path_q(cols: &PopulationColumns, coef: f64, q_min: f64, i: usize, t: f64) -> f64 {
     let slack = (t - cols.value[i]).max(0.0);
-    (coef * cols.a2g2[i] * slack / cols.cost[i])
-        .cbrt()
-        .clamp(q_min, cols.q_max[i])
+    clamped_cbrt(
+        coef * cols.a2g2[i] * slack / cols.cost[i],
+        q_min,
+        cols.q_max[i],
+    )
 }
 
 /// Client `i`'s payment `P(q)·q = 2cq² − K/q` at participation `q`, with
@@ -317,6 +355,27 @@ impl MonotoneFn for &mut ExactSpend<'_> {
         let (spend, slope) = path_spend_and_slope(self.cols, self.aor, self.q_min, t, self.threads);
         self.evaluated.push((t, spend));
         Some((spend, slope))
+    }
+}
+
+/// The threshold index's spend model as the fast path's monotone
+/// function: each evaluation is one O(log N) directory walk that also
+/// returns the model's slope, so a warm search takes Newton steps.
+struct ModelSpend<'a> {
+    index: &'a ActiveSetIndex,
+    /// Model probes made, Newton steps included.
+    probes: u64,
+}
+
+impl MonotoneFn for &mut ModelSpend<'_> {
+    fn value(&mut self, t: f64) -> f64 {
+        self.probes += 1;
+        self.index.spend(t)
+    }
+
+    fn value_and_slope(&mut self, t: f64) -> Option<(f64, f64)> {
+        self.probes += 1;
+        Some(self.index.spend_and_slope(t))
     }
 }
 
@@ -535,7 +594,8 @@ pub struct KktDiagnostics {
     /// Spend-curve passes, counted at the evaluation site. On the exact
     /// path that is every O(N) pass: the saturation screen, the endpoint
     /// probes, the Newton steps, the window probes and the evaluated
-    /// midpoints. On the fast path it is every model probe plus the exact
+    /// midpoints. On the fast path it is every model probe (the Newton
+    /// steps on the index's spend slope included) plus the exact
     /// certification probes; the fast path's materialised spend is one
     /// side of its certificate (and its saturation screen) but not a
     /// probe: it is not counted.
@@ -601,8 +661,12 @@ const CERT_BANDS: [f64; 3] = [1e-9, 1e-7, 1e-5];
 /// evaluated point decides ([`fedfl_num::solve::bisect_monotone_instrumented`]),
 /// so the exact solution is **bit-identical** for any hint: a good hint
 /// leaves a handful of O(N) passes, a useless one costs a few extra. The
-/// fast path hands the hint to its model bisection as is. Without a hint,
-/// the exact path is the cold bisection, probe for probe.
+/// fast path hands the hint to its model bisection without the estimate;
+/// each model probe returns the index's slope too
+/// ([`ActiveSetIndex::spend_and_slope`]), so the model bisection takes the
+/// same Newton steps, window probes and replay, and lands on the cold
+/// model bisection's root bit for bit. Without a hint, either path is its
+/// cold bisection, probe for probe.
 ///
 /// `index` selects the solver path:
 ///
@@ -787,7 +851,7 @@ fn solve_fast<R: Recorder + ?Sized>(
         && index.q_min().to_bits() == options.q_min.to_bits()
         && !index.is_degenerate()
         && index.bracket_hi().is_finite();
-    let model_probes = Cell::new(0u64);
+    let mut model = ModelSpend { index, probes: 0 };
     let mut exact = ExactSpend::new(cols, aor, options.q_min, threads);
 
     let fast: Option<(StageOneSolution, BisectStats, f64)> = 'fast: {
@@ -810,12 +874,8 @@ fn solve_fast<R: Recorder + ?Sized>(
         let (t_used, lambda, saturated, stats, spent) = match saturated_spent {
             Some(spent) if spent <= budget => (t_hi, None, true, BisectStats::default(), spent),
             _ => {
-                let model_spend = |t: f64| {
-                    model_probes.set(model_probes.get() + 1);
-                    index.spend(t)
-                };
                 let Ok((t_hat, stats)) = bisect_monotone_instrumented(
-                    model_spend,
+                    &mut model,
                     budget,
                     0.0,
                     t_hi,
@@ -897,14 +957,14 @@ fn solve_fast<R: Recorder + ?Sized>(
     };
 
     let exact_probes = exact.evaluated.len() as u64;
-    let fast_phase_evaluations = model_probes.get() * index.probe_cost() + exact_probes * n as u64;
+    let fast_phase_evaluations = model.probes * index.probe_cost() + exact_probes * n as u64;
     match fast {
         Some((solution, stats, t_used)) => Ok((
             solution,
             KktDiagnostics {
                 t_star: t_used,
                 bisect_iterations: stats.iterations,
-                bisect_evaluations: (model_probes.get() + exact_probes) as usize,
+                bisect_evaluations: (model.probes + exact_probes) as usize,
                 warm_start_depth: stats.start_depth,
                 solver_mode: SolverMode::ThresholdIndex,
                 probe_evaluations: fast_phase_evaluations,
@@ -1638,6 +1698,138 @@ mod tests {
                     assert!(
                         (slope - secant).abs() <= 1e-3 * secant.abs(),
                         "threads {threads} t {t}: slope {slope} vs secant {secant}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `x` and its `k`-ulp neighbours for `k` in `1..=radius`.
+    fn ulp_neighbourhood(x: f64, radius: usize) -> Vec<f64> {
+        let mut out = vec![x];
+        let (mut up, mut down) = (x, x);
+        for _ in 0..radius {
+            up = up.next_up();
+            down = down.next_down();
+            out.extend([up, down]);
+        }
+        out
+    }
+
+    /// Ulps by which a screened cube root must clear its bound: far more
+    /// than libm's `cbrt` error, far less than the margin's ~1400.
+    const SCREEN_CLEARANCE_ULPS: u64 = 64;
+
+    /// The screened `clamped_cbrt(x, q_min, q_max)` equals the plain
+    /// `x.cbrt().clamp(q_min, q_max)` bit for bit, and wherever the screen
+    /// skips the cube root, `x.cbrt()` lies at least
+    /// `SCREEN_CLEARANCE_ULPS` past the bound it returns, so a libm that
+    /// erred by that much would still clamp to the same bits.
+    fn assert_screen_matches(x: f64, q_min: f64, q_max: f64) {
+        let screened = clamped_cbrt(x, q_min, q_max);
+        let root = x.cbrt();
+        let plain = root.clamp(q_min, q_max);
+        let what = format!("x {x:e} in [{q_min:e}, {q_max:e}]: cbrt {root:e}");
+        assert_eq!(screened.to_bits(), plain.to_bits(), "{what}");
+        let clears = match clamp_screen(x, q_min, q_max) {
+            Some(bound) if bound == q_max => {
+                root >= (0..SCREEN_CLEARANCE_ULPS).fold(q_max, |q, _| q.next_up())
+            }
+            Some(_) => root <= (0..SCREEN_CLEARANCE_ULPS).fold(q_min, |q, _| q.next_down()),
+            None => true,
+        };
+        assert!(
+            clears,
+            "{what} is screened but within {SCREEN_CLEARANCE_ULPS} ulps of its bound"
+        );
+    }
+
+    #[test]
+    fn clamp_screen_matches_the_cube_root_near_its_bounds() {
+        // Bounds whose cubes are ordinary, near the underflow threshold
+        // (q³ = MIN_POSITIVE at q ≈ 2.8e-103), subnormal (down to the
+        // smallest subnormal at q ≈ 1.7e-108), zero, or overflowing —
+        // plus random bounds over the whole range.
+        let mut bounds = vec![
+            Q_MIN, 0.05, 0.2, 0.5, 0.999, 1.0, 3.0, 1e-100, 1e100, 1e103, 3e-103, 2.8e-103,
+            2.5e-103, 1e-104, 1e-106, 1.8e-108, 1.5e-108, 1.2e-108, 1e-110,
+        ];
+        let mut state = 0x5C2E_u64;
+        let mut unit = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        bounds.extend((0..3_000).map(|_| 10f64.powf(-110.0 + 214.0 * unit())));
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            5e-324,
+            1e-310,
+            f64::MAX,
+        ];
+        let margins = [1.0, 1.0 + CLAMP_SCREEN_MARGIN, 1.0 - CLAMP_SCREEN_MARGIN];
+        for (k, &bound) in bounds.iter().enumerate() {
+            // Pair the bound with one above it and one below it.
+            let spread = 1.0 + 1e3 * unit() * if k % 2 == 0 { 1.0 } else { 1e-12 };
+            for (q_min, q_max) in [(bound, bound * spread), (bound / spread, bound)] {
+                if !(q_min < q_max && q_max.is_finite() && q_min > 0.0) {
+                    continue;
+                }
+                for q in [q_min, q_max] {
+                    let cube = q * q * q;
+                    for margin in margins {
+                        for x in ulp_neighbourhood(cube * margin, 6) {
+                            assert_screen_matches(x, q_min, q_max);
+                        }
+                    }
+                }
+                for x in specials {
+                    assert_screen_matches(x, q_min, q_max);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The screened `path_q` is the unscreened kernel bit for bit on
+        /// heavy-tailed populations along the whole path, zero slack
+        /// (`t ≤ v`) and the floor included.
+        #[test]
+        fn screened_path_q_matches_the_plain_cube_root_on_heavy_tails(
+            seed in 0u64..1_000,
+            alpha in 0.3f64..1.5,
+            q_min in 1e-4f64..0.2,
+        ) {
+            use crate::population::{ParamDist, PopulationSpec};
+            let spec = PopulationSpec {
+                weight: ParamDist::BoundedPareto { lo: 1.0, hi: 1e6, alpha },
+                g_squared: ParamDist::Uniform { lo: 4.0, hi: 36.0 },
+                cost: ParamDist::BoundedPareto { lo: 1e-4, hi: 1e8, alpha: 0.5 },
+                value: ParamDist::Exponential { mean: 4_000.0 },
+                q_max: 1.0,
+            };
+            let p = Population::synthesize(1_500, &spec, seed).unwrap();
+            let cols = p.columns();
+            let aor = bound().alpha_over_r();
+            let coef = aor / 4.0;
+            let t_hi = saturation_t(&cols, aor, 1);
+            for frac in [0.0, 1e-9, 1e-6, 1e-3, 0.02, 0.2, 0.5, 0.9, 1.0, 2.0] {
+                let t = frac * t_hi;
+                for i in 0..cols.len() {
+                    let slack = (t - cols.value[i]).max(0.0);
+                    let plain = (coef * cols.a2g2[i] * slack / cols.cost[i])
+                        .cbrt()
+                        .clamp(q_min, cols.q_max[i]);
+                    proptest::prop_assert_eq!(
+                        path_q(&cols, coef, q_min, i, t).to_bits(),
+                        plain.to_bits()
                     );
                 }
             }

@@ -18,7 +18,9 @@
 
 use fedfl_core::active_set::{grid_segments, ActiveSetIndex, IndexColumns};
 use fedfl_core::bound::BoundParams;
-use fedfl_core::population::{ParamDist, Population, PopulationColumns, PopulationSpec};
+use fedfl_core::population::{
+    ClientProfile, ParamDist, Population, PopulationColumns, PopulationSpec,
+};
 use fedfl_core::server::{
     path_budget, solve_kkt_columns, theorem2_max_residual, KktDiagnostics, SolverMode,
     SolverOptions, StageOneSolution,
@@ -449,8 +451,91 @@ impl ChurnCols {
     }
 }
 
+/// The normalised population of churn rows, as the service assembles it.
+fn churn_population(rows: &[ChurnRow]) -> Population {
+    Population::from_raw(
+        rows.iter()
+            .map(|r| ClientProfile {
+                weight: r.w_raw,
+                g_squared: r.g2,
+                cost: r.cost,
+                value: r.value,
+                q_max: r.q_max,
+            })
+            .collect(),
+    )
+    .unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The warm fast solve's Newton steps on the index's spend slope only
+    /// skip work: over a churning population, with the previous root
+    /// rescaled for the weight total as the service's hint, the warm
+    /// model bisection lands on the cold one's root bit for bit, and the
+    /// whole solution matches.
+    #[test]
+    fn warm_newton_model_root_is_the_cold_model_root_under_churn(
+        seed in 0u64..1_000,
+        frac in 0.05f64..0.95,
+        threads in 1usize..4,
+    ) {
+        let mut rng = seed.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(0xFA57);
+        let options = SolverOptions::with_threads(threads);
+        let aor = bound().alpha_over_r();
+        let mut rows: Vec<ChurnRow> = (0..2_000)
+            .map(|i| churn_row(&mut rng, i / 32))
+            .collect();
+        let mut next_key = 2_000 / 32;
+        let mut previous: Option<(f64, f64)> = None;
+        let (mut cold_iterations, mut warm_iterations, mut certified) = (0, 0, 0);
+        for step in 0..6 {
+            if step > 0 {
+                // A churn batch: ~2% departures, then a block of arrivals.
+                for _ in 0..40 {
+                    let victim = (next_unit(&mut rng) * rows.len() as f64) as usize % rows.len();
+                    rows.remove(victim);
+                }
+                rows.extend((0..32).map(|_| churn_row(&mut rng, next_key)));
+                next_key += 1;
+            }
+            let p = churn_population(&rows);
+            let budget = path_budget(&p, &bound(), &options, frac);
+            let cols = p.columns();
+            let churn = ChurnCols::from_rows(&rows);
+            let (index, _) = ActiveSetIndex::build(
+                &churn.view(),
+                &keyed_segments(&churn.keys, 32),
+                None,
+                aor,
+                options.q_min,
+                churn.scale,
+                threads,
+            );
+            let total_weight = churn.scale.sqrt();
+            let (cold, cold_diag) = solve(&cols, budget, &options, None, Some(&index));
+            if let Some((t_star, weight)) = previous {
+                let ratio = total_weight / weight;
+                let hint = t_star * ratio * ratio;
+                let (warm, warm_diag) = solve(&cols, budget, &options, Some(hint), Some(&index));
+                prop_assert_eq!(warm_diag.solver_mode, cold_diag.solver_mode);
+                prop_assert_eq!(warm_diag.t_star.to_bits(), cold_diag.t_star.to_bits());
+                prop_assert_eq!(&warm, &cold);
+                cold_iterations += cold_diag.bisect_iterations;
+                warm_iterations += warm_diag.bisect_iterations;
+                certified += usize::from(warm_diag.solver_mode == SolverMode::ThresholdIndex);
+            }
+            previous = Some((cold_diag.t_star, total_weight));
+        }
+        prop_assert!(certified > 0, "no warm solve certified");
+        prop_assert!(
+            warm_iterations * 2 <= cold_iterations,
+            "warm {} vs cold {} model midpoints",
+            warm_iterations,
+            cold_iterations
+        );
+    }
 
     #[test]
     fn fast_solves_agree_on_random_populations(

@@ -11,15 +11,16 @@
 //! identical whether one thread or sixteen execute it — `n_threads = 1` and
 //! `n_threads = 16` produce bit-identical results.
 //!
-//! Each call spawns a scoped worker crew and distributes chunk indices
-//! over a [`crossbeam::channel`] job queue, so uneven per-chunk cost (e.g.
+//! Each call runs a scoped worker crew that drains chunk indices from a
+//! [`crossbeam::channel`] job queue, so uneven per-chunk cost (e.g.
 //! clamped vs. interior clients) cannot idle workers behind a static
-//! partition. Spawning is skipped entirely unless every worker would get
-//! at least two chunks — below that the per-call thread/channel overhead
-//! rivals the chunk work itself, and the inline path computes the
-//! identical result (the summation tree is fixed by the chunking alone).
-//! A thread sweep therefore needs at least four chunks before a second
-//! worker spawns.
+//! partition. The calling thread is one member of the crew: a crew of
+//! `w` workers spawns `w − 1` threads. Spawning is skipped entirely
+//! unless every worker would get at least two chunks — below that the
+//! per-call thread/channel overhead rivals the chunk work itself, and the
+//! inline path computes the identical result (the summation tree is
+//! fixed by the chunking alone). A thread sweep therefore needs at least
+//! four chunks before a second worker spawns.
 //!
 //! The Stage-I solver runs every per-client pass as one [`chunked_sum`],
 //! [`chunked_reduce`] or [`chunked_fill`] over one set of population
@@ -58,8 +59,8 @@ fn chunk_count(n: usize, chunk: usize) -> usize {
     n.div_ceil(chunk)
 }
 
-/// Workers worth spawning for `chunks` chunks: each must get at least two
-/// chunks, else run inline (1).
+/// Crew size for `chunks` chunks, the caller included: each worker must
+/// get at least two chunks, else run inline (1).
 fn effective_workers(n_threads: usize, chunks: usize) -> usize {
     resolve_threads(n_threads).min(chunks / 2).max(1)
 }
@@ -109,25 +110,26 @@ where
     }
     drop(job_tx);
 
+    // Each crew member drains the queue into its own `(chunk, partial)`
+    // list; the caller is one of them.
+    let drain = || {
+        let mut local = Vec::new();
+        while let Ok(c) = job_rx.recv() {
+            let start = c * chunk;
+            local.push((c, f(start..(start + chunk).min(n))));
+        }
+        local
+    };
     let mut partials = vec![init; chunks];
     let collected: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let mut local = Vec::new();
-                while let Ok(c) = job_rx.recv() {
-                    let start = c * chunk;
-                    local.push((c, f(start..(start + chunk).min(n))));
-                }
-                local
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+        let mut collected = vec![drain()];
+        collected.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked")),
+        );
+        collected
     });
     for (c, partial) in collected.into_iter().flatten() {
         partials[c] = partial;
@@ -167,16 +169,16 @@ where
     }
     drop(job_tx);
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let f = &f;
-            scope.spawn(move || {
-                while let Ok((start, slice)) = job_rx.recv() {
-                    f(start, slice);
-                }
-            });
+    let drain = || {
+        while let Ok((start, slice)) = job_rx.recv() {
+            f(start, slice);
         }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(drain);
+        }
+        drain();
     });
 }
 

@@ -119,6 +119,8 @@ metrics! {
         "Reprices that started the solver cold (no usable hint)."),
     ServiceDirtyShards => (Counter, "fedfl_service_dirty_shards_total",
         "Shards found dirty and reassembled across all reprices."),
+    ServiceDirtySegments => (Counter, "fedfl_service_dirty_segments_total",
+        "Threshold-index segments flagged dirty across fast-path reprices (cold builds count every segment)."),
     ServiceRebuiltColumns => (Counter, "fedfl_service_rebuilt_columns_total",
         "Per-client solver columns rebuilt across all reprices."),
     ServiceIndexReuses => (Counter, "fedfl_service_index_reuses_total",

@@ -50,11 +50,12 @@ pub struct ServiceConfig {
     /// fast solve is certified — its materialised spend and one exact
     /// probe per band bracket the budget — plus the Theorem-2 residual,
     /// and falls back to the exact solver on violation. Both paths get the
-    /// rescaled previous `t*` as their hint: the fast path hands it
-    /// straight to the model bisection, while the exact path (and a
-    /// fallback) refines it with O(N) passes that only pay off against
-    /// O(N) probes. `false` (the default) preserves the exact solver's
-    /// bit-for-bit contract.
+    /// rescaled previous `t*` as their hint: the fast path's model
+    /// bisection takes Newton steps from it on the index's spend slope,
+    /// while the exact path (and a fallback) first moves it with an O(N)
+    /// estimate that only pays off against O(N) probes. Only a fast-path
+    /// service assembles the index inputs. `false` (the default) preserves
+    /// the exact solver's bit-for-bit contract.
     pub fast_path: bool,
 }
 
@@ -583,7 +584,7 @@ impl PricingService {
         let stats = self
             .store
             .ensure_caches(self.config.availability_aware, self.config.solver.q_min);
-        let assembled = self.store.assemble()?;
+        let assembled = self.store.assemble(self.config.fast_path)?;
         let aor = self.config.bound.alpha_over_r();
 
         // Warm-start hint: rescale the previous path parameter for the
@@ -596,9 +597,10 @@ impl PricingService {
             warm.t_star * ratio * ratio * (warm.aor / aor)
         });
         let mut index_rebuild_ns = 0u64;
-        let index = if self.config.fast_path {
-            // Reuse the cached threshold index when the store has not
-            // changed since it was built and the solver knobs match
+        let index = if let Some(inputs) = &assembled.index {
+            // A fast-path service (only it assembles index inputs): reuse
+            // the cached threshold index when the store has not changed
+            // since it was built and the solver knobs match
             // (budget/bound-β-only churn). When some index segments
             // churned under the same knobs, patch it: the store's
             // per-segment stamps flag exactly the segments a mutation
@@ -621,15 +623,20 @@ impl PricingService {
                         let versions = self.store.segment_versions();
                         versions.iter().map(|&v| v > cached.store_version).collect()
                     });
+                    // A cold build counts every segment dirty.
+                    let dirty_segments = dirty.as_ref().map_or(inputs.segments.len(), |dirty| {
+                        dirty.iter().filter(|&&d| d).count()
+                    });
+                    recorder.add(Metric::ServiceDirtySegments, dirty_segments as u64);
                     let previous = cached.as_ref().map(|c| &c.index).zip(dirty.as_deref());
                     let build_watch = Stopwatch::start();
                     let (index, segments) = ActiveSetIndex::build(
-                        &assembled.index_columns(),
-                        &assembled.index.segments,
+                        &assembled.index_columns(inputs),
+                        &inputs.segments,
                         previous,
                         aor,
                         q_min,
-                        assembled.index.scale,
+                        inputs.scale,
                         self.config.solver.config.n_threads,
                     );
                     // One measurement feeds both the histogram and the

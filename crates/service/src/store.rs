@@ -14,10 +14,11 @@
 //! slice.
 //!
 //! The same directory is the fast path's segment map: index segment `k`
-//! holds the blocks `b` with `b % INDEX_SEGMENTS = k`. The assembly pass
-//! records each segment's rows as one range per block, and every mutation
-//! stamps the segments of the blocks it touches, so the dirty index
-//! segments are exact for any shard count.
+//! holds the blocks `b` with `b % INDEX_SEGMENTS = k`. For a fast-path
+//! service the assembly pass records each segment's rows as one range per
+//! block (the exact path skips them), and every mutation stamps the
+//! segments of the blocks it touches, so the dirty index segments are
+//! exact for any shard count.
 //!
 //! Each shard caches the per-client solver inputs that are expensive to
 //! recompute under churn (inclusion masks, the effective-cost transform
@@ -208,16 +209,17 @@ pub(crate) struct AssembledView {
     /// Total raw weight of the included clients (the warm-start rescale
     /// reference).
     pub total_raw_weight: f64,
-    /// Scale-free inputs for the fast path's keyed threshold index.
-    pub index: IndexInputs,
+    /// Scale-free inputs for the fast path's keyed threshold index
+    /// (`None` unless [`ShardedClientStore::assemble`] was asked for them).
+    pub index: Option<IndexInputs>,
 }
 
 impl AssembledView {
-    /// The index builder's column view: the raw-weight `w²G²` column
-    /// beside the solver's cost, value and cap columns.
-    pub fn index_columns(&self) -> IndexColumns<'_> {
+    /// The index builder's column view: the raw-weight `w²G²` column of
+    /// `inputs` beside the solver's cost, value and cap columns.
+    pub fn index_columns<'a>(&'a self, inputs: &'a IndexInputs) -> IndexColumns<'a> {
         IndexColumns {
-            w2g2: &self.index.w2g2,
+            w2g2: &inputs.w2g2,
             cost: &self.population.cost,
             value: &self.population.value,
             q_max: &self.population.q_max,
@@ -513,8 +515,11 @@ impl ShardedClientStore {
     /// the included clients).
     ///
     /// The gather walks the route blocks in order and copies each block's
-    /// run out of its shard's cache as slices; block `b`'s included rows
-    /// join index segment `b % INDEX_SEGMENTS` as one range.
+    /// run out of its shard's cache as slices. With `index_inputs` (a
+    /// fast-path service) it also assembles the threshold index's
+    /// [`IndexInputs`]: block `b`'s included rows join index segment
+    /// `b % INDEX_SEGMENTS` as one range. The exact path reads none of
+    /// them, so it pays neither the `w²G²` pass nor the range lists.
     ///
     /// Must run after [`ShardedClientStore::ensure_caches`].
     ///
@@ -524,7 +529,7 @@ impl ShardedClientStore {
     /// excluded, and [`ServiceError::Game`] for degenerate raw weights —
     /// the same conditions the from-scratch `Population::from_raw` path
     /// rejects.
-    pub fn assemble(&self) -> Result<AssembledView, ServiceError> {
+    pub fn assemble(&self, index_inputs: bool) -> Result<AssembledView, ServiceError> {
         let n = self.order.len();
         let mut included = Vec::with_capacity(n);
         let mut w_raw = Vec::with_capacity(n);
@@ -532,7 +537,7 @@ impl ShardedClientStore {
         let mut cost = Vec::with_capacity(n);
         let mut value = Vec::with_capacity(n);
         let mut q_max = Vec::with_capacity(n);
-        let mut segments = vec![Vec::new(); INDEX_SEGMENTS];
+        let mut segments = index_inputs.then(|| vec![Vec::new(); INDEX_SEGMENTS]);
         for run in block_runs(&self.blocks, self.shards.len()) {
             let cache = self.shards[run.shard]
                 .cache
@@ -547,7 +552,7 @@ impl ShardedClientStore {
             extend_included(&mut cost, &cache.cost_eff[run.local.clone()], inc, all);
             extend_included(&mut value, &cache.value[run.local.clone()], inc, all);
             extend_included(&mut q_max, &cache.q_max_eff[run.local], inc, all);
-            if w_raw.len() > from {
+            if let Some(segments) = segments.as_mut().filter(|_| w_raw.len() > from) {
                 segments[run.block % INDEX_SEGMENTS].push(from..w_raw.len());
             }
         }
@@ -578,11 +583,11 @@ impl ShardedClientStore {
             }
             a2g2.push(nw * nw * g);
         }
-        let w2g2 = w_raw
-            .iter()
-            .zip(&g2)
-            .map(|(&w, &g)| w * w * g)
-            .collect::<Vec<f64>>();
+        let index = segments.map(|segments| IndexInputs {
+            w2g2: w_raw.iter().zip(&g2).map(|(&w, &g)| w * w * g).collect(),
+            segments,
+            scale: total_raw_weight * total_raw_weight,
+        });
         Ok(AssembledView {
             population: PopulationColumns {
                 a2g2,
@@ -593,11 +598,7 @@ impl ShardedClientStore {
             included,
             included_count,
             total_raw_weight,
-            index: IndexInputs {
-                w2g2,
-                segments,
-                scale: total_raw_weight * total_raw_weight,
-            },
+            index,
         })
     }
 
@@ -788,8 +789,12 @@ mod tests {
             .add(vec![params(1.5), dead, params(3.0), params(4.0)])
             .unwrap();
         store.ensure_caches(true, Q_MIN);
-        let assembled = store.assemble().unwrap();
-        let inputs = &assembled.index;
+        assert!(
+            store.assemble(false).unwrap().index.is_none(),
+            "the exact path assembles no index inputs"
+        );
+        let assembled = store.assemble(true).unwrap();
+        let inputs = assembled.index.as_ref().unwrap();
         assert_eq!(inputs.w2g2.len(), assembled.included_count);
         assert_eq!(inputs.segments.len(), INDEX_SEGMENTS);
         // w²G² is raw-weight squared times G², in insertion order over
@@ -840,7 +845,7 @@ mod tests {
         let clients: Vec<ClientParams> = (0..10).map(|k| params(1.0 + k as f64)).collect();
         store.add(clients.clone()).unwrap();
         store.ensure_caches(false, Q_MIN);
-        let assembled = store.assemble().unwrap();
+        let assembled = store.assemble(false).unwrap();
         assert_eq!(assembled.included_count, 10);
         assert!(assembled.included.iter().all(|&inc| inc));
         let reference =
@@ -862,7 +867,7 @@ mod tests {
         dead.availability = AvailabilityPattern::Random { probability: 1e-12 };
         store.add(vec![params(1.0), dead, params(3.0)]).unwrap();
         store.ensure_caches(true, Q_MIN);
-        let assembled = store.assemble().unwrap();
+        let assembled = store.assemble(false).unwrap();
         assert_eq!(assembled.included, vec![true, false, true]);
         assert_eq!(assembled.included_count, 2);
         assert_eq!(assembled.population.len(), 2);
@@ -873,7 +878,7 @@ mod tests {
         empty.add(vec![gone]).unwrap();
         empty.ensure_caches(true, Q_MIN);
         assert!(matches!(
-            empty.assemble(),
+            empty.assemble(false),
             Err(ServiceError::NoPriceableClients { registered: 1 })
         ));
     }
@@ -1098,7 +1103,7 @@ mod tests {
                 .map(|((_, p), &r)| r > 0.0 && p.q_max * r > Q_MIN)
                 .collect();
             let survivors: Vec<usize> = (0..included.len()).filter(|&i| included[i]).collect();
-            let result = self.store.assemble();
+            let result = self.store.assemble(true);
             if survivors.is_empty() {
                 let registered = self.clients.len();
                 assert!(matches!(
@@ -1132,7 +1137,12 @@ mod tests {
                 .collect();
             let total: f64 = weights.iter().sum();
             assert_eq!(view.total_raw_weight.to_bits(), total.to_bits());
-            let index = &view.index;
+            // The exact path's view is the same solver columns with no
+            // index inputs.
+            let exact_view = self.store.assemble(false).unwrap();
+            assert_eq!(exact_view.population, view.population);
+            assert!(exact_view.index.is_none());
+            let index = view.index.as_ref().unwrap();
             let w2g2: Vec<f64> = survivors
                 .iter()
                 .map(|&i| {
@@ -1141,7 +1151,7 @@ mod tests {
                 })
                 .collect();
             assert_eq!(bits(&index.w2g2), bits(&w2g2));
-            let index_cols = view.index_columns();
+            let index_cols = view.index_columns(index);
             assert_eq!(bits(index_cols.w2g2), bits(&w2g2));
             assert_eq!(bits(index_cols.cost), bits(&expected.cost));
             assert_eq!(bits(index_cols.value), bits(&expected.value));

@@ -9,7 +9,7 @@
 
 use fedfl_core::bound::BoundParams;
 use fedfl_core::population::{ClientProfile, Population};
-use fedfl_core::server::{path_budget, solve_kkt, solve_kkt_columns, SolverOptions};
+use fedfl_core::server::{path_budget, solve_kkt, solve_kkt_columns, SolverMode, SolverOptions};
 use fedfl_num::rng::substream;
 use fedfl_obs::NoopRecorder;
 use fedfl_service::{AvailabilityPattern, ClientId, ClientParams, PricingService, ServiceConfig};
@@ -298,5 +298,89 @@ fn warm_exact_resolve_after_one_churn_batch_makes_at_most_16_spend_passes() {
         warm.bisect_iterations,
         warm.warm_start_depth,
         cold.bisect_evaluations
+    );
+}
+
+/// The model probes of a fast-path service's warm re-solve after one
+/// churn batch: the cold solve, then 40 arrivals and every 1000th client
+/// departing. Returns `(warm model probes, cold model probes)`; every
+/// solve is certified by one exact probe, which is not counted.
+fn fast_warm_and_cold_model_probes(
+    clients: Vec<ClientParams>,
+    arrivals: Vec<ClientParams>,
+) -> (usize, usize) {
+    use fedfl_service::{Metric, Registry};
+    use std::sync::Arc;
+
+    let mut config = ServiceConfig::new(bound(), 1.0);
+    config.solver = SolverOptions::with_threads(2);
+    config.fast_path = true;
+    let budget_pop =
+        Population::from_raw(clients.iter().map(ClientParams::raw_profile).collect()).unwrap();
+    config.budget = path_budget(&budget_pop, &bound(), &config.solver, 0.45);
+    let (mut service, ids) = PricingService::with_clients(config, clients).expect("service");
+    let registry = Arc::new(Registry::new());
+    service.set_recorder(Arc::clone(&registry));
+    let model_probes = |service: &mut PricingService| {
+        let band0 = registry.counter(Metric::SolverCertBand0Hits);
+        let report = service.reprice().expect("solve");
+        assert_eq!(report.solver_mode, SolverMode::ThresholdIndex);
+        assert_eq!(
+            registry.counter(Metric::SolverCertBand0Hits),
+            band0 + 1,
+            "certified by one exact probe"
+        );
+        (report.warm_started, report.bisect_evaluations - 1)
+    };
+    let (warm_started, cold) = model_probes(&mut service);
+    assert!(!warm_started);
+    service.add_clients(arrivals).expect("add");
+    let departed: Vec<ClientId> = ids.iter().step_by(1_000).copied().collect();
+    service.remove_clients(&departed).expect("remove");
+    let (warm_started, warm) = model_probes(&mut service);
+    assert!(warm_started);
+    (warm, cold)
+}
+
+/// A warm fast re-solve after one churn batch makes at most 16 model
+/// probes over a Table-I-like population (the benchmark's client
+/// distribution) at the workloads' budget: the two endpoint probes (the
+/// model bisection starts with no evaluated point), two or three Newton
+/// steps on the index's spend slope, one probe per side of the ±64-ulp
+/// window, and the midpoints inside that window — the last ~8 of the ~54
+/// levels a cold model bisection walks.
+///
+/// The uniform-weight population of the exact-path test above is the
+/// counter-case: at its budget nearly every client saturates, the spend
+/// curve is so flat that one churn batch moves the root ~2.4×, and the
+/// rescaled hint is useless. A warm solve there may only cost what the
+/// search promises for a useless hint: the cold probes plus at most four
+/// Newton and four window probes.
+#[test]
+fn warm_fast_resolve_after_one_churn_batch_makes_at_most_16_model_probes() {
+    use fedfl_core::population::PopulationSpec;
+
+    let spec = PopulationSpec::table1_like();
+    let draw = |index: usize| {
+        let c = spec.draw_client(2023, index).unwrap();
+        ClientParams::always_on(c.weight, c.g_squared, c.cost, c.value, c.q_max)
+    };
+    let n = 4 * fedfl_num::parallel::DEFAULT_CHUNK + 531;
+    let (warm, cold) = fast_warm_and_cold_model_probes(
+        (0..n).map(draw).collect(),
+        (n..n + 40).map(draw).collect(),
+    );
+    assert!(
+        warm <= 16,
+        "warm fast re-solve made {warm} model probes; cold made {cold}"
+    );
+
+    let mut rng = substream(7, 0xC0DE);
+    let clients: Vec<ClientParams> = (0..n).map(|_| draw_client(&mut rng, 0)).collect();
+    let arrivals: Vec<ClientParams> = (0..40).map(|_| draw_client(&mut rng, 0)).collect();
+    let (warm, cold) = fast_warm_and_cold_model_probes(clients, arrivals);
+    assert!(
+        warm <= cold + 8,
+        "flat-curve warm fast re-solve made {warm} model probes; cold made {cold}"
     );
 }

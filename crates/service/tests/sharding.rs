@@ -440,7 +440,9 @@ fn fast_path_service_stays_certified_under_churn_and_reuses_the_index() {
         let (mut service, ids) = PricingService::with_clients(config, clients.clone()).unwrap();
         let (mut exact, _) = PricingService::with_clients(exact_config, clients).unwrap();
         // Segment work lives in the obs counters: a reprice's share is
-        // the `[rebuilt, repaired, reused]` delta across it.
+        // the `[rebuilt, repaired, reused]` delta across it. Every reprice
+        // re-sorts exactly the segments the service flagged dirty (all of
+        // them for a cold build, none on reuse), whatever the shard count.
         let registry = Arc::new(Registry::new());
         service.set_recorder(Arc::clone(&registry));
         let reprice = |service: &mut PricingService| -> (RepriceReport, [u64; 3]) {
@@ -449,13 +451,16 @@ fn fast_path_service_stays_certified_under_churn_and_reuses_the_index() {
                     Metric::SolverIndexSegmentsRebuilt,
                     Metric::SolverIndexSegmentsRepaired,
                     Metric::SolverIndexSegmentsReused,
+                    Metric::ServiceDirtySegments,
                 ]
                 .map(|metric| registry.counter(metric))
             };
             let before = segments();
             let report = service.reprice().unwrap();
             let after = segments();
-            (report, [0, 1, 2].map(|k| after[k] - before[k]))
+            let [rebuilt, repaired, reused, dirty] = [0, 1, 2, 3].map(|k| after[k] - before[k]);
+            assert_eq!(rebuilt, dirty, "{shards} shards: rebuilt vs dirty segments");
+            (report, [rebuilt, repaired, reused])
         };
 
         let (cold, [segment_total, _, cold_reused]) = reprice(&mut service);
