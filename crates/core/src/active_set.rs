@@ -116,7 +116,7 @@
 //! bit-pinned to the goldens. [`crate::server::solve_kkt_columns`]
 //! therefore treats the index as a probe accelerator only: the root it
 //! finds is certified against *exact* spends (the materialised profile's
-//! and one exact probe per band) and the Theorem-2 residual, and
+//! and one exact probe) and the Theorem-2 residual, and
 //! violations fall back to the exact solver.
 
 use crate::population::PopulationColumns;

@@ -309,7 +309,7 @@ impl Population {
 /// `weight`/`g_squared` fields and recomputes `a²G²` per visit; these
 /// parallel columns keep each pass sequential in memory and the product
 /// precomputed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PopulationColumns {
     /// Precomputed `a_n² G_n²` per client.
     pub a2g2: Vec<f64>,

@@ -609,8 +609,8 @@ pub struct KktDiagnostics {
     /// Probe-phase work in per-client spend-evaluation units: the exact
     /// solver pays `N` per probe; the fast path pays
     /// [`ActiveSetIndex::probe_cost`] (≈ `2·log₂ N`) per modelled probe
-    /// plus `N` for each exact certification probe — one per band tried,
-    /// since the materialised spend (not counted) closes the other side.
+    /// plus `N` for the exact certification probe — the materialised
+    /// spend (not counted) closes the other side.
     /// Fallback solves include the wasted fast-phase work.
     pub probe_evaluations: u64,
 }
@@ -639,9 +639,11 @@ impl KktDiagnostics {
 const FAST_RESIDUAL_SAMPLE: usize = 1_024;
 /// Seed of the residual gate's deterministic sample stream.
 const FAST_RESIDUAL_SEED: u64 = 0xFA57;
-/// Relative half-widths of the exact bracket-certificate bands, widened
-/// ×100 per retry before the fast path gives up and falls back.
-const CERT_BANDS: [f64; 3] = [1e-9, 1e-7, 1e-5];
+/// Relative half-width of the exact bracket certificate. A model root
+/// farther than this from the exact root falls back to the exact path:
+/// slower, still correct. One band suffices: on every committed trace it
+/// certified every bisecting fast solve.
+const CERT_BAND: f64 = 1e-9;
 
 /// Solve Stage I along the KKT path over solver columns — the one
 /// column-level entry point.
@@ -686,17 +688,16 @@ const CERT_BANDS: [f64; 3] = [1e-9, 1e-7, 1e-5];
 ///   1. an exact monotone bracket certificate. The profile is
 ///      materialised at t̂ first, and its realised spend is bit for bit
 ///      the exact spend at t̂ (same per-client term, same chunk tree).
-///      One exact probe per certificate band tried (relative half-widths
-///      1e-9, 1e-7, 1e-5), on the far side of the budget, closes the
-///      bracket: `spend(t̂) ≤ B ≤ spend(t̂ + ε)`,
+///      One exact probe on the far side of the budget, ε = 1e-9·t̂ away,
+///      closes the bracket: `spend(t̂) ≤ B ≤ spend(t̂ + ε)`,
 ///      or `spend(t̂ − ε) ≤ B < spend(t̂)`. The saturation screen and a
 ///      floored root read the same materialised spend instead of probing;
 ///   2. the exact sampled Theorem-2 residual of the materialised profile
 ///      must stay within the solver tolerance.
 ///
-///   A solve certified in the first band therefore pays one O(N) exact
-///   probe plus the materialisation it needs anyway; a saturated one
-///   pays only the materialisation. Any violation demotes the solve to
+///   A certified solve therefore pays one O(N) exact probe plus the
+///   materialisation it needs anyway; a saturated one pays only the
+///   materialisation. Any violation demotes the solve to
 ///   the exact path — the returned solution is then bit-identical to the
 ///   `None` solve's, flagged [`SolverMode::ThresholdIndexFallback`].
 ///   Certified fast solutions are *not* bit-pinned to the exact solver:
@@ -706,7 +707,7 @@ const CERT_BANDS: [f64; 3] = [1e-9, 1e-7, 1e-5];
 ///   goldens' reference.
 ///
 /// `recorder` receives the solve's counters and wall-time span once the
-/// solve is done, plus the fast path's certification outcomes (band hits,
+/// solve is done, plus the fast path's certification outcomes (hits,
 /// failures, residual rejects). It never influences the solve: the
 /// prices are byte-for-byte the same for any recorder.
 ///
@@ -829,9 +830,9 @@ fn solve_exact_unchecked(
 /// The certify-or-fallback core of the fast path: model bisection,
 /// materialisation at the candidate root, then the one-sided exact
 /// certificate of [`solve_kkt_columns`] — the materialised spend is the
-/// near end of the bracket, one exact probe per band the far end.
-/// `recorder` only receives certification outcomes (band hits, failures,
-/// residual rejects) — it never influences the solve.
+/// near end of the bracket, one exact probe the far end. `recorder` only
+/// receives certification outcomes (hits, failures, residual rejects) —
+/// it never influences the solve.
 fn solve_fast<R: Recorder + ?Sized>(
     cols: &PopulationColumns,
     bound: &BoundParams,
@@ -901,24 +902,17 @@ fn solve_fast<R: Recorder + ?Sized>(
                     // Exact bracket certificate: monotonicity of the
                     // exact spend pins the exact root between t̂ and one
                     // exact probe ε away on the far side of the budget.
-                    let mut certified = false;
-                    for (band_no, &band) in CERT_BANDS.iter().enumerate() {
-                        let eps = (band * t_hat).max(options.config.tolerance);
-                        let closes = match spent.partial_cmp(&budget) {
-                            Some(Ordering::Greater) => exact.at(t_hat - eps) <= budget,
-                            Some(_) => exact.at(t_hat + eps) >= budget,
-                            None => false,
-                        };
-                        if closes {
-                            recorder.add(Metric::cert_band_hit(band_no), 1);
-                            certified = true;
-                            break;
-                        }
-                    }
+                    let eps = (CERT_BAND * t_hat).max(options.config.tolerance);
+                    let certified = match spent.partial_cmp(&budget) {
+                        Some(Ordering::Greater) => exact.at(t_hat - eps) <= budget,
+                        Some(_) => exact.at(t_hat + eps) >= budget,
+                        None => false,
+                    };
                     if !certified {
                         recorder.add(Metric::SolverCertFailures, 1);
                         break 'fast None;
                     }
+                    recorder.add(Metric::SolverCertBand0Hits, 1);
                     (t_hat, Some(1.0 / t_hat), false, stats, spent)
                 }
             }

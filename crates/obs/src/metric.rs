@@ -84,13 +84,9 @@ metrics! {
     SolverBisectIterations => (Counter, "fedfl_solver_bisect_iterations_total",
         "Lambda bisection iterations across all solves."),
     SolverCertBand0Hits => (Counter, "fedfl_solver_cert_band0_hits_total",
-        "Fast-path certifications that passed at the tightest band (1e-9)."),
-    SolverCertBand1Hits => (Counter, "fedfl_solver_cert_band1_hits_total",
-        "Fast-path certifications that passed at the middle band (1e-7)."),
-    SolverCertBand2Hits => (Counter, "fedfl_solver_cert_band2_hits_total",
-        "Fast-path certifications that passed at the widest band (1e-5)."),
+        "Fast-path solves certified by the exact bracket probe (band 1e-9)."),
     SolverCertFailures => (Counter, "fedfl_solver_cert_failures_total",
-        "Fast-path candidates rejected by every certification band."),
+        "Fast-path candidates rejected by the certification band."),
     SolverResidualRejects => (Counter, "fedfl_solver_residual_rejects_total",
         "Fast-path candidates rejected by the sampled residual gate."),
     SolverIndexBuildNs => (Histogram, "fedfl_solver_index_build_ns",
@@ -184,19 +180,6 @@ impl Metric {
     #[must_use]
     pub fn index(self) -> usize {
         self as usize
-    }
-
-    /// The certification-band hit counter for `CERT_BANDS[band]`.
-    ///
-    /// Bands beyond the known three map to the widest band's counter so
-    /// the solver never has to bounds-check before recording.
-    #[must_use]
-    pub fn cert_band_hit(band: usize) -> Metric {
-        match band {
-            0 => Metric::SolverCertBand0Hits,
-            1 => Metric::SolverCertBand1Hits,
-            _ => Metric::SolverCertBand2Hits,
-        }
     }
 }
 

@@ -10,21 +10,23 @@
 //!   [`Command::UpdateBound`], [`Command::Reprice`], and the batched
 //!   reads [`Command::GetPrices`] / [`Command::Snapshot`], all through
 //!   [`PricingService::execute`] (or the equivalent typed methods).
-//! * **Sharded store, dirty-shard rebuilds** — clients are routed to
-//!   [`ServiceConfig::shards`] store shards by 32-id block; each shard
-//!   caches its clients' solver columns (inclusion masks, the effective
-//!   `cost/rate²` and `q_max·rate` transforms) and a delta dirties only
-//!   the shards it touches. Ids are issued in sequence and never reused,
-//!   so insertion order is id order, and a directory with one live mask
-//!   and start position per id block locates any client with one array
-//!   index and a popcount. A re-solve rebuilds **only the dirty shards'
-//!   columns** — `O(N/S · dirty)` instead of the monolithic `O(N)` — then
-//!   gathers them block by block, as slice copies, in insertion order
-//!   with the exact `Population::from_raw` normalisation, and solves over
-//!   the gathered columns as one population
-//!   ([`fedfl_core::server::solve_kkt_columns`]). Prices are
-//!   bit-identical for **any** shard count; [`RepriceReport`] records the
-//!   dirty-shard accounting.
+//! * **Route-block store, persistent solver columns** — ids are issued in
+//!   sequence and never reused, so insertion order is id order. Clients
+//!   live in 32-id route blocks: a directory with one live mask and start
+//!   position per block locates any client with one array index and a
+//!   popcount, and each block owns its clients' records. The store also
+//!   keeps the solver's columns of the included clients (the effective
+//!   `cost/rate²` and `q_max·rate` transforms, `a²G²`, and the raw
+//!   weights) in one persistent set, in id order. A delta only stamps the
+//!   blocks it touches; a re-solve refreshes the columns from the first
+//!   stamped block on — clean blocks' rows move, stamped blocks' rows are
+//!   re-derived, and the weights are re-normalised with the exact
+//!   `Population::from_raw` left fold — and touches no column after a
+//!   budget- or bound-only update. The solver reads the columns in place
+//!   ([`fedfl_core::server::solve_kkt_columns`]), so prices are
+//!   bit-identical to a from-scratch solve. [`RepriceReport`] records how
+//!   many clients' rows were re-derived; [`ServiceConfig::shards`] only
+//!   sets the shard count its dirty fraction is reported in.
 //! * **Incremental re-solve** — population deltas shift the spend curve of
 //!   the KKT path, but the λ\*-bisection can be *warm-started* from the
 //!   previous solve's path parameter: the service passes `t* = 1/λ*` as a

@@ -1,7 +1,7 @@
 //! The pricing service: command processing and the incremental re-solve.
 
 use crate::error::ServiceError;
-use crate::store::ShardedClientStore;
+use crate::store::ClientStore;
 use crate::{AvailabilityModel, ClientId, ClientParams};
 use fedfl_core::active_set::ActiveSetIndex;
 use fedfl_core::bound::BoundParams;
@@ -30,38 +30,37 @@ pub struct ServiceConfig {
     /// `false` (the default), availability patterns are ignored and the
     /// service reproduces the paper's always-on pricing bit-for-bit.
     pub availability_aware: bool,
-    /// Number of store shards — the granularity of dirty tracking under
-    /// churn (a delta rebuilds only the shards it touches). Ids route to
-    /// shards by 32-id block. The fast path's index segments group the
-    /// same blocks and the store stamps them per block, so for any shard
-    /// count churn patches only the segments it touched. The solver
-    /// always sees one set of columns: prices are **bit-identical for any
-    /// shard count**; the knob only trades rebuild granularity against
-    /// per-shard overhead. Must be at least 1.
+    /// Reporting only: the shard count [`RepriceReport::dirty_shards`]
+    /// counts the stamped route blocks in (block `b` as shard
+    /// `b % shards`). It changes no execution — the store keeps one column
+    /// set in 32-id route blocks whatever the value, and prices are
+    /// bit-identical for any shard count. It stays while the benchmark
+    /// still reads the per-solve dirty fraction it denominates. Must be at
+    /// least 1.
     pub shards: usize,
     /// Maximum sampled Theorem 2 residual accepted after a re-solve.
     pub residual_tolerance: f64,
     /// Route re-solves through the threshold-indexed active-set fast path
     /// (`SolverMode::ThresholdIndex`): λ-probes drop from O(N) to
     /// O(log N) against an index the service maintains across solves —
-    /// reused verbatim for budget/bound-only updates, rebuilt on churn.
+    /// reused verbatim for budget/bound-only updates, patched on churn.
     /// Opt-in because certified fast prices are *near* the exact solver's
-    /// (within the certification bands), not bit-identical to them; every
+    /// (within the certification band), not bit-identical to them; every
     /// fast solve is certified — its materialised spend and one exact
-    /// probe per band bracket the budget — plus the Theorem-2 residual,
-    /// and falls back to the exact solver on violation. Both paths get the
-    /// rescaled previous `t*` as their hint: the fast path's model
-    /// bisection takes Newton steps from it on the index's spend slope,
-    /// while the exact path (and a fallback) first moves it with an O(N)
-    /// estimate that only pays off against O(N) probes. Only a fast-path
-    /// service assembles the index inputs. `false` (the default) preserves
+    /// probe bracket the budget — plus the Theorem-2 residual, and falls
+    /// back to the exact solver on violation. Both paths get the rescaled
+    /// previous `t*` as their hint: the fast path's model bisection takes
+    /// Newton steps from it on the index's spend slope, while the exact
+    /// path (and a fallback) first moves it with an O(N) estimate that
+    /// only pays off against O(N) probes. Only a fast-path service's store
+    /// keeps the index's `w²G²` column. `false` (the default) preserves
     /// the exact solver's bit-for-bit contract.
     pub fast_path: bool,
 }
 
 impl ServiceConfig {
     /// A configuration with the default solver, always-on pricing, 8
-    /// store shards, and a `1e-6` Theorem 2 tolerance sampled at 1024
+    /// reporting shards, and a `1e-6` Theorem 2 tolerance sampled at 1024
     /// clients per re-solve.
     pub fn new(bound: BoundParams, budget: f64) -> Self {
         Self {
@@ -121,14 +120,14 @@ pub enum Command {
     /// Replace every client's availability pattern; the model is aligned
     /// to client-insertion order and must match the population size.
     UpdateAvailability(AvailabilityModel),
-    /// Replace the deployment budget `B`. No store shard is dirtied — the
-    /// columns are budget-independent — but the equilibrium re-solves
-    /// (warm-started from the previous `t*`, which the exact solver moves
-    /// to the new budget with its spend model and Newton steps) at the
-    /// next read or `Reprice`.
+    /// Replace the deployment budget `B`. No route block is stamped — the
+    /// columns are budget-independent, so the next refresh touches none —
+    /// but the equilibrium re-solves (warm-started from the previous `t*`,
+    /// which the exact solver moves to the new budget with its spend model
+    /// and Newton steps) at the next read or `Reprice`.
     UpdateBudget(f64),
     /// Replace the Theorem 1 bound constants `(α, β, R)`. Like
-    /// `UpdateBudget`, this dirties no shard; the warm-start hint is
+    /// `UpdateBudget`, this stamps no route block; the warm-start hint is
     /// rescaled by the `α/R` ratio before the solver refines it.
     UpdateBound(BoundParams),
     /// Re-solve the equilibrium now (deltas otherwise re-solve lazily at
@@ -217,18 +216,18 @@ pub struct RepriceReport {
     /// pass, Newton steps and window probes included (see
     /// [`fedfl_core::server::KktDiagnostics::bisect_evaluations`]).
     pub bisect_evaluations: usize,
-    /// Number of store shards, the denominator of a per-solve dirty
+    /// [`ServiceConfig::shards`], the denominator of a per-solve dirty
     /// fraction.
     pub shard_count: usize,
-    /// Shards whose column caches were rebuilt for this solve (the shards
-    /// the deltas since the previous solve touched). Kept per solve: the
-    /// benchmark's tests and the workload summary's max dirty fraction
-    /// read it one solve at a time.
+    /// Distinct shards `b % shard_count` over the route blocks `b` the
+    /// deltas since the previous solve stamped (0 for a budget- or
+    /// bound-only step). Kept per solve: the benchmark's tests and the
+    /// workload summary's max dirty fraction read it one solve at a time.
     pub dirty_shards: usize,
-    /// Clients whose cached columns were recomputed — the dirty-shard
-    /// contract's cost, `O(N/S · dirty)` instead of `O(N)`. Kept per
-    /// solve: the workload summary's rebuilt-column fraction divides it
-    /// by that solve's `clients`.
+    /// Registered clients in the stamped route blocks, whose column rows
+    /// this solve's refresh re-derived from their records (clean blocks'
+    /// rows only move). Kept per solve: the workload summary's
+    /// rebuilt-column fraction divides it by that solve's `clients`.
     pub rebuilt_columns: usize,
     /// Which solver path produced the prices: `Exact` when
     /// [`ServiceConfig::fast_path`] is off, `ThresholdIndex` for a
@@ -291,13 +290,13 @@ struct WarmHint {
 }
 
 /// The fast path's cached threshold index plus the store version it was
-/// built at. The index is a pure function of the assembled population and
-/// the solver parameters `(α/R, q_min)` it records; the assembled
-/// population is a pure function of the store contents (its mutation
-/// `version`), since the availability flag is fixed at construction. A
-/// matching version and `α/R` therefore prove the cached index still
-/// describes the current population — budget and bound-`β` updates reuse
-/// it with zero rebuild work. When only the version moved, the store's
+/// built at. The index is a pure function of the store's columns and the
+/// solver parameters `(α/R, q_min)` it records; the columns are a pure
+/// function of the store contents (its mutation `version`), since the
+/// availability flag is fixed at construction. A matching version and
+/// `α/R` therefore prove the cached index still describes the current
+/// population — budget and bound-`β` updates reuse it with zero rebuild
+/// work. When only the version moved, the store's
 /// per-segment stamps say *which* index segments churned since, and the
 /// index is patched: only those re-sort, everything else is reused.
 #[derive(Debug, Clone)]
@@ -306,20 +305,22 @@ struct FastIndexState {
     store_version: u64,
 }
 
-/// A long-running pricing service owning a churning, sharded client
-/// population.
+/// A long-running pricing service owning a churning client population.
 ///
-/// See the crate docs for the full contract. Mutating commands dirty only
-/// the store shards they touch: an add is `O(batch)`, a removal
-/// `O(batch + touched shards + N/32)` (a route-block directory update plus
-/// one memmove of the id list), and an availability update one `O(N)`
-/// pass. Reads resolve ids in `O(1)` through the same directory. A
-/// re-solve rebuilds only the dirty shards' columns before the
-/// λ-bisection, warm-started from the previous solve.
+/// See the crate docs for the full contract. Mutating commands stamp only
+/// the 32-id route blocks they touch: an add is `O(batch)`, a removal
+/// `O(batch + N/32)` (a route-block directory update plus one memmove of
+/// the id list), and an availability update one `O(N)` pass. Reads
+/// resolve ids in `O(1)` through the same directory. A re-solve first
+/// refreshes the store's persistent solver columns — moving clean blocks'
+/// rows and re-deriving the stamped blocks' rows from the first stamped
+/// block on, nothing at all after a budget- or bound-only update — then
+/// runs the λ-bisection over them in place, warm-started from the
+/// previous solve.
 #[derive(Debug, Clone)]
 pub struct PricingService {
     config: ServiceConfig,
-    store: ShardedClientStore,
+    store: ClientStore,
     state: Option<PricedState>,
     dirty: bool,
     warm_hint: Option<WarmHint>,
@@ -339,7 +340,11 @@ impl PricingService {
     pub fn new(config: ServiceConfig) -> Result<Self, ServiceError> {
         config.validate()?;
         Ok(Self {
-            store: ShardedClientStore::new(config.shards),
+            store: ClientStore::new(
+                config.availability_aware,
+                config.solver.q_min,
+                config.fast_path,
+            ),
             config,
             state: None,
             dirty: true,
@@ -497,15 +502,13 @@ impl PricingService {
     /// Returns [`ServiceError::AvailabilityMismatch`] if the model size
     /// disagrees with the population.
     pub fn update_availability(&mut self, model: &AvailabilityModel) -> Result<(), ServiceError> {
-        let aware = self.config.availability_aware;
-        let changed = self.store.set_availability(model, aware)?;
-        if aware && changed {
+        if self.store.set_availability(model)? {
             self.dirty = true;
         }
         Ok(())
     }
 
-    /// Replace the deployment budget `B`. Dirties no store shard (the
+    /// Replace the deployment budget `B`. Stamps no route block (the
     /// columns are budget-independent); the next solve re-bisects λ at
     /// the new budget, warm-started from the previous path parameter.
     ///
@@ -524,9 +527,9 @@ impl PricingService {
         Ok(())
     }
 
-    /// Replace the Theorem 1 bound constants `(α, β, R)`. Dirties no
-    /// store shard; the warm-start hint is rescaled by the `α/R` ratio
-    /// before the next solve refines it.
+    /// Replace the Theorem 1 bound constants `(α, β, R)`. Stamps no route
+    /// block; the warm-start hint is rescaled by the `α/R` ratio before
+    /// the next solve refines it.
     ///
     /// # Errors
     ///
@@ -574,17 +577,14 @@ impl PricingService {
     ) -> Result<RepriceReport, ServiceError> {
         let reprice_watch = Stopwatch::start();
         let n = self.store.len();
-        // Rebuild only the dirty shards' cached columns (inclusion masks,
-        // the effective cost/cap transform) — O(N/S · dirty) instead of
-        // the monolithic O(N) rebuild — then gather them in global
-        // insertion order with the exact `Population::from_raw` weight
-        // normalisation into the one column set the solver reads. Prices
-        // are therefore bit-identical to a from-scratch solve over the
-        // same clients, for any shard count.
-        let stats = self
-            .store
-            .ensure_caches(self.config.availability_aware, self.config.solver.q_min);
-        let assembled = self.store.assemble(self.config.fast_path)?;
+        // Bring the store's columns up to date: rows move or are
+        // re-derived from the first stamped block on, and the raw weights
+        // are normalised with the exact `Population::from_raw` left fold.
+        // A budget- or bound-only step touches no column. The solver reads
+        // the columns in place, so prices are bit-identical to a
+        // from-scratch solve over the same clients.
+        let refresh = self.store.refresh()?;
+        let population = self.store.population();
         let aor = self.config.bound.alpha_over_r();
 
         // Warm-start hint: rescale the previous path parameter for the
@@ -593,12 +593,12 @@ impl PricingService {
         // a heuristic either way, and the solver confirms a bracket
         // around it before trusting it.
         let hint = self.warm_hint.map(|warm| {
-            let ratio = assembled.total_raw_weight / warm.total_weight;
+            let ratio = refresh.total_raw_weight / warm.total_weight;
             warm.t_star * ratio * ratio * (warm.aor / aor)
         });
         let mut index_rebuild_ns = 0u64;
-        let index = if let Some(inputs) = &assembled.index {
-            // A fast-path service (only it assembles index inputs): reuse
+        let index = if let Some(columns) = self.store.index_columns() {
+            // A fast-path service (only its store keeps index inputs): reuse
             // the cached threshold index when the store has not changed
             // since it was built and the solver knobs match
             // (budget/bound-β-only churn). When some index segments
@@ -619,24 +619,27 @@ impl PricingService {
                     cached
                 }
                 cached => {
+                    let segment_rows = self.store.index_segments();
                     let dirty: Option<Vec<bool>> = cached.as_ref().map(|cached| {
                         let versions = self.store.segment_versions();
                         versions.iter().map(|&v| v > cached.store_version).collect()
                     });
                     // A cold build counts every segment dirty.
-                    let dirty_segments = dirty.as_ref().map_or(inputs.segments.len(), |dirty| {
+                    let dirty_segments = dirty.as_ref().map_or(segment_rows.len(), |dirty| {
                         dirty.iter().filter(|&&d| d).count()
                     });
                     recorder.add(Metric::ServiceDirtySegments, dirty_segments as u64);
                     let previous = cached.as_ref().map(|c| &c.index).zip(dirty.as_deref());
                     let build_watch = Stopwatch::start();
+                    // The index probes the raw-weight `w²G²` column at the
+                    // scale `σ = W²`.
                     let (index, segments) = ActiveSetIndex::build(
-                        &assembled.index_columns(inputs),
-                        &inputs.segments,
+                        &columns,
+                        &segment_rows,
                         previous,
                         aor,
                         q_min,
-                        inputs.scale,
+                        refresh.total_raw_weight * refresh.total_raw_weight,
                         self.config.solver.config.n_threads,
                     );
                     // One measurement feeds both the histogram and the
@@ -665,7 +668,7 @@ impl PricingService {
             None
         };
         let (solution, diag) = solve_kkt_columns(
-            &assembled.population,
+            population,
             &self.config.bound,
             self.config.budget,
             &self.config.solver,
@@ -676,7 +679,7 @@ impl PricingService {
 
         // Certify the equilibrium before serving it (Theorem 2).
         let residual = theorem2_max_residual(
-            &assembled.population,
+            population,
             &self.config.bound,
             &solution,
             self.config.solver.q_min,
@@ -692,9 +695,14 @@ impl PricingService {
             }
         }
 
+        // The reporting shards the stamped blocks map to.
+        let shards = self.config.shards;
+        let mut dirty_shards: Vec<usize> = refresh.stamped.iter().map(|b| b % shards).collect();
+        dirty_shards.sort_unstable();
+        dirty_shards.dedup();
         let report = RepriceReport {
             clients: n,
-            excluded: n - assembled.included_count,
+            excluded: n - population.len(),
             lambda: solution.lambda,
             spent: solution.spent,
             saturated: solution.saturated,
@@ -703,33 +711,23 @@ impl PricingService {
             warm_start_depth: diag.warm_start_depth,
             bisect_iterations: diag.bisect_iterations,
             bisect_evaluations: diag.bisect_evaluations,
-            shard_count: self.store.shard_count(),
-            dirty_shards: stats.dirty_shards,
-            rebuilt_columns: stats.rebuilt_columns,
+            shard_count: shards,
+            dirty_shards: dirty_shards.len(),
+            rebuilt_columns: refresh.rederived,
             solver_mode: diag.solver_mode,
             probe_evaluations: diag.probe_evaluations,
             index_rebuild_ns,
         };
 
         // Scatter the solved profile back over the full client list.
-        let mut prices = vec![0.0f64; n];
-        let mut q_eff = vec![0.0f64; n];
-        let mut j = 0usize;
-        for i in 0..n {
-            if assembled.included[i] {
-                prices[i] = solution.prices[j];
-                q_eff[i] = solution.q[j];
-                j += 1;
-            }
-        }
         self.state = Some(PricedState {
-            prices,
-            q_eff,
+            prices: self.store.scatter(&solution.prices),
+            q_eff: self.store.scatter(&solution.q),
             report,
         });
         self.warm_hint = (diag.t_star > 0.0).then_some(WarmHint {
             t_star: diag.t_star,
-            total_weight: assembled.total_raw_weight,
+            total_weight: refresh.total_raw_weight,
             aor,
         });
         self.dirty = false;
@@ -952,7 +950,8 @@ mod tests {
         let mut rebuilt_columns_total = 0u64;
         for round in 0..4 {
             if round == 2 {
-                // Dirty one shard so the index must patch incrementally.
+                // Stamp one route block so the index must patch
+                // incrementally.
                 service.add_clients(vec![client(40 + round)]).unwrap();
             } else if round > 0 {
                 // Budget-only churn: the cached index must be reused.

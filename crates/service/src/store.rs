@@ -1,42 +1,34 @@
-//! The service's sharded client store: raw-weighted profiles under churn,
-//! with per-shard dirty tracking and a route-block id directory.
+//! The service's client store: raw-weighted profiles in 32-id route
+//! blocks, and the solver's columns of the included clients.
 //!
-//! Ids are issued in sequence and never reused, so insertion order is
-//! ascending id order. Clients are routed to a fixed set of shards by id
-//! block (`shard = (id / 32) % shards`, so one registration batch lands in
-//! few shards); each 32-id route block `b` therefore sits, in id order,
-//! inside shard `b % shards`. The store keeps one directory entry per
-//! route block: a 32-bit live mask plus the global position of the
-//! block's first live id. An id's position in the **global client order**
-//! — the order every solve, snapshot, and from-scratch verifier uses — is
-//! that start plus a popcount, and the global-order passes walk the blocks
-//! in order with one cursor per shard, copying each block's run as a
-//! slice.
+//! Ids are issued in sequence and never reused, so insertion order is id
+//! order. One directory entry per route block — a live mask plus the global
+//! position of its first live id — locates an id with a popcount. In a
+//! parallel vector each block owns its clients' records and its row
+//! bookkeeping, so reads touch only the 16-byte directory entries.
 //!
-//! The same directory is the fast path's segment map: index segment `k`
-//! holds the blocks `b` with `b % INDEX_SEGMENTS = k`. For a fast-path
-//! service the assembly pass records each segment's rows as one range per
-//! block (the exact path skips them), and every mutation stamps the
-//! segments of the blocks it touches, so the dirty index segments are
-//! exact for any shard count.
+//! The store keeps one persistent column set for the included clients, in
+//! id order: the solver's [`PopulationColumns`], the raw weights `w` and
+//! `G²`, and for a fast-path store the index's `w²G²`. Mutations edit the
+//! directory and the block's records and *stamp* the block. A
+//! [`ClientStore::refresh`] then, from the first stamped block on:
 //!
-//! Each shard caches the per-client solver inputs that are expensive to
-//! recompute under churn (inclusion masks, the effective-cost transform
-//! `c/rate²` and cap `q_max·rate`); a delta dirties only the shards it
-//! touches, and [`ShardedClientStore::ensure_caches`] rebuilds only those.
-//! A removal clears directory bits, compacts only the touched shards plus
-//! the global id list, and recomputes block starts from the first touched
-//! block: `O(batch + touched shards + N/32)`. The per-solve
-//! [`ShardedClientStore::assemble`] pass then gathers the cached columns in
-//! global order and normalises raw weights with the same left-fold
-//! `Population::from_raw` performs. The solver takes the gathered columns
-//! as they are, one set for the whole population, so the service's prices
-//! are bit-identical to a from-scratch solve over the same clients for any
-//! store shard count.
+//! 1. computes each block's new first row;
+//! 2. moves the clean blocks whose rows go down, in ascending block order;
+//! 3. moves the clean blocks whose rows go up (only a re-included client
+//!    pushes rows up), in descending order, so no move overwrites a row
+//!    that has yet to move;
+//! 4. re-derives the stamped blocks' rows from their records;
+//! 5. recomputes the raw-weight total `W` with the left fold
+//!    `Population::from_raw` performs, and `a²G² = (w/W)²·G²`.
 //!
-//! The store keeps *raw* data weights (`d_n`, not the normalised `a_n`):
-//! normalisation depends on who else is currently registered, so it is
-//! re-derived at solve time in the assembly pass.
+//! A refresh with no stamped block touches no column. The columns equal
+//! `Population::from_raw` over the included clients, with the transform of
+//! [`PopulationColumns::effective`], bit for bit, and so do the prices.
+//!
+//! The directory is also the fast path's segment map: index segment `k`
+//! holds the blocks `b` with `b % INDEX_SEGMENTS = k`, and every mutation
+//! stamps the segments of the blocks it touches.
 
 use crate::error::ServiceError;
 use crate::{ClientId, ClientParams};
@@ -46,10 +38,9 @@ use fedfl_core::GameError;
 use fedfl_sim::availability::AvailabilityModel;
 use std::ops::Range;
 
-/// Consecutive ids routed to the same shard, and the width of one
-/// directory entry's live mask. A churn batch of up to this many
-/// registrations dirties at most two shards; removals dirty the shards of
-/// the departing ids.
+/// Consecutive ids that share one directory entry, one record vector and
+/// one index-segment slot: the width of a live mask. A registration batch
+/// of up to this many ids stamps at most two blocks.
 const ROUTE_BLOCK: u64 = 32;
 
 /// Segment count of the service's threshold index: route block `b`'s
@@ -57,45 +48,6 @@ const ROUTE_BLOCK: u64 = 32;
 /// fine-grained (a churn batch confined to one block re-sorts 1/256th of
 /// the population) without bloating the segment directory walk.
 pub(crate) const INDEX_SEGMENTS: usize = 256;
-
-/// The index segment of the route block `id` belongs to.
-fn segment_of(id: ClientId) -> usize {
-    (id.0 / ROUTE_BLOCK) as usize % INDEX_SEGMENTS
-}
-
-/// One registered client.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ClientRecord {
-    /// The id handed out at registration.
-    pub id: ClientId,
-    /// The client's submitted parameters.
-    pub params: ClientParams,
-}
-
-/// Cached per-client solver inputs of one shard, aligned with its records.
-///
-/// Everything here is a pure per-client function of the record and the
-/// service's fixed `(availability_aware, q_min)` knobs — never of the rest
-/// of the population — which is what makes the cache shard-local. The
-/// weight-normalisation (and the `a²G²` column that depends on it) is
-/// global and recomputed in the assembly pass.
-#[derive(Debug, Clone, Default)]
-struct ShardCache {
-    included: Vec<bool>,
-    w_raw: Vec<f64>,
-    g2: Vec<f64>,
-    cost_eff: Vec<f64>,
-    value: Vec<f64>,
-    q_max_eff: Vec<f64>,
-}
-
-/// One store shard: its records in id order plus the lazily rebuilt cache
-/// (`None` = dirty).
-#[derive(Debug, Clone, Default)]
-struct StoreShard {
-    records: Vec<ClientRecord>,
-    cache: Option<ShardCache>,
-}
 
 /// The directory entry of one route block `b` (ids `32b .. 32b + 32`).
 #[derive(Debug, Clone, Copy)]
@@ -114,133 +66,142 @@ impl RouteBlock {
     }
 }
 
-/// One route block's live run: its clients are
-/// `shards[shard].records[local]`, at global positions from `global` on.
-struct BlockRun {
-    block: usize,
-    shard: usize,
-    local: Range<usize>,
-    global: usize,
+/// The set bits of `mask` as single-bit masks, lowest first: the ids of a
+/// block in order, aligned with its records when `mask` is its live mask.
+fn set_bits(mut mask: u32) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        let bit = mask & mask.wrapping_neg();
+        mask ^= bit;
+        (bit != 0).then_some(bit)
+    })
 }
 
-/// The non-empty route blocks' runs in global order, found with one
-/// cursor per shard (a shard's records hold its blocks' runs back to back,
-/// in block order).
-fn block_runs(blocks: &[RouteBlock], shard_count: usize) -> impl Iterator<Item = BlockRun> + '_ {
-    let mut cursors = vec![0usize; shard_count];
-    blocks
-        .iter()
-        .enumerate()
-        .filter(|(_, block)| block.live != 0)
-        .map(move |(b, block)| {
-            let shard = b % shard_count;
-            let from = cursors[shard];
-            cursors[shard] += block.len();
-            BlockRun {
-                block: b,
-                shard,
-                local: from..cursors[shard],
-                global: block.start,
-            }
-        })
+/// One route block's records and the bookkeeping of its column rows.
+#[derive(Debug, Clone, Default)]
+struct BlockRecords {
+    /// The live clients' parameters in id order, one per set `live` bit.
+    /// Reserved at [`ROUTE_BLOCK`] capacity, freed when the block empties.
+    clients: Vec<ClientParams>,
+    /// Bit `k` is set while id `32b + k` has a column row, as of the last
+    /// refresh.
+    included: u32,
+    /// Column row of the block's first included client, as of the last
+    /// refresh.
+    row: usize,
+    /// Whether a mutation touched the block since the last refresh.
+    stamped: bool,
 }
 
-/// Append the included entries of `column` (all of it when
-/// `all_included`, as one slice copy).
-fn extend_included(out: &mut Vec<f64>, column: &[f64], included: &[bool], all_included: bool) {
-    if all_included {
-        out.extend_from_slice(column);
-    } else {
-        out.extend(
-            column
-                .iter()
-                .zip(included)
-                .filter(|(_, &inc)| inc)
-                .map(|(&v, _)| v),
-        );
+impl BlockRecords {
+    /// Column rows of the block, as of the last refresh.
+    fn rows(&self) -> usize {
+        self.included.count_ones() as usize
     }
 }
 
-/// Rebuild statistics of one [`ShardedClientStore::ensure_caches`] call —
-/// the observable half of the dirty-shard contract.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct ShardStats {
-    /// Shards whose caches were rebuilt.
-    pub dirty_shards: usize,
-    /// Clients whose cached columns were recomputed (the sum of the dirty
-    /// shards' sizes).
-    pub rebuilt_columns: usize,
+/// How a record becomes a column row: the service's fixed
+/// `(availability_aware, q_min)` knobs.
+#[derive(Debug, Clone, Copy)]
+struct RowRule {
+    availability_aware: bool,
+    q_min: f64,
 }
 
-/// Scale-free threshold-index inputs of the included clients, in
-/// insertion order — the raw-weight twin of the normalised `a²G²` column
-/// — plus the index's segment map.
-///
-/// The normalised `a²G² = (w/W)²G²` column moves with every change of the
-/// raw-weight total `W`, so an index over it could never reuse segments
-/// across churn. This carries `w²G²` from *raw* weights instead and the
-/// squared total as [`IndexInputs::scale`]; the index evaluates
-/// thresholds at that scale on the fly, keeping its stored segments
-/// `W`-independent (see `fedfl_core::active_set`). The cost, value and cap
-/// columns are the solver's own ([`AssembledView::index_columns`]).
-#[derive(Debug)]
-pub(crate) struct IndexInputs {
-    /// `w_raw²·G²` per included client.
-    pub w2g2: Vec<f64>,
-    /// The rows of each of the [`INDEX_SEGMENTS`] index segments: one
-    /// range of included rows per route block `b` with
-    /// `b % INDEX_SEGMENTS = k`, in global order. A pure function of the
-    /// live ids, so the partition never depends on shard or thread counts.
-    pub segments: Vec<Vec<Range<usize>>>,
-    /// The probe scale `σ = W²` (squared raw-weight total).
-    pub scale: f64,
+impl RowRule {
+    /// The rate `client` is priced at, if it gets a row: the rate must be
+    /// positive and the effective cap `q_max·rate` must clear the solver
+    /// floor. A rate of exactly 1.0 makes the effective transforms bit-exact
+    /// identities, so the always-on path matches the paper's pricing bit for
+    /// bit.
+    fn rate(self, client: &ClientParams) -> Option<f64> {
+        let rate = if self.availability_aware {
+            client.availability.availability_rate()
+        } else {
+            1.0
+        };
+        (rate > 0.0 && client.q_max * rate > self.q_min).then_some(rate)
+    }
+
+    /// The ids of a block (mask `live`, records `clients`) that get a row.
+    fn included(self, live: u32, clients: &[ClientParams]) -> u32 {
+        set_bits(live)
+            .zip(clients)
+            .filter(|(_, client)| self.rate(client).is_some())
+            .fold(0, |included, (bit, _)| included | bit)
+    }
 }
 
-/// The assembled solver view of the current population.
-#[derive(Debug)]
-pub(crate) struct AssembledView {
-    /// Effective solver columns of the included clients, in insertion
-    /// order.
-    pub population: PopulationColumns,
-    /// Global inclusion mask, aligned with [`ShardedClientStore::ids`].
-    pub included: Vec<bool>,
-    /// Number of included clients.
-    pub included_count: usize,
-    /// Total raw weight of the included clients (the warm-start rescale
-    /// reference).
-    pub total_raw_weight: f64,
-    /// Scale-free inputs for the fast path's keyed threshold index
-    /// (`None` unless [`ShardedClientStore::assemble`] was asked for them).
-    pub index: Option<IndexInputs>,
+/// The solver's columns of the included clients, in id order.
+#[derive(Debug, Clone, Default)]
+struct Columns {
+    /// The solver's columns. `a2g2` is current only while the store's
+    /// `total_raw_weight` is.
+    population: PopulationColumns,
+    /// Raw data weights `w`.
+    w_raw: Vec<f64>,
+    /// `G²` per client.
+    g2: Vec<f64>,
+    /// `w²G²` per client, the threshold index's scale-free column
+    /// (fast-path stores only).
+    w2g2: Option<Vec<f64>>,
 }
 
-impl AssembledView {
-    /// The index builder's column view: the raw-weight `w²G²` column of
-    /// `inputs` beside the solver's cost, value and cap columns.
-    pub fn index_columns<'a>(&'a self, inputs: &'a IndexInputs) -> IndexColumns<'a> {
-        IndexColumns {
-            w2g2: &inputs.w2g2,
-            cost: &self.population.cost,
-            value: &self.population.value,
-            q_max: &self.population.q_max,
+impl Columns {
+    /// The per-row columns a refresh moves and re-derives (`a²G²` is
+    /// recomputed whole instead).
+    fn row_columns(&mut self) -> impl Iterator<Item = &mut Vec<f64>> {
+        [
+            &mut self.w_raw,
+            &mut self.g2,
+            &mut self.population.cost,
+            &mut self.population.value,
+            &mut self.population.q_max,
+        ]
+        .into_iter()
+        .chain(self.w2g2.as_mut())
+    }
+
+    /// Write `client`'s row, priced at `rate`: the transforms of
+    /// [`PopulationColumns::effective`].
+    fn write(&mut self, row: usize, client: &ClientParams, rate: f64) {
+        self.w_raw[row] = client.data_size;
+        self.g2[row] = client.g_squared;
+        self.population.cost[row] = client.cost / (rate * rate);
+        self.population.value[row] = client.value;
+        self.population.q_max[row] = client.q_max * rate;
+        if let Some(w2g2) = &mut self.w2g2 {
+            w2g2[row] = client.data_size * client.data_size * client.g_squared;
         }
     }
 }
 
-/// Sharded client store with a route-block id directory, per-shard dirty
-/// tracking, and batched delta apply.
+/// What one [`ClientStore::refresh`] did.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Refresh {
+    /// The stamped route blocks whose rows were re-derived, ascending.
+    pub stamped: Vec<usize>,
+    /// Registered clients in those blocks.
+    pub rederived: usize,
+    /// Total raw weight of the included clients: the `W` that normalises
+    /// `a²G²` (and the warm-start rescale reference).
+    pub total_raw_weight: f64,
+}
+
+/// The client store: a route-block id directory, the blocks' records, and
+/// the solver's columns of the included clients.
 #[derive(Debug, Clone)]
-pub(crate) struct ShardedClientStore {
-    shards: Vec<StoreShard>,
+pub(crate) struct ClientStore {
     /// Client ids in global order (strictly ascending; see [`Self::ids`]).
     order: Vec<ClientId>,
     /// One entry per issued route block, indexed by `id / ROUTE_BLOCK`.
     blocks: Vec<RouteBlock>,
+    /// The blocks' records and row bookkeeping, parallel to `blocks`.
+    records: Vec<BlockRecords>,
     next_id: u64,
     /// Monotonically increasing mutation stamp: bumped by every delta that
-    /// can change the assembled solver view (adds, removes, effective
-    /// availability changes). Caches derived from an assembled view — the
-    /// fast path's threshold index — key on this stamp to detect reuse.
+    /// can change the columns (adds, removes, effective availability
+    /// changes). Caches derived from the columns — the fast path's
+    /// threshold index — key on this stamp to detect reuse.
     version: u64,
     /// Per-segment mutation stamps: `segment_versions[k]` is the global
     /// [`Self::version`] of the last delta that touched a route block of
@@ -248,18 +209,37 @@ pub(crate) struct ShardedClientStore {
     /// version `v` can tell exactly which segments changed since:
     /// `{k | segment_versions[k] > v}` — the dirty set its patch rebuilds.
     segment_versions: Vec<u64>,
+    /// The lowest stamped block, where the next refresh starts.
+    first_stamped: Option<usize>,
+    rule: RowRule,
+    columns: Columns,
+    /// The raw-weight total `a²G²` is normalised by; `None` until a refresh
+    /// succeeds after the last change, so a failed one fails again on retry.
+    total_raw_weight: Option<f64>,
 }
 
-impl ShardedClientStore {
-    /// Create an empty store with `shard_count >= 1` shards.
-    pub fn new(shard_count: usize) -> Self {
+impl ClientStore {
+    /// Create an empty store. `availability_aware` and `q_min` decide which
+    /// clients get a row and their effective columns; `index_inputs` keeps
+    /// the threshold index's `w²G²` column too (a fast-path service).
+    pub fn new(availability_aware: bool, q_min: f64, index_inputs: bool) -> Self {
         Self {
-            shards: vec![StoreShard::default(); shard_count.max(1)],
             order: Vec::new(),
             blocks: Vec::new(),
+            records: Vec::new(),
             next_id: 0,
             version: 0,
             segment_versions: vec![0; INDEX_SEGMENTS],
+            first_stamped: None,
+            rule: RowRule {
+                availability_aware,
+                q_min,
+            },
+            columns: Columns {
+                w2g2: index_inputs.then(Vec::new),
+                ..Columns::default()
+            },
+            total_raw_weight: None,
         }
     }
 
@@ -268,9 +248,7 @@ impl ShardedClientStore {
         self.version
     }
 
-    /// Per-segment mutation stamps (see the `segment_versions` field):
-    /// the global version of the last delta that touched each index
-    /// segment.
+    /// Per-segment mutation stamps (see the `segment_versions` field).
     pub fn segment_versions(&self) -> &[u64] {
         &self.segment_versions
     }
@@ -283,11 +261,6 @@ impl ShardedClientStore {
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
         self.order.is_empty()
-    }
-
-    /// Number of store shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Client ids in global order, which is strictly ascending: insertion
@@ -313,13 +286,16 @@ impl ShardedClientStore {
             .then(|| block.start + (block.live & (bit - 1)).count_ones() as usize)
     }
 
-    /// The shard an id is (or would be) routed to.
-    fn route(&self, id: u64) -> usize {
-        ((id / ROUTE_BLOCK) % self.shards.len() as u64) as usize
+    /// Mark block `b` for the next refresh and stamp its index segment at
+    /// the current version.
+    fn stamp(&mut self, b: usize) {
+        self.records[b].stamped = true;
+        self.first_stamped = Some(self.first_stamped.map_or(b, |first| first.min(b)));
+        self.segment_versions[b % INDEX_SEGMENTS] = self.version;
     }
 
-    /// Append validated clients, assigning fresh ids and dirtying only the
-    /// shards the new ids route to.
+    /// Append validated clients, assigning fresh ids and stamping the
+    /// blocks they join.
     pub fn add(&mut self, batch: Vec<ClientParams>) -> Result<Vec<ClientId>, ServiceError> {
         for (index, params) in batch.iter().enumerate() {
             params
@@ -335,19 +311,22 @@ impl ShardedClientStore {
             self.next_id += 1;
             // Ids are consecutive: an id opens a new block at a block
             // boundary (after every live id so far) and otherwise joins
-            // the last one.
+            // the last one, which may have emptied and freed its records.
             if id.0.is_multiple_of(ROUTE_BLOCK) {
                 self.blocks.push(RouteBlock {
                     live: 0,
                     start: self.order.len(),
                 });
+                self.records.push(BlockRecords::default());
             }
-            let block = self.blocks.last_mut().expect("opened at its first id");
-            block.live |= 1 << (id.0 % ROUTE_BLOCK);
-            let shard = self.route(id.0);
-            self.shards[shard].cache = None;
-            self.shards[shard].records.push(ClientRecord { id, params });
-            self.segment_versions[segment_of(id)] = self.version;
+            let b = self.blocks.len() - 1;
+            self.blocks[b].live |= 1 << (id.0 % ROUTE_BLOCK);
+            let clients = &mut self.records[b].clients;
+            if clients.capacity() == 0 {
+                clients.reserve_exact(ROUTE_BLOCK as usize);
+            }
+            clients.push(params);
+            self.stamp(b);
             self.order.push(id);
             ids.push(id);
         }
@@ -355,7 +334,7 @@ impl ShardedClientStore {
     }
 
     /// Remove a batch of ids (order-preserving compaction of the touched
-    /// shards and the global order), dirtying only the touched shards.
+    /// blocks' records and the global order), stamping the touched blocks.
     ///
     /// Rejects the whole batch — mutating nothing — if any id is unknown
     /// or duplicated within the batch.
@@ -382,21 +361,25 @@ impl ShardedClientStore {
             return Ok(0);
         }
         self.version += 1;
-        // Compact each touched shard, preserving its id order.
-        let mut touched: Vec<usize> = ids.iter().map(|id| self.route(id.0)).collect();
+        // Drop the removed records block by block: a block's records
+        // follow the set bits of its mask from before the removal.
+        let mut touched: Vec<(usize, u32)> = ids
+            .iter()
+            .map(|&id| self.locate(id).expect("cleared above"))
+            .collect();
         touched.sort_unstable();
-        touched.dedup();
-        let blocks = &self.blocks;
-        let is_live = |id: ClientId| {
-            blocks[(id.0 / ROUTE_BLOCK) as usize].live & (1 << (id.0 % ROUTE_BLOCK)) != 0
-        };
-        for s in touched {
-            let shard = &mut self.shards[s];
-            shard.cache = None;
-            shard.records.retain(|r| is_live(r.id));
-        }
-        for &id in ids {
-            self.segment_versions[segment_of(id)] = self.version;
+        for run in touched.chunk_by(|x, y| x.0 == y.0) {
+            let b = run[0].0;
+            let live = self.blocks[b].live;
+            let clients = &mut self.records[b].clients;
+            if live == 0 {
+                *clients = Vec::new();
+            } else {
+                let before = run.iter().fold(live, |mask, &(_, bit)| mask | bit);
+                let mut kept = set_bits(before).map(|bit| live & bit != 0);
+                clients.retain(|_| kept.next() == Some(true));
+            }
+            self.stamp(b);
         }
         // Compact the global order: the removed ids' positions, ascending,
         // split it into surviving runs that each move once.
@@ -405,7 +388,6 @@ impl ShardedClientStore {
             .map(|id| self.order.binary_search(id).expect("removed id was live"))
             .collect();
         doomed.sort_unstable();
-        let first_block = (self.order[doomed[0]].0 / ROUTE_BLOCK) as usize;
         let mut write = doomed[0];
         for (k, &pos) in doomed.iter().enumerate() {
             let end = doomed.get(k + 1).copied().unwrap_or(self.order.len());
@@ -415,209 +397,228 @@ impl ShardedClientStore {
         self.order.truncate(write);
         // Blocks after the first touched one shift down by the ids
         // removed before them.
-        for b in first_block + 1..self.blocks.len() {
+        for b in touched[0].0 + 1..self.blocks.len() {
             self.blocks[b].start = self.blocks[b - 1].start + self.blocks[b - 1].len();
         }
         Ok(ids.len())
     }
 
     /// Replace every client's availability pattern from a model aligned to
-    /// the global order, dirtying only shards whose patterns actually
-    /// changed (and only when `track_dirty` is set — an availability-blind
-    /// service's caches never read the patterns).
+    /// the global order. An availability-aware store stamps the blocks
+    /// whose patterns changed; an availability-blind one prices every
+    /// client at rate 1, so its rows never read the patterns.
     ///
-    /// Returns whether any pattern changed.
-    pub fn set_availability(
-        &mut self,
-        model: &AvailabilityModel,
-        track_dirty: bool,
-    ) -> Result<bool, ServiceError> {
+    /// Returns whether any block was stamped.
+    pub fn set_availability(&mut self, model: &AvailabilityModel) -> Result<bool, ServiceError> {
         if model.len() != self.order.len() {
             return Err(ServiceError::AvailabilityMismatch {
                 clients: self.order.len(),
                 patterns: model.len(),
             });
         }
-        let mut touched = Vec::new();
-        for run in block_runs(&self.blocks, self.shards.len()) {
-            let records = &mut self.shards[run.shard].records[run.local.clone()];
-            let patterns = &model.patterns()[run.global..run.global + records.len()];
+        let mut stamped = false;
+        for b in 0..self.blocks.len() {
+            let start = self.blocks[b].start;
+            let clients = &mut self.records[b].clients;
+            let patterns = &model.patterns()[start..start + clients.len()];
             let mut hit = false;
-            for (record, &pattern) in records.iter_mut().zip(patterns) {
-                hit |= record.params.availability != pattern;
-                record.params.availability = pattern;
+            for (client, &pattern) in clients.iter_mut().zip(patterns) {
+                hit |= client.availability != pattern;
+                client.availability = pattern;
             }
-            if hit {
-                touched.push(run);
-            }
-        }
-        // An availability-blind service's assembled view never reads the
-        // patterns, so only tracked changes dirty caches and advance the
-        // stamps.
-        if !touched.is_empty() && track_dirty {
-            self.version += 1;
-            for run in &touched {
-                self.shards[run.shard].cache = None;
-                self.segment_versions[run.block % INDEX_SEGMENTS] = self.version;
+            if hit && self.rule.availability_aware {
+                if !stamped {
+                    self.version += 1;
+                    stamped = true;
+                }
+                self.stamp(b);
             }
         }
-        Ok(!touched.is_empty())
+        Ok(stamped)
     }
 
-    /// Rebuild the caches of dirty shards only, returning how much work
-    /// that took. `O(N/S · dirty)` — the tentpole of the sharded store.
-    pub fn ensure_caches(&mut self, availability_aware: bool, q_min: f64) -> ShardStats {
-        let mut stats = ShardStats::default();
-        for shard in &mut self.shards {
-            if shard.cache.is_some() {
-                continue;
-            }
-            stats.dirty_shards += 1;
-            stats.rebuilt_columns += shard.records.len();
-            let m = shard.records.len();
-            let mut cache = ShardCache {
-                included: Vec::with_capacity(m),
-                w_raw: Vec::with_capacity(m),
-                g2: Vec::with_capacity(m),
-                cost_eff: Vec::with_capacity(m),
-                value: Vec::with_capacity(m),
-                q_max_eff: Vec::with_capacity(m),
-            };
-            for record in &shard.records {
-                let p = &record.params;
-                let rate = if availability_aware {
-                    p.availability.availability_rate()
-                } else {
-                    1.0
-                };
-                // A rate of exactly 1.0 makes both transforms bit-exact
-                // identities, so the always-on path matches the paper's
-                // pricing bit for bit.
-                let included = rate > 0.0 && p.q_max * rate > q_min;
-                cache.included.push(included);
-                cache.w_raw.push(p.data_size);
-                cache.g2.push(p.g_squared);
-                cache.cost_eff.push(if included {
-                    p.cost / (rate * rate)
-                } else {
-                    0.0
-                });
-                cache.value.push(p.value);
-                cache.q_max_eff.push(p.q_max * rate);
-            }
-            shard.cache = Some(cache);
-        }
-        stats
-    }
-
-    /// Gather the cached columns in global order and normalise the raw
-    /// weights (the exact left-fold `Population::from_raw` performs over
-    /// the included clients).
-    ///
-    /// The gather walks the route blocks in order and copies each block's
-    /// run out of its shard's cache as slices. With `index_inputs` (a
-    /// fast-path service) it also assembles the threshold index's
-    /// [`IndexInputs`]: block `b`'s included rows join index segment
-    /// `b % INDEX_SEGMENTS` as one range. The exact path reads none of
-    /// them, so it pays neither the `w²G²` pass nor the range lists.
-    ///
-    /// Must run after [`ShardedClientStore::ensure_caches`].
+    /// Bring the columns up to date with the records (see the module docs)
+    /// and normalise the raw weights with the left fold
+    /// `Population::from_raw` performs over the included clients.
     ///
     /// # Errors
     ///
     /// Returns [`ServiceError::NoPriceableClients`] when every client is
     /// excluded, and [`ServiceError::Game`] for degenerate raw weights —
     /// the same conditions the from-scratch `Population::from_raw` path
-    /// rejects.
-    pub fn assemble(&self, index_inputs: bool) -> Result<AssembledView, ServiceError> {
-        let n = self.order.len();
-        let mut included = Vec::with_capacity(n);
-        let mut w_raw = Vec::with_capacity(n);
-        let mut g2 = Vec::with_capacity(n);
-        let mut cost = Vec::with_capacity(n);
-        let mut value = Vec::with_capacity(n);
-        let mut q_max = Vec::with_capacity(n);
-        let mut segments = index_inputs.then(|| vec![Vec::new(); INDEX_SEGMENTS]);
-        for run in block_runs(&self.blocks, self.shards.len()) {
-            let cache = self.shards[run.shard]
-                .cache
-                .as_ref()
-                .expect("ensure_caches runs before assemble");
-            let inc = &cache.included[run.local.clone()];
-            let all = inc.iter().all(|&i| i);
-            let from = w_raw.len();
-            included.extend_from_slice(inc);
-            extend_included(&mut w_raw, &cache.w_raw[run.local.clone()], inc, all);
-            extend_included(&mut g2, &cache.g2[run.local.clone()], inc, all);
-            extend_included(&mut cost, &cache.cost_eff[run.local.clone()], inc, all);
-            extend_included(&mut value, &cache.value[run.local.clone()], inc, all);
-            extend_included(&mut q_max, &cache.q_max_eff[run.local], inc, all);
-            if let Some(segments) = segments.as_mut().filter(|_| w_raw.len() > from) {
-                segments[run.block % INDEX_SEGMENTS].push(from..w_raw.len());
+    /// rejects. The rows stay current, but the normalisation does not, so
+    /// a retry fails the same way until a mutation mends it.
+    pub fn refresh(&mut self) -> Result<Refresh, ServiceError> {
+        let (stamped, rederived) = self.rederive();
+        let total_raw_weight = self.normalise()?;
+        Ok(Refresh {
+            stamped,
+            rederived,
+            total_raw_weight,
+        })
+    }
+
+    /// Steps 1–4 of the module docs: move the clean blocks' rows and
+    /// re-derive the stamped blocks' rows. Returns the stamped blocks and
+    /// their client count.
+    fn rederive(&mut self) -> (Vec<usize>, usize) {
+        let Some(first) = self.first_stamped.take() else {
+            return (Vec::new(), 0);
+        };
+        self.total_raw_weight = None;
+        let rule = self.rule;
+        let old_len = self.columns.w_raw.len();
+        // 1. Each block's new first row. Stamped blocks recount their rows
+        //    from their records; clean ones keep theirs and note a move.
+        let mut row = first
+            .checked_sub(1)
+            .map_or(0, |b| self.records[b].row + self.records[b].rows());
+        let mut stamped = Vec::new();
+        let mut rederived = 0;
+        let mut moves: Vec<(usize, usize, usize)> = Vec::new();
+        for (b, (block, records)) in self
+            .blocks
+            .iter()
+            .zip(&mut self.records)
+            .enumerate()
+            .skip(first)
+        {
+            if records.stamped {
+                records.stamped = false;
+                records.included = rule.included(block.live, &records.clients);
+                stamped.push(b);
+                rederived += records.clients.len();
+            } else if records.row != row && records.included != 0 {
+                moves.push((records.row, row, records.rows()));
+            }
+            records.row = row;
+            row += records.rows();
+        }
+        let len = row;
+        // 2–3. Downward moves in ascending order, then upward moves in
+        //      descending order: each destination lies clear of every row
+        //      that has yet to move.
+        for column in self.columns.row_columns() {
+            column.resize(len.max(old_len), 0.0);
+            for &(from, to, rows) in moves.iter().filter(|(from, to, _)| to < from) {
+                column.copy_within(from..from + rows, to);
+            }
+            for &(from, to, rows) in moves.iter().rev().filter(|(from, to, _)| to > from) {
+                column.copy_within(from..from + rows, to);
+            }
+            column.truncate(len);
+        }
+        // 4. The stamped blocks' rows, from their records.
+        for &b in &stamped {
+            let records = &self.records[b];
+            let mut row = records.row;
+            for client in &records.clients {
+                if let Some(rate) = rule.rate(client) {
+                    self.columns.write(row, client, rate);
+                    row += 1;
+                }
             }
         }
-        let included_count = w_raw.len();
-        if included_count == 0 {
-            return Err(ServiceError::NoPriceableClients { registered: n });
+        (stamped, rederived)
+    }
+
+    /// Step 5 of the module docs: the raw-weight total and `a²G²`, unless
+    /// they are current.
+    fn normalise(&mut self) -> Result<f64, ServiceError> {
+        if let Some(total) = self.total_raw_weight {
+            return Ok(total);
+        }
+        let Columns {
+            population,
+            w_raw,
+            g2,
+            ..
+        } = &mut self.columns;
+        if w_raw.is_empty() {
+            return Err(ServiceError::NoPriceableClients {
+                registered: self.order.len(),
+            });
         }
         // The same sequential left-fold `Population::from_raw` uses, so
         // the normalised weights — and everything derived from them — are
         // bit-identical to the from-scratch path.
-        let total_raw_weight: f64 = w_raw.iter().sum();
-        if !(total_raw_weight.is_finite() && total_raw_weight > 0.0) {
+        let total: f64 = w_raw.iter().sum();
+        if !(total.is_finite() && total > 0.0) {
             return Err(ServiceError::Game(GameError::InvalidParameter {
                 name: "weights",
-                reason: format!(
-                    "raw weights must sum to a positive finite total, got {total_raw_weight}"
-                ),
+                reason: format!("raw weights must sum to a positive finite total, got {total}"),
             }));
         }
-        let mut a2g2 = Vec::with_capacity(included_count);
-        for (&w, &g) in w_raw.iter().zip(&g2) {
-            let nw = w / total_raw_weight;
+        population.a2g2.clear();
+        for (&w, &g) in w_raw.iter().zip(g2.iter()) {
+            let nw = w / total;
             if !(nw.is_finite() && nw > 0.0) {
                 return Err(ServiceError::Game(GameError::InvalidParameter {
                     name: "weight",
                     reason: format!("normalised weight must be finite and positive, got {nw}"),
                 }));
             }
-            a2g2.push(nw * nw * g);
+            population.a2g2.push(nw * nw * g);
         }
-        let index = segments.map(|segments| IndexInputs {
-            w2g2: w_raw.iter().zip(&g2).map(|(&w, &g)| w * w * g).collect(),
-            segments,
-            scale: total_raw_weight * total_raw_weight,
-        });
-        Ok(AssembledView {
-            population: PopulationColumns {
-                a2g2,
-                cost,
-                value,
-                q_max,
-            },
-            included,
-            included_count,
-            total_raw_weight,
-            index,
+        self.total_raw_weight = Some(total);
+        Ok(total)
+    }
+
+    /// The solver's columns of the included clients, in id order (current
+    /// after a successful [`Self::refresh`]).
+    pub fn population(&self) -> &PopulationColumns {
+        &self.columns.population
+    }
+
+    /// The threshold index's column view — the raw-weight `w²G²` column
+    /// beside the solver's cost, value and cap columns — for a store kept
+    /// with index inputs. The index probes it at the scale `W²`, so its
+    /// stored segments stay `W`-independent (see `fedfl_core::active_set`).
+    pub fn index_columns(&self) -> Option<IndexColumns<'_>> {
+        let population = &self.columns.population;
+        Some(IndexColumns {
+            w2g2: self.columns.w2g2.as_deref()?,
+            cost: &population.cost,
+            value: &population.value,
+            q_max: &population.q_max,
         })
     }
 
-    /// The record of `id`, if registered (its shard's records are in id
-    /// order).
-    #[cfg(test)]
-    fn record(&self, id: ClientId) -> Option<&ClientRecord> {
-        self.position(id)?;
-        let records = &self.shards[self.route(id.0)].records;
-        let local = records.binary_search_by_key(&id, |r| r.id).ok()?;
-        Some(&records[local])
+    /// The rows of each of the [`INDEX_SEGMENTS`] index segments: one
+    /// range per route block `b` with rows, in segment
+    /// `b % INDEX_SEGMENTS`, in global order. A pure function of the
+    /// included ids, so the partition never depends on thread counts.
+    pub fn index_segments(&self) -> Vec<Vec<Range<usize>>> {
+        let mut segments = vec![Vec::new(); INDEX_SEGMENTS];
+        for (b, records) in self.records.iter().enumerate() {
+            if records.included != 0 {
+                segments[b % INDEX_SEGMENTS].push(records.row..records.row + records.rows());
+            }
+        }
+        segments
     }
 
-    /// Shards whose caches the next [`Self::ensure_caches`] rebuilds.
-    #[cfg(test)]
-    fn dirty_shards(&self) -> Vec<usize> {
-        (0..self.shards.len())
-            .filter(|&s| self.shards[s].cache.is_none())
-            .collect()
+    /// Spread one value per column row over the registered clients, in
+    /// global order; excluded clients get `0.0`. Reads the row bookkeeping
+    /// of the last refresh.
+    pub fn scatter(&self, rows: &[f64]) -> Vec<f64> {
+        debug_assert!(self.first_stamped.is_none(), "scatter after a refresh");
+        let mut out = vec![0.0f64; self.order.len()];
+        for (block, records) in self.blocks.iter().zip(&self.records) {
+            let positions = block.start..block.start + block.len();
+            if records.included == block.live {
+                out[positions].copy_from_slice(&rows[records.row..records.row + block.len()]);
+            } else if records.included != 0 {
+                let mut row = records.row;
+                for (position, bit) in positions.zip(set_bits(block.live)) {
+                    if records.included & bit != 0 {
+                        out[position] = rows[row];
+                        row += 1;
+                    }
+                }
+            }
+        }
+        out
     }
 }
 
@@ -627,6 +628,18 @@ mod tests {
     use fedfl_core::population::{Population, Q_MIN};
     use fedfl_sim::availability::AvailabilityPattern;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    impl ClientStore {
+        /// The record of `id`, if registered: its block's records follow
+        /// the set bits of the live mask.
+        fn record(&self, id: ClientId) -> Option<&ClientParams> {
+            let (b, bit) = self.locate(id)?;
+            let live = self.blocks[b].live;
+            (live & bit != 0)
+                .then(|| &self.records[b].clients[(live & (bit - 1)).count_ones() as usize])
+        }
+    }
 
     fn params(weight: f64) -> ClientParams {
         ClientParams {
@@ -639,21 +652,27 @@ mod tests {
         }
     }
 
+    /// A store at the default floor that keeps the index inputs too.
+    fn store(availability_aware: bool) -> ClientStore {
+        ClientStore::new(availability_aware, Q_MIN, true)
+    }
+
+    const UNREACHABLE: AvailabilityPattern = AvailabilityPattern::Random { probability: 1e-12 };
+
     #[test]
     fn add_assigns_sequential_ids_and_indexes() {
-        let mut store = ShardedClientStore::new(4);
+        let mut store = store(false);
         let ids = store.add(vec![params(1.0), params(2.0)]).unwrap();
         assert_eq!(ids, vec![ClientId(0), ClientId(1)]);
         assert_eq!(store.position(ClientId(1)), Some(1));
         assert_eq!(store.len(), 2);
         assert!(!store.is_empty());
-        assert_eq!(store.shard_count(), 4);
         assert_eq!(store.ids(), &[ClientId(0), ClientId(1)]);
     }
 
     #[test]
     fn add_rejects_invalid_without_mutation() {
-        let mut store = ShardedClientStore::new(2);
+        let mut store = store(false);
         let mut bad = params(1.0);
         bad.cost = -1.0;
         assert!(matches!(
@@ -665,7 +684,7 @@ mod tests {
 
     #[test]
     fn remove_preserves_order_and_reindexes() {
-        let mut store = ShardedClientStore::new(3);
+        let mut store = store(false);
         let ids = store
             .add(vec![params(1.0), params(2.0), params(3.0), params(4.0)])
             .unwrap();
@@ -680,12 +699,12 @@ mod tests {
         assert_eq!(store.len(), 2);
         assert_eq!(store.remove(&[]).unwrap(), 0);
         // Records survive compaction intact.
-        assert_eq!(store.record(ids[2]).unwrap().params.data_size, 3.0);
+        assert_eq!(store.record(ids[2]).unwrap().data_size, 3.0);
     }
 
     #[test]
     fn ids_are_never_reused_after_removal() {
-        let mut store = ShardedClientStore::new(2);
+        let mut store = store(false);
         let ids = store.add(vec![params(1.0)]).unwrap();
         store.remove(&[ids[0]]).unwrap();
         let fresh = store.add(vec![params(1.0)]).unwrap();
@@ -693,35 +712,68 @@ mod tests {
     }
 
     #[test]
-    fn dirty_tracking_rebuilds_only_touched_shards() {
-        // 8 shards, enough clients that several route blocks are live.
-        let mut store = ShardedClientStore::new(8);
+    fn refresh_rederives_only_stamped_blocks() {
+        // Eight full route blocks and seven ids of a ninth.
+        let mut store = store(false);
         let n = ROUTE_BLOCK as usize * 8 + 7;
         let ids = store
             .add((0..n).map(|k| params(1.0 + k as f64)).collect())
             .unwrap();
-        let cold = store.ensure_caches(false, Q_MIN);
-        assert_eq!(cold.dirty_shards, 8);
-        assert_eq!(cold.rebuilt_columns, n);
-        // Nothing dirty: nothing rebuilt.
-        assert_eq!(store.ensure_caches(false, Q_MIN), ShardStats::default());
-        // Removing one client dirties exactly its shard.
+        let cold = store.refresh().unwrap();
+        assert_eq!(cold.stamped, (0..9).collect::<Vec<_>>());
+        assert_eq!(cold.rederived, n);
+        // Nothing stamped: nothing re-derived.
+        let clean = store.refresh().unwrap();
+        assert!(clean.stamped.is_empty());
+        assert_eq!(clean.rederived, 0);
+        // Removing one client stamps exactly its block.
         store.remove(&[ids[0]]).unwrap();
-        let after_remove = store.ensure_caches(false, Q_MIN);
-        assert_eq!(after_remove.dirty_shards, 1);
-        assert!(after_remove.rebuilt_columns < n / 2);
-        // A small add batch lands in at most two shards.
+        let after_remove = store.refresh().unwrap();
+        assert_eq!(after_remove.stamped, vec![0]);
+        assert_eq!(after_remove.rederived, ROUTE_BLOCK as usize - 1);
+        // A small add batch lands in the last block.
         store.add(vec![params(5.0), params(6.0)]).unwrap();
-        let after_add = store.ensure_caches(false, Q_MIN);
-        assert!(after_add.dirty_shards <= 2);
+        let after_add = store.refresh().unwrap();
+        assert_eq!(after_add.stamped, vec![8]);
+        assert_eq!(after_add.rederived, 9);
+    }
+
+    #[test]
+    fn refresh_without_stamps_touches_no_column() {
+        let mut store = store(true);
+        let mut clients: Vec<ClientParams> = (0..100).map(|k| params(1.0 + k as f64)).collect();
+        clients[40].availability = UNREACHABLE;
+        store.add(clients).unwrap();
+        let first = store.refresh().unwrap();
+        // Poison every column: a refresh that rewrote or moved any row
+        // would overwrite the poison.
+        let poison = f64::from_bits(0x7FF8_DEAD_BEEF_0001);
+        store.columns.population.a2g2.fill(poison);
+        for column in store.columns.row_columns() {
+            column.fill(poison);
+        }
+        let again = store.refresh().unwrap();
+        assert!(again.stamped.is_empty());
+        assert_eq!(again.rederived, 0);
+        assert_eq!(
+            again.total_raw_weight.to_bits(),
+            first.total_raw_weight.to_bits()
+        );
+        let population = &store.columns.population;
+        assert_eq!(population.len(), 99);
+        for column in [&population.a2g2, &population.cost, &population.value]
+            .into_iter()
+            .chain([&population.q_max, &store.columns.w_raw, &store.columns.g2])
+            .chain(store.columns.w2g2.as_ref())
+        {
+            assert!(column.iter().all(|x| x.to_bits() == poison.to_bits()));
+        }
     }
 
     #[test]
     fn segment_versions_stamp_only_touched_segments() {
-        // 3 shards do not divide the 256 segments: blocks 0 and 3 share
-        // shard 0 but not a segment, and the stamps stay per segment.
-        let mut store = ShardedClientStore::new(3);
-        let stamps = |store: &ShardedClientStore| {
+        let mut store = store(true);
+        let stamps = |store: &ClientStore| {
             let versions = store.segment_versions();
             assert_eq!(versions.len(), INDEX_SEGMENTS);
             assert!(versions[4..].iter().all(|&v| v == 0));
@@ -756,131 +808,128 @@ mod tests {
         store.remove(&[ids[0]]).unwrap();
         assert_eq!(store.version(), 3);
         assert_eq!(stamps(&store), [3, 2, 0, 0]);
-        // An availability change to one client stamps its segment only —
-        // and only when the service tracks availability.
+        // An availability change to one client stamps its segment only.
         let n = store.len();
         let mut patterns = vec![AvailabilityPattern::AlwaysOn; n];
         patterns[n - 1] = AvailabilityPattern::Random { probability: 0.5 };
         let model = AvailabilityModel::new(patterns).unwrap();
-        assert!(store.set_availability(&model, false).unwrap());
-        assert_eq!(stamps(&store), [3, 2, 0, 0], "untracked change");
-        let model = AvailabilityModel::always_on(n);
-        assert!(store.set_availability(&model, true).unwrap());
+        assert!(store.set_availability(&model).unwrap());
         assert_eq!(store.version(), 4);
         assert_eq!(stamps(&store), [3, 4, 0, 0]);
-        // Blocks 2 and 3, then a removal from block 3: shard 0 churns
-        // again, segment 0 does not.
+        // An availability-blind store writes the patterns but stamps
+        // nothing: its rows never read them.
+        let mut blind = ClientStore::new(false, Q_MIN, true);
+        blind.add(vec![params(1.0)]).unwrap();
+        let model = AvailabilityModel::new(vec![UNREACHABLE]).unwrap();
+        assert!(!blind.set_availability(&model).unwrap());
+        assert_eq!(blind.version(), 1);
+        assert_eq!(blind.record(ClientId(0)).unwrap().availability, UNREACHABLE);
+        // Blocks 2 and 3, then a removal from block 3: segment 3 only.
         store
             .add((0..2 * ROUTE_BLOCK).map(|_| params(3.0)).collect())
             .unwrap();
         assert_eq!(stamps(&store), [3, 4, 5, 5]);
-        store.ensure_caches(false, Q_MIN);
         store.remove(&[ClientId(3 * ROUTE_BLOCK + 7)]).unwrap();
-        assert_eq!(store.dirty_shards(), vec![0]);
         assert_eq!(stamps(&store), [3, 4, 5, 6]);
     }
 
     #[test]
     fn assembled_index_inputs_align_with_included_clients() {
-        let mut store = ShardedClientStore::new(2);
+        let mut exact = ClientStore::new(true, Q_MIN, false);
+        let mut fast = store(true);
         let mut dead = params(2.0);
-        dead.availability = AvailabilityPattern::Random { probability: 1e-12 };
-        store
-            .add(vec![params(1.5), dead, params(3.0), params(4.0)])
-            .unwrap();
-        store.ensure_caches(true, Q_MIN);
+        dead.availability = UNREACHABLE;
+        let clients = vec![params(1.5), dead, params(3.0), params(4.0)];
+        exact.add(clients.clone()).unwrap();
+        fast.add(clients).unwrap();
+        let exact_total = exact.refresh().unwrap().total_raw_weight;
         assert!(
-            store.assemble(false).unwrap().index.is_none(),
-            "the exact path assembles no index inputs"
+            exact.index_columns().is_none(),
+            "the exact path keeps no index inputs"
         );
-        let assembled = store.assemble(true).unwrap();
-        let inputs = assembled.index.as_ref().unwrap();
-        assert_eq!(inputs.w2g2.len(), assembled.included_count);
-        assert_eq!(inputs.segments.len(), INDEX_SEGMENTS);
+        let total = fast.refresh().unwrap().total_raw_weight;
+        assert_eq!(total.to_bits(), exact_total.to_bits());
+        assert_eq!(fast.population(), exact.population());
+        let inputs = fast.index_columns().unwrap();
         // w²G² is raw-weight squared times G², in insertion order over
-        // the included clients; the scale is the squared raw total.
+        // the included clients; the probe scale is the squared raw total.
         let expected: Vec<f64> = [1.5f64, 3.0, 4.0].iter().map(|w| w * w * 4.0).collect();
-        assert_eq!(inputs.w2g2, expected);
-        let total: f64 = 1.5 + 3.0 + 4.0;
-        assert_eq!(inputs.scale.to_bits(), (total * total).to_bits());
+        assert_eq!(inputs.w2g2, expected.as_slice());
+        assert_eq!(total.to_bits(), (1.5f64 + 3.0 + 4.0).to_bits());
         // All four ids share route block 0, so segment 0 holds the three
         // included rows as one range and every other segment is empty.
-        assert_eq!(inputs.segments[0], vec![0..3]);
-        assert!(inputs.segments[1..].iter().all(Vec::is_empty));
+        let segments = fast.index_segments();
+        assert_eq!(segments.len(), INDEX_SEGMENTS);
+        assert_eq!(segments[0], vec![0..3]);
+        assert!(segments[1..].iter().all(Vec::is_empty));
         // The scaled index columns describe the same clients the solver
-        // columns do: (w/W)²G² == w²G² / scale up to one rounding.
-        for (i, &a2g2) in assembled.population.a2g2.iter().enumerate() {
-            let rescaled = inputs.w2g2[i] / inputs.scale;
+        // columns do: (w/W)²G² == w²G² / W² up to one rounding.
+        for (i, &a2g2) in fast.population().a2g2.iter().enumerate() {
+            let rescaled = inputs.w2g2[i] / (total * total);
             assert!((rescaled - a2g2).abs() <= 1e-12 * a2g2.abs());
         }
     }
 
     #[test]
-    fn availability_updates_dirty_only_changed_shards() {
-        let mut store = ShardedClientStore::new(4);
+    fn availability_updates_stamp_only_changed_blocks() {
+        let mut store = store(true);
         let n = ROUTE_BLOCK as usize * 4;
         store.add((0..n).map(|_| params(1.0)).collect()).unwrap();
-        store.ensure_caches(true, Q_MIN);
-        // An identical model changes nothing and dirties nothing.
+        store.refresh().unwrap();
+        // An identical model changes nothing and stamps nothing.
         let same = AvailabilityModel::always_on(n);
-        assert!(!store.set_availability(&same, true).unwrap());
-        assert_eq!(store.ensure_caches(true, Q_MIN), ShardStats::default());
-        // Changing one client's pattern dirties exactly its shard.
+        assert!(!store.set_availability(&same).unwrap());
+        assert!(store.refresh().unwrap().stamped.is_empty());
+        // Changing one client's pattern stamps exactly its block.
         let mut patterns = vec![AvailabilityPattern::AlwaysOn; n];
         patterns[3] = AvailabilityPattern::Random { probability: 0.5 };
         let model = AvailabilityModel::new(patterns).unwrap();
-        assert!(store.set_availability(&model, true).unwrap());
-        let stats = store.ensure_caches(true, Q_MIN);
-        assert_eq!(stats.dirty_shards, 1);
-        assert_eq!(stats.rebuilt_columns, ROUTE_BLOCK as usize);
+        assert!(store.set_availability(&model).unwrap());
+        let refresh = store.refresh().unwrap();
+        assert_eq!(refresh.stamped, vec![0]);
+        assert_eq!(refresh.rederived, ROUTE_BLOCK as usize);
         // Mismatched model length is rejected.
         assert!(store
-            .set_availability(&AvailabilityModel::always_on(n - 1), true)
+            .set_availability(&AvailabilityModel::always_on(n - 1))
             .is_err());
     }
 
     #[test]
     fn assemble_matches_from_raw_normalisation() {
-        let mut store = ShardedClientStore::new(3);
+        let mut store = store(false);
         let clients: Vec<ClientParams> = (0..10).map(|k| params(1.0 + k as f64)).collect();
         store.add(clients.clone()).unwrap();
-        store.ensure_caches(false, Q_MIN);
-        let assembled = store.assemble(false).unwrap();
-        assert_eq!(assembled.included_count, 10);
-        assert!(assembled.included.iter().all(|&inc| inc));
+        let total = store.refresh().unwrap().total_raw_weight;
         let reference =
             Population::from_raw(clients.iter().map(ClientParams::raw_profile).collect())
                 .unwrap()
                 .columns();
-        assert_eq!(assembled.population, reference);
+        assert_eq!(*store.population(), reference);
         let expected_total: f64 = clients.iter().map(|c| c.data_size).sum();
-        assert_eq!(
-            assembled.total_raw_weight.to_bits(),
-            expected_total.to_bits()
-        );
+        assert_eq!(total.to_bits(), expected_total.to_bits());
     }
 
     #[test]
     fn assemble_excludes_unreachable_clients() {
-        let mut store = ShardedClientStore::new(2);
+        let mut store = store(true);
         let mut dead = params(2.0);
-        dead.availability = AvailabilityPattern::Random { probability: 1e-12 };
+        dead.availability = UNREACHABLE;
         store.add(vec![params(1.0), dead, params(3.0)]).unwrap();
-        store.ensure_caches(true, Q_MIN);
-        let assembled = store.assemble(false).unwrap();
-        assert_eq!(assembled.included, vec![true, false, true]);
-        assert_eq!(assembled.included_count, 2);
-        assert_eq!(assembled.population.len(), 2);
-        // All excluded -> NoPriceableClients.
-        let mut empty = ShardedClientStore::new(2);
+        store.refresh().unwrap();
+        assert_eq!(store.population().len(), 2);
+        assert_eq!(store.scatter(&[7.0, 9.0]), vec![7.0, 0.0, 9.0]);
+        // All excluded -> NoPriceableClients, and a retry fails the same
+        // way.
+        let mut empty = ClientStore::new(true, Q_MIN, false);
         let mut gone = params(1.0);
-        gone.availability = AvailabilityPattern::Random { probability: 1e-12 };
+        gone.availability = UNREACHABLE;
         empty.add(vec![gone]).unwrap();
-        empty.ensure_caches(true, Q_MIN);
-        assert!(matches!(
-            empty.assemble(false),
-            Err(ServiceError::NoPriceableClients { registered: 1 })
-        ));
+        for _ in 0..2 {
+            assert!(matches!(
+                empty.refresh(),
+                Err(ServiceError::NoPriceableClients { registered: 1 })
+            ));
+        }
     }
 
     /// SplitMix64: a deterministic stream of test parameters.
@@ -900,7 +949,7 @@ mod tests {
     /// unreachable, so availability-aware stores exclude it.
     fn pattern(seed: u64) -> AvailabilityPattern {
         match mix(seed) % 5 {
-            0 => AvailabilityPattern::Random { probability: 1e-12 },
+            0 => UNREACHABLE,
             1 => AvailabilityPattern::Random {
                 probability: unit(seed, 9, 0.2, 1.0),
             },
@@ -930,42 +979,42 @@ mod tests {
     }
 
     /// A store driven in lockstep with a naive reference — the live
-    /// clients as a `Vec` in id order, plus the stamps and dirty shards
-    /// the store must report — checked after every command.
+    /// clients as a `Vec` in id order, plus the stamps the store must
+    /// report — checked after every command.
     struct Checked {
-        store: ShardedClientStore,
+        store: ClientStore,
         aware: bool,
         clients: Vec<(ClientId, ClientParams)>,
         removed: Vec<ClientId>,
         next_id: u64,
         version: u64,
         segment_versions: Vec<u64>,
-        dirty: Vec<bool>,
+        /// Route blocks a mutation touched since the last refresh.
+        stamped: BTreeSet<usize>,
     }
 
     impl Checked {
-        fn new(shards: usize, aware: bool) -> Self {
+        fn new(aware: bool, index_inputs: bool) -> Self {
             Self {
-                store: ShardedClientStore::new(shards),
+                store: ClientStore::new(aware, Q_MIN, index_inputs),
                 aware,
                 clients: Vec::new(),
                 removed: Vec::new(),
                 next_id: 0,
                 version: 0,
                 segment_versions: vec![0; INDEX_SEGMENTS],
-                dirty: vec![true; shards],
+                stamped: BTreeSet::new(),
             }
         }
 
-        fn route(&self, id: ClientId) -> usize {
-            ((id.0 / ROUTE_BLOCK) % self.dirty.len() as u64) as usize
+        fn block_of(id: ClientId) -> usize {
+            (id.0 / ROUTE_BLOCK) as usize
         }
 
-        /// Stamp `id`'s segment and dirty its shard.
+        /// Stamp `id`'s block and its segment.
         fn touch(&mut self, id: ClientId) {
-            self.segment_versions[segment_of(id)] = self.version;
-            let shard = self.route(id);
-            self.dirty[shard] = true;
+            self.segment_versions[Self::block_of(id) % INDEX_SEGMENTS] = self.version;
+            self.stamped.insert(Self::block_of(id));
         }
 
         fn add(&mut self, batch: Vec<ClientParams>) {
@@ -1019,7 +1068,7 @@ mod tests {
 
         fn set_availability(&mut self, patterns: Vec<AvailabilityPattern>) {
             let model = AvailabilityModel::new(patterns.clone()).unwrap();
-            let changed = self.store.set_availability(&model, self.aware).unwrap();
+            let stamped = self.store.set_availability(&model).unwrap();
             let hits: Vec<ClientId> = self
                 .clients
                 .iter()
@@ -1027,8 +1076,8 @@ mod tests {
                 .filter(|((_, params), &p)| params.availability != p)
                 .map(|((id, _), _)| *id)
                 .collect();
-            assert_eq!(changed, !hits.is_empty());
-            if self.aware && changed {
+            assert_eq!(stamped, self.aware && !hits.is_empty());
+            if stamped {
                 self.version += 1;
                 for id in hits {
                     self.touch(id);
@@ -1040,14 +1089,17 @@ mod tests {
             self.check();
         }
 
-        /// Ids, positions, stamps and the dirty set against the reference.
+        /// Ids, positions, records and stamps against the reference, then
+        /// the columns a refresh of a copy of the store would serve — so
+        /// the stamps of several commands still pile up for the next
+        /// [`Self::refresh`].
         fn check(&self) {
             let ids: Vec<ClientId> = self.clients.iter().map(|(id, _)| *id).collect();
             assert_eq!(self.store.ids(), ids.as_slice());
             assert_eq!(self.store.len(), ids.len());
             for (pos, (id, params)) in self.clients.iter().enumerate() {
                 assert_eq!(self.store.position(*id), Some(pos), "position of {id}");
-                assert_eq!(self.store.record(*id).map(|r| &r.params), Some(params));
+                assert_eq!(self.store.record(*id), Some(params));
             }
             let unissued = [
                 ClientId(self.next_id),
@@ -1062,29 +1114,22 @@ mod tests {
                 self.store.segment_versions(),
                 self.segment_versions.as_slice()
             );
-            let dirty: Vec<usize> = (0..self.dirty.len()).filter(|&s| self.dirty[s]).collect();
-            assert_eq!(self.store.dirty_shards(), dirty);
+            self.verify_refresh(&mut self.store.clone());
         }
 
-        /// Rebuild the dirty caches and compare the assembled view, bit for
-        /// bit, with `Population::from_raw` over the included survivors.
-        fn assemble(&mut self) {
-            let stats = self.store.ensure_caches(self.aware, Q_MIN);
-            let rebuilt = self
-                .clients
-                .iter()
-                .filter(|(id, _)| self.dirty[self.route(*id)])
-                .count();
-            assert_eq!(
-                stats,
-                ShardStats {
-                    dirty_shards: self.dirty.iter().filter(|&&d| d).count(),
-                    rebuilt_columns: rebuilt,
-                }
-            );
-            self.dirty.fill(false);
-            self.check();
+        /// Refresh the store itself, so later commands stamp afresh.
+        fn refresh(&mut self) {
+            let mut store = self.store.clone();
+            self.verify_refresh(&mut store);
+            self.store = store;
+            self.stamped.clear();
+        }
 
+        /// Refresh `store` and compare its columns, bit for bit, with
+        /// `Population::from_raw` over the included survivors, and the
+        /// re-derived rows with the clients of the stamped blocks.
+        fn verify_refresh(&self, store: &mut ClientStore) {
+            let result = store.refresh();
             let rates: Vec<f64> = self
                 .clients
                 .iter()
@@ -1103,18 +1148,26 @@ mod tests {
                 .map(|((_, p), &r)| r > 0.0 && p.q_max * r > Q_MIN)
                 .collect();
             let survivors: Vec<usize> = (0..included.len()).filter(|&i| included[i]).collect();
-            let result = self.store.assemble(true);
             if survivors.is_empty() {
                 let registered = self.clients.len();
-                assert!(matches!(
-                    result,
-                    Err(ServiceError::NoPriceableClients { registered: r }) if r == registered
-                ));
+                for result in [result, store.refresh()] {
+                    assert!(matches!(
+                        result,
+                        Err(ServiceError::NoPriceableClients { registered: r }) if r == registered
+                    ));
+                }
                 return;
             }
-            let view = result.unwrap();
-            assert_eq!(view.included, included);
-            assert_eq!(view.included_count, survivors.len());
+            let refresh = result.unwrap();
+            let stamped: Vec<usize> = self.stamped.iter().copied().collect();
+            assert_eq!(refresh.stamped, stamped);
+            let rederived = self
+                .clients
+                .iter()
+                .filter(|(id, _)| self.stamped.contains(&Self::block_of(*id)))
+                .count();
+            assert_eq!(refresh.rederived, rederived);
+
             let survivor_rates: Vec<f64> = survivors.iter().map(|&i| rates[i]).collect();
             let expected = Population::from_raw(
                 survivors
@@ -1126,50 +1179,55 @@ mod tests {
             .columns()
             .effective(&survivor_rates)
             .unwrap();
-            let got = &view.population;
+            let got = store.population();
             assert_eq!(bits(&got.a2g2), bits(&expected.a2g2));
             assert_eq!(bits(&got.cost), bits(&expected.cost));
             assert_eq!(bits(&got.value), bits(&expected.value));
             assert_eq!(bits(&got.q_max), bits(&expected.q_max));
-            let weights: Vec<f64> = survivors
-                .iter()
-                .map(|&i| self.clients[i].1.data_size)
-                .collect();
-            let total: f64 = weights.iter().sum();
-            assert_eq!(view.total_raw_weight.to_bits(), total.to_bits());
-            // The exact path's view is the same solver columns with no
-            // index inputs.
-            let exact_view = self.store.assemble(false).unwrap();
-            assert_eq!(exact_view.population, view.population);
-            assert!(exact_view.index.is_none());
-            let index = view.index.as_ref().unwrap();
-            let w2g2: Vec<f64> = survivors
-                .iter()
-                .map(|&i| {
-                    let p = &self.clients[i].1;
-                    p.data_size * p.data_size * p.g_squared
-                })
-                .collect();
-            assert_eq!(bits(&index.w2g2), bits(&w2g2));
-            let index_cols = view.index_columns(index);
-            assert_eq!(bits(index_cols.w2g2), bits(&w2g2));
-            assert_eq!(bits(index_cols.cost), bits(&expected.cost));
-            assert_eq!(bits(index_cols.value), bits(&expected.value));
-            assert_eq!(bits(index_cols.q_max), bits(&expected.q_max));
+            let raw = |f: fn(&ClientParams) -> f64| -> Vec<u64> {
+                survivors
+                    .iter()
+                    .map(|&i| f(&self.clients[i].1).to_bits())
+                    .collect()
+            };
+            assert_eq!(bits(&store.columns.w_raw), raw(|p| p.data_size));
+            assert_eq!(bits(&store.columns.g2), raw(|p| p.g_squared));
+            let total: f64 = survivors.iter().map(|&i| self.clients[i].1.data_size).sum();
+            assert_eq!(refresh.total_raw_weight.to_bits(), total.to_bits());
+            if let Some(index) = store.index_columns() {
+                assert_eq!(
+                    bits(index.w2g2),
+                    raw(|p| p.data_size * p.data_size * p.g_squared)
+                );
+                assert_eq!(bits(index.cost), bits(&expected.cost));
+                assert_eq!(bits(index.value), bits(&expected.value));
+                assert_eq!(bits(index.q_max), bits(&expected.q_max));
+            }
             // Each segment holds its blocks' included rows in global
             // order, as non-empty ranges.
             let mut rows = vec![Vec::new(); INDEX_SEGMENTS];
             for (row, &i) in survivors.iter().enumerate() {
-                rows[segment_of(self.clients[i].0)].push(row);
+                rows[Self::block_of(self.clients[i].0) % INDEX_SEGMENTS].push(row);
             }
-            let got: Vec<Vec<usize>> = index
-                .segments
+            let segments = store.index_segments();
+            let got: Vec<Vec<usize>> = segments
                 .iter()
                 .map(|ranges| ranges.iter().cloned().flatten().collect())
                 .collect();
             assert_eq!(got, rows);
-            assert!(index.segments.iter().flatten().all(|r| !r.is_empty()));
-            assert_eq!(index.scale.to_bits(), (total * total).to_bits());
+            assert!(segments.iter().flatten().all(|r| !r.is_empty()));
+            // Row `r` scatters to its client's position; excluded clients
+            // read 0.
+            let tags: Vec<f64> = (1..=survivors.len()).map(|r| r as f64).collect();
+            let mut scattered = vec![0.0; self.clients.len()];
+            for (row, &i) in survivors.iter().enumerate() {
+                scattered[i] = tags[row];
+            }
+            assert_eq!(store.scatter(&tags), scattered);
+            // A second refresh has nothing to do.
+            let again = store.refresh().unwrap();
+            assert!(again.stamped.is_empty());
+            assert_eq!(again.rederived, 0);
         }
 
         /// One random command keyed by `(kind, arg)`.
@@ -1216,13 +1274,23 @@ mod tests {
                     }
                 },
                 3 if live.is_empty() => {}
+                // Re-draw a quarter of the patterns, or make one block's
+                // clients reachable: clients are excluded and re-included,
+                // and a re-inclusion moves the later clean blocks' rows up.
                 3 => {
+                    let block = pick(2).0 / ROUTE_BLOCK;
                     let patterns = self
                         .clients
                         .iter()
                         .enumerate()
-                        .map(|(i, (_, p))| {
-                            if mix(arg ^ i as u64).is_multiple_of(4) {
+                        .map(|(i, (id, p))| {
+                            if arg.is_multiple_of(3) {
+                                if id.0 / ROUTE_BLOCK == block {
+                                    AvailabilityPattern::AlwaysOn
+                                } else {
+                                    p.availability
+                                }
+                            } else if mix(arg ^ i as u64).is_multiple_of(4) {
                                 pattern(arg ^ mix(i as u64))
                             } else {
                                 p.availability
@@ -1231,7 +1299,7 @@ mod tests {
                         .collect();
                     self.set_availability(patterns);
                 }
-                _ => self.assemble(),
+                _ => self.refresh(),
             }
         }
     }
@@ -1241,33 +1309,33 @@ mod tests {
 
         #[test]
         fn directory_store_matches_a_naive_model(
-            shard_pick in 0usize..4,
             aware in any::<bool>(),
+            index_inputs in any::<bool>(),
             ops in prop::collection::vec((0u8..6, any::<u64>()), 1..40),
         ) {
-            let mut checked = Checked::new([1, 3, 8, 256][shard_pick], aware);
+            let mut checked = Checked::new(aware, index_inputs);
             for (kind, arg) in ops {
                 checked.apply(kind, arg);
             }
-            checked.assemble();
+            checked.refresh();
         }
     }
 
     #[test]
     fn directory_edge_cases_match_a_naive_model() {
-        for shards in [1, 3, 8, 256] {
-            for aware in [false, true] {
-                let mut checked = Checked::new(shards, aware);
+        for aware in [false, true] {
+            for index_inputs in [false, true] {
+                let mut checked = Checked::new(aware, index_inputs);
                 // Blocks 0 and 1 full, block 2 holding ids 64..80.
                 checked.add((0..80).map(drawn).collect());
-                checked.assemble();
+                checked.refresh();
                 // Empty a whole route block, in reverse id order.
                 checked.remove(&(32..64).rev().map(ClientId).collect::<Vec<_>>());
-                checked.assemble();
+                checked.refresh();
                 // Partly empty the last block, then re-add into it.
                 checked.remove(&[ClientId(79), ClientId(70), ClientId(64)]);
                 checked.add((80..90).map(drawn).collect());
-                checked.assemble();
+                checked.refresh();
                 // Availability updates after removals.
                 let patterns = checked
                     .clients
@@ -1282,7 +1350,7 @@ mod tests {
                     })
                     .collect();
                 checked.set_availability(patterns);
-                checked.assemble();
+                checked.refresh();
                 // Rejected batches change nothing.
                 checked.remove(&[ClientId(0), ClientId(40)]);
                 checked.remove(&[ClientId(1), ClientId(2), ClientId(1)]);
@@ -1292,9 +1360,50 @@ mod tests {
                 let everyone = checked.store.ids().to_vec();
                 checked.remove(&everyone);
                 assert!(checked.store.is_empty());
-                checked.assemble();
+                checked.refresh();
                 checked.add((90..100).map(drawn).collect());
-                checked.assemble();
+                checked.refresh();
+                // Five more blocks of reachable clients, then rows that
+                // move both ways in one refresh: the third of them loses
+                // two rows; then the first loses one while the third
+                // regains its two, so the second moves down and every
+                // block after the third moves up.
+                let always_on = |checked: &mut Checked, from: u64, to: u64| {
+                    let clients = (from..to)
+                        .map(|k| ClientParams {
+                            availability: AvailabilityPattern::AlwaysOn,
+                            ..drawn(k)
+                        })
+                        .collect();
+                    checked.add(clients);
+                };
+                always_on(&mut checked, 100, 260);
+                checked.refresh();
+                let flip = |checked: &mut Checked, off: &[u64]| {
+                    let patterns = checked
+                        .clients
+                        .iter()
+                        .map(|(id, _)| {
+                            if off.contains(&id.0) {
+                                UNREACHABLE
+                            } else {
+                                AvailabilityPattern::AlwaysOn
+                            }
+                        })
+                        .collect();
+                    checked.set_availability(patterns);
+                };
+                let base = checked.store.ids()[0].0 / ROUTE_BLOCK * ROUTE_BLOCK + ROUTE_BLOCK;
+                flip(
+                    &mut checked,
+                    &[base + 2 * ROUTE_BLOCK + 3, base + 2 * ROUTE_BLOCK + 9],
+                );
+                checked.refresh();
+                flip(&mut checked, &[base + 5]);
+                checked.refresh();
+                // Re-include everyone, so every later row moves up.
+                flip(&mut checked, &[]);
+                checked.refresh();
             }
         }
     }

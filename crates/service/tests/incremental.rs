@@ -6,19 +6,29 @@
 //!    `solve_kkt` over the same clients (same thread count) *bit for bit*.
 //! 2. **Warm-start dominance** — the warm-started λ-bisection never runs
 //!    more midpoint iterations than a cold solve of the same instance.
+//!
+//! Raw weights the service cannot normalise fail every reprice the same
+//! way, keep the last priced state, and price bit-identically once the
+//! offending client leaves.
 
 use fedfl_core::bound::BoundParams;
 use fedfl_core::population::{ClientProfile, Population};
 use fedfl_core::server::{path_budget, solve_kkt, solve_kkt_columns, SolverMode, SolverOptions};
 use fedfl_num::rng::substream;
 use fedfl_obs::NoopRecorder;
-use fedfl_service::{AvailabilityPattern, ClientId, ClientParams, PricingService, ServiceConfig};
+use fedfl_service::{
+    AvailabilityModel, AvailabilityPattern, ClientId, ClientParams, Command, PricingService,
+    ServiceConfig,
+};
 use proptest::prelude::*;
 use rand::Rng;
 
 fn bound() -> BoundParams {
     BoundParams::new(4_000.0, 100.0, 1_000).unwrap()
 }
+
+/// Effectively unreachable: an availability-aware service excludes it.
+const UNREACHABLE: AvailabilityPattern = AvailabilityPattern::Random { probability: 1e-9 };
 
 /// Draw one client from the op stream's RNG.
 fn draw_client<R: Rng>(rng: &mut R, availability_mode: u8) -> ClientParams {
@@ -35,8 +45,8 @@ fn draw_client<R: Rng>(rng: &mut R, availability_mode: u8) -> ClientParams {
             1 => AvailabilityPattern::Random {
                 probability: u(rng, 0.2, 1.0),
             },
-            // Effectively unreachable: exercises the exclusion path.
-            2 => AvailabilityPattern::Random { probability: 1e-9 },
+            // Exercises the exclusion path.
+            2 => UNREACHABLE,
             _ => AvailabilityPattern::DutyCycle {
                 period: 1 + (rng.random::<u64>() % 8) as usize,
                 on_rounds: 1,
@@ -154,10 +164,43 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str, step: usize) {
     }
 }
 
+/// Flip up to three clients of `mirror` between unreachable and reachable
+/// patterns through `UpdateAvailability`, so an availability-aware service
+/// excludes and re-includes clients mid-history (a re-inclusion is what
+/// moves the store's later rows up).
+fn flip_availability<R: Rng>(
+    rng: &mut R,
+    service: &mut PricingService,
+    mirror: &mut [(ClientId, ClientParams)],
+) {
+    if mirror.is_empty() {
+        return;
+    }
+    for _ in 0..rng.random::<u64>() % 4 {
+        let pos = (rng.random::<u64>() % mirror.len() as u64) as usize;
+        let availability = &mut mirror[pos].1.availability;
+        *availability = if *availability == UNREACHABLE {
+            AvailabilityPattern::Random {
+                probability: 0.3 + 0.7 * (rng.random::<u64>() as f64 / u64::MAX as f64),
+            }
+        } else {
+            UNREACHABLE
+        };
+    }
+    let patterns = mirror.iter().map(|(_, p)| p.availability).collect();
+    let model = AvailabilityModel::new(patterns).expect("valid patterns");
+    service
+        .execute(Command::UpdateAvailability(model))
+        .expect("availability update");
+}
+
 /// Drive one random churn history through the service, checking both
 /// contracts after every re-solve.
 fn run_churn(seed: u64, n0: usize, steps: usize, availability_mode: u8, threads: usize) {
     let mut rng = substream(seed, 0xC0FFEE);
+    // Availability flips draw from their own stream, so the add/remove
+    // history is the same with or without them.
+    let mut flips = substream(seed, 0xF11B);
     let mut config = ServiceConfig::new(bound(), 0.0);
     config.solver = SolverOptions::with_threads(threads);
     config.availability_aware = availability_mode > 0;
@@ -182,7 +225,8 @@ fn run_churn(seed: u64, n0: usize, steps: usize, availability_mode: u8, threads:
 
     for step in 0..=steps {
         if step > 0 {
-            // Mutate: a batch of adds and a batch of removes.
+            // Mutate: a batch of adds, a batch of removes and a few
+            // availability flips.
             let n_add = (rng.random::<u64>() % 5) as usize;
             let batch: Vec<ClientParams> = (0..n_add)
                 .map(|_| draw_client(&mut rng, availability_mode))
@@ -196,6 +240,7 @@ fn run_churn(seed: u64, n0: usize, steps: usize, availability_mode: u8, threads:
                 doomed.push(mirror.remove(pos).0);
             }
             service.remove_clients(&doomed).expect("remove");
+            flip_availability(&mut flips, &mut service, &mut mirror);
         }
         let snapshot = match service.snapshot() {
             Ok(s) => s,
@@ -382,5 +427,79 @@ fn warm_fast_resolve_after_one_churn_batch_makes_at_most_16_model_probes() {
     assert!(
         warm <= cold + 8,
         "flat-curve warm fast re-solve made {warm} model probes; cold made {cold}"
+    );
+}
+
+/// Price `initial`, add `arrivals` (whose raw weights the service cannot
+/// normalise) and check that every reprice fails with `(name, reason)`
+/// and keeps the priced state. Then remove the clients at `departing`
+/// (indices into `initial ++ arrivals`): the survivors must price
+/// bit-identically to a fresh service.
+fn degenerate_weights_fail_until_removed(
+    initial: Vec<ClientParams>,
+    arrivals: Vec<ClientParams>,
+    departing: &[usize],
+    name: &str,
+    reason: &str,
+) {
+    use fedfl_core::GameError;
+    use fedfl_service::{Response, ServiceError};
+
+    let config = ServiceConfig::new(bound(), 10.0);
+    let (mut service, mut ids) = PricingService::with_clients(config, initial.clone()).unwrap();
+    let priced = service.snapshot().unwrap();
+    match service.execute(Command::AddClients(arrivals.clone())) {
+        Ok(Response::Added(added)) => ids.extend(added),
+        other => panic!("{other:?}"),
+    }
+    for _ in 0..2 {
+        match service.reprice() {
+            Err(ServiceError::Game(GameError::InvalidParameter { name: n, reason: r })) => {
+                assert_eq!((n, r.as_str()), (name, reason));
+            }
+            other => panic!("expected the {name} error, got {other:?}"),
+        }
+        assert!(service.is_dirty());
+        assert_eq!(service.last_report(), Some(&priced.report));
+    }
+    let doomed: Vec<ClientId> = departing.iter().map(|&i| ids[i]).collect();
+    service.remove_clients(&doomed).unwrap();
+    let survivors: Vec<ClientParams> = initial
+        .into_iter()
+        .chain(arrivals)
+        .enumerate()
+        .filter(|(i, _)| !departing.contains(i))
+        .map(|(_, client)| client)
+        .collect();
+    let (mut fresh, _) = PricingService::with_clients(config, survivors).unwrap();
+    let (got, expected) = (service.snapshot().unwrap(), fresh.snapshot().unwrap());
+    assert_bits_eq(&got.prices, &expected.prices, "price", 0);
+    assert_bits_eq(&got.q_eff, &expected.q_eff, "q_eff", 0);
+}
+
+#[test]
+fn overflowing_raw_weight_total_fails_the_reprice_until_removed() {
+    // Two clients at the largest finite data size overflow the raw total;
+    // either one alone normalises to weight 1.
+    let heavy = |cost: f64| ClientParams::always_on(f64::MAX, 4.0, cost, 2.0, 1.0);
+    degenerate_weights_fail_until_removed(
+        vec![heavy(30.0)],
+        vec![heavy(50.0)],
+        &[0],
+        "weights",
+        "raw weights must sum to a positive finite total, got inf",
+    );
+}
+
+#[test]
+fn underflowing_normalised_weight_fails_the_reprice_until_removed() {
+    // 1e-300 beside 3e300 of raw weight normalises to 0.
+    let client = |weight: f64, cost: f64| ClientParams::always_on(weight, 4.0, cost, 2.0, 1.0);
+    degenerate_weights_fail_until_removed(
+        vec![client(1e300, 30.0), client(2e300, 50.0)],
+        vec![client(1e-300, 40.0)],
+        &[2],
+        "weight",
+        "normalised weight must be finite and positive, got 0",
     );
 }

@@ -1,14 +1,19 @@
-//! The sharded store's contracts, property-tested under random churn:
+//! The store's contracts under the `shards` knob, property-tested under
+//! random churn. `ServiceConfig::shards` no longer changes execution: the
+//! store keeps one column set in 32-id route blocks whatever its value,
+//! and the knob only sets the shard count `RepriceReport::dirty_shards`
+//! is reported in. The shard-count sweeps below stay until the knob and
+//! its report fields are retired (ROADMAP item 7):
 //!
 //! 1. **Shard-count invariance** — replaying one churn history through
-//!    services configured with 1, 2, 7 and 32 store shards (and 1 or 3
-//!    worker threads) produces **bit-identical** snapshots at every step:
-//!    sharding changes which columns are rebuilt, never the prices.
-//!    A 33k-client service repeats the check at 1, 7 and 256 shards with
-//!    spawned solver workers on the exact and the fast path.
-//! 2. **Dirty-shard accounting** — a delta rebuilds only the shards it
-//!    touches; with enough shards a small churn batch rebuilds a strict
-//!    subset of the columns.
+//!    services configured with 1, 2, 7 and 32 shards (and 1 or 3 worker
+//!    threads) produces **bit-identical** snapshots at every step. A
+//!    33k-client service repeats the check at 1, 7 and 256 shards with
+//!    spawned solver workers on the exact and the fast path, which keeps
+//!    covering the thread-count half of the contract.
+//! 2. **Stamp accounting** — a delta re-derives only the rows of the
+//!    route blocks it touches, reported as the shards those blocks map
+//!    to; a small churn batch re-derives a strict subset of the columns.
 //! 3. **Dynamic budget & bound updates** — `UpdateBudget`/`UpdateBound`
 //!    re-solve (warm-started, Theorem-2-certified) to exactly the prices a
 //!    fresh deployment at the new parameters would compute, and round-trip
@@ -271,8 +276,8 @@ fn spawned_solver_workers_keep_snapshots_bit_identical() {
 
 #[test]
 fn dirty_shard_rebuilds_touch_a_strict_subset_of_columns() {
-    // 32-client route blocks over 8 shards: a small churn batch must
-    // rebuild well under half of a 1024-client population's columns.
+    // 32-client route blocks reported over 8 shards: a small churn batch
+    // must re-derive well under half of a 1024-client population's rows.
     let mut rng = substream(7, 0xD1127);
     let clients: Vec<ClientParams> = (0..1024).map(|_| draw_client(&mut rng, 0)).collect();
     let budget_pop =
@@ -283,9 +288,9 @@ fn dirty_shard_rebuilds_touch_a_strict_subset_of_columns() {
     let (mut service, ids) = PricingService::with_clients(config, clients).unwrap();
     let first = service.reprice().unwrap();
     assert_eq!(first.shard_count, 8);
-    assert_eq!(first.dirty_shards, 8, "cold solve rebuilds everything");
+    assert_eq!(first.dirty_shards, 8, "cold solve derives every row");
     assert_eq!(first.rebuilt_columns, 1024);
-    // A clean re-solve (budget change) rebuilds nothing.
+    // A clean re-solve (budget change) re-derives nothing.
     service
         .update_budget(service.config().budget * 1.1)
         .unwrap();
@@ -293,7 +298,7 @@ fn dirty_shard_rebuilds_touch_a_strict_subset_of_columns() {
     assert_eq!(clean.dirty_shards, 0);
     assert_eq!(clean.rebuilt_columns, 0);
     assert!(clean.warm_started);
-    // One small churn batch rebuilds only the touched shards' columns.
+    // One small churn batch re-derives only the touched blocks' rows.
     service
         .add_clients(vec![
             ClientParams::always_on(1.0, 4.0, 30.0, 2.0, 1.0),
@@ -425,7 +430,7 @@ fn fast_path_service_stays_certified_under_churn_and_reuses_the_index() {
     };
 
     // The store stamps index segments per route block, so churn patches
-    // the index whether or not the shard count divides the 256 segments.
+    // the index whatever the reporting shard count.
     for shards in [8usize, 7] {
         let mut rng = substream(19, 0xFA57);
         let clients: Vec<ClientParams> = (0..512).map(|_| draw_client(&mut rng, 0)).collect();
@@ -526,7 +531,7 @@ fn fast_path_service_stays_certified_under_churn_and_reuses_the_index() {
         );
 
         // A bound update that moves α/R moves every threshold, so the stamp
-        // must invalidate the index even though no shard is dirty. (The
+        // must invalidate the index even though no block is stamped. (The
         // original bound has α/R = 4; this one has α/R = 6 — a same-ratio
         // update like (6000, 80, 1500) would legitimately keep the index.)
         let new_bound = BoundParams::new(6_000.0, 80.0, 1_000).unwrap();

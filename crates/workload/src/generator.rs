@@ -17,15 +17,15 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::HashSet;
 
-/// Ids are routed to shards (and availability cohorts) in blocks of this
-/// many consecutive ids, matching the store's routing constant.
+/// Ids are grouped into availability cohorts in blocks of this many
+/// consecutive ids, matching the store's route-block width.
 pub const ROUTE_BLOCK: u64 = 32;
 
 /// Availability probabilities are quantized to this many duty-level
 /// buckets before being compared and emitted, so a cohort's pattern only
 /// changes when its diurnal probability crosses a bucket boundary — on a
 /// 12-step day roughly half the cohorts move per step, which is what
-/// keeps the dirty-shard accounting partial instead of trivially full.
+/// keeps the stamped part of the store partial instead of trivially full.
 pub const PROBABILITY_GRID: f64 = 8.0;
 
 /// Which traffic regime a step belongs to (latency stats are bucketed per

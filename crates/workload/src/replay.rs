@@ -122,11 +122,11 @@ pub struct SolveSample {
     /// Spend evaluations of the solve: every O(N) pass on the exact
     /// path, Newton steps and window probes included.
     pub evaluations: usize,
-    /// Shards whose column caches were rebuilt.
+    /// Reporting shards of the route blocks the solve's deltas stamped.
     pub dirty_shards: usize,
-    /// Total store shards.
+    /// Reporting shard count (`ServiceConfig::shards`).
     pub shard_count: usize,
-    /// Columns recomputed for this solve.
+    /// Clients whose column rows this solve re-derived.
     pub rebuilt_columns: usize,
     /// Clients registered at solve time.
     pub clients: usize,

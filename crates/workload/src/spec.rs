@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// The spec fully determines the command trace: the same spec (including
 /// `seed`) generates a byte-identical trace on every run and every
 /// machine, independent of `shards`/`threads`, which only affect how the
-/// service executes it.
+/// service executes and reports it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadSpec {
     /// Initial population size.
@@ -20,7 +20,8 @@ pub struct WorkloadSpec {
     /// Master seed; every stochastic choice derives from it via labelled
     /// substreams.
     pub seed: u64,
-    /// Store shards the service is configured with.
+    /// Reporting shards the service is configured with
+    /// ([`fedfl_service::ServiceConfig::shards`]).
     pub shards: usize,
     /// Solver threads (`0` = auto).
     pub threads: usize,
